@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test debug race lint lint-json lint-hot qvet fuzz-smoke vet vet-debug bench bench-verify bench-hom bench-hom-verify bench-alloc bench-alloc-verify bench-intern-verify bench-stream-verify obs-verify serve-smoke cover all
+.PHONY: build test debug race lint lint-json lint-hot qvet fuzz-smoke vet vet-debug bench bench-verify bench-hom bench-hom-verify bench-alloc bench-alloc-verify search-verify obs-verify serve-smoke cover all
 
 all: build vet vet-debug test lint qvet
 
@@ -96,31 +96,22 @@ bench-alloc:
 bench-alloc-verify:
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 
-# bench-intern-verify gates the interned runtime: the differential wall
-# (interned vs generic verdicts, witnesses, and chase fingerprints over
-# every corpus family) plus the allocation record, whose chase and
-# search cases must hold strictly under the pre-interning committed
-# records (882 and 258 allocs/op).
-bench-intern-verify:
-	$(GO) test ./internal/cq -run 'TestInterned|TestCancelObservedInterned' -count=1
-	$(GO) test ./internal/containment -run 'TestInterned' -count=1
+# search-verify gates the homomorphism search under the race detector:
+# the adaptive-vs-naive differential wall over every corpus family
+# (verdicts, witnesses, and the arm each family takes), the in-package
+# arm-vs-oracle and parallel-vs-sequential parity suites, and the
+# cancellation contracts; then the chase freeze tests and the
+# allocation record.
+search-verify:
+	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestParallel|TestCancelObserved' -count=1
+	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive' -count=1
 	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1
-	$(GO) test ./internal/engine -run 'TestGenericSearch' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
-
-# bench-stream-verify gates the streamed iterator runtime under the race
-# detector: the three-way differential wall (streamed vs both oracles on
-# every corpus family, verdicts + stats + witnesses), the in-package
-# parity and parallel-component suites, and the cancellation contracts.
-bench-stream-verify:
-	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestParallel|TestCancelObservedStreamed|TestCancelObservedAdaptive' -count=1
-	$(GO) test -race ./internal/containment -run 'TestStreamedVs|TestAdaptiveVs' -count=1
-	$(GO) test -race ./internal/ra -run 'TestStream|TestFromCQPlanned' -count=1
 
 # obs-verify gates the observability layer: the reconciliation smoke
 # tests (exported metric totals must equal the summed per-job Stats)
 # plus the in-process overhead measurement (metrics collection at most
-# 2% over the unobserved path, planned node totals identical to the
+# 2% over the unobserved path, adaptive node totals identical to the
 # committed H1 record).
 obs-verify:
 	$(GO) test ./internal/obs -run 'TestBatchMetricsReconcile|TestMetamorphicComponentNodes' -count=1

@@ -63,13 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheSize := fs.Int("cache", 0, "verdict cache entries for -search (0 = default, <0 = disable)")
 	var of cli.ObsFlags
 	of.Register(fs)
-	var sf cli.SearchFlags
-	sf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := sf.Apply(); err != nil {
-		fmt.Fprintf(stderr, "sqeq: %v\n", err)
 		return 2
 	}
 

@@ -103,15 +103,14 @@ func ContainedUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Sta
 
 // ContainedUnderCtx is ContainedUnder with cancellation: both the chase
 // and the homomorphism search poll ctx and abort with its error when it
-// is done.  The search runs in cq.SearchDefault mode (interned unless a
-// command layer selected the generic fallback at startup).
+// is done.  The search is the adaptive one (cq.SearchAdaptive).
 func ContainedUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return ContainedUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
+	return ContainedUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchAdaptive)
 }
 
 // ContainedUnderCtxMode is ContainedUnderCtx with an explicit
 // homomorphism search mode; the naive mode drives the differential tests
-// and the planned-vs-naive benchmark record.
+// and the adaptive-vs-naive benchmark record.
 //
 //keyedeq:hot -- freeze-chase-search is the decision procedure every engine verdict runs
 func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
@@ -201,7 +200,7 @@ func EquivalentUnderMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode 
 
 // EquivalentUnderCtx is EquivalentUnder with cancellation via ctx.
 func EquivalentUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
+	return EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchAdaptive)
 }
 
 // EquivalentUnderCtxMode is EquivalentUnderCtx with an explicit

@@ -9,12 +9,21 @@ import (
 	"keyedeq/internal/value"
 )
 
-// Metamorphic invariants of the interned decision path: verdicts must
-// not change under surface transformations that preserve query
-// semantics — α-renaming with atom reorder, and injective renaming of
-// the constant values themselves.  Both transformations scramble the
-// order in which the freeze step first sees values, so they exercise
-// the claim that verdicts never depend on the ID assignment.
+// Metamorphic invariants of the adaptive decision path, whose pipeline
+// runs over the database's interned (frozen) view: verdicts must not
+// change under surface transformations that preserve query semantics —
+// α-renaming with atom reorder, and injective renaming of the constant
+// values themselves.  Both transformations scramble the order in which
+// the freeze step first sees values, so they exercise the claim that
+// verdicts never depend on the ID assignment.
+
+// metamorphicFamilies are the schema families the sweeps cover: keyed
+// and wide exercise EGD-heavy chases feeding the search, graph-star and
+// graph-long fan-out and deep-chain search shapes; between them both
+// arms of the adaptive search run.
+func metamorphicFamilies() []string {
+	return []string{"keyed", "wide", "graph-star", "graph-long"}
+}
 
 // renameQueryConsts applies an injective value renaming f to every
 // constant of q (equality bindings and head constants; body atoms carry
@@ -38,7 +47,7 @@ func TestInternedVerdictInvariantUnderAlphaVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep is slow in -short mode")
 	}
-	for fi, fam := range internedFamilies() {
+	for fi, fam := range metamorphicFamilies() {
 		fam, fi := fam, fi
 		t.Run(fam, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9900 + fi)))
@@ -47,7 +56,7 @@ func TestInternedVerdictInvariantUnderAlphaVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range f.Pairs {
-				base, _, err := EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+				base, _, err := EquivalentUnder(p.Left, p.Right, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +64,7 @@ func TestInternedVerdictInvariantUnderAlphaVariants(t *testing.T) {
 				// freeze's first-sight ID order; the verdict must not move.
 				l2 := gen.AlphaVariant(rng, p.Left)
 				r2 := gen.AlphaVariant(rng, p.Right)
-				got, _, err := EquivalentUnderMode(l2, r2, f.Schema, f.Deps, cq.SearchInterned)
+				got, _, err := EquivalentUnder(l2, r2, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +87,7 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 	ren := func(v value.Value) value.Value {
 		return value.Value{Type: v.Type, N: v.N*13 + 5}
 	}
-	for fi, fam := range internedFamilies() {
+	for fi, fam := range metamorphicFamilies() {
 		fam, fi := fam, fi
 		t.Run(fam, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(10100 + fi)))
@@ -88,7 +97,7 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 			}
 			renamed := 0
 			for i, p := range f.Pairs {
-				base, _, err := EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+				base, _, err := EquivalentUnder(p.Left, p.Right, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +106,7 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 				if l2.String() != p.Left.String() || r2.String() != p.Right.String() {
 					renamed++
 				}
-				got, _, err := EquivalentUnderMode(l2, r2, f.Schema, f.Deps, cq.SearchInterned)
+				got, _, err := EquivalentUnder(l2, r2, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,25 +124,27 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 
 // TestInternerDeterminismOnCanonicalDatabases pins the freeze side of
 // the metamorphic wall directly: freezing the same canonical database
-// twice yields bit-identical ID tables, so the interned search's ID
-// space is a pure function of the database contents.
+// twice yields bit-identical ID tables, so the search's ID space is a
+// pure function of the database contents.
 func TestInternerDeterminismOnCanonicalDatabases(t *testing.T) {
+	// The wide family's searches take the pipeline arm, which freezes
+	// the canonical database; the keyed family's scan never would.
 	rng := rand.New(rand.NewSource(10300))
-	f, err := gen.PairCorpus(rng, "keyed", 60)
+	f, err := gen.PairCorpus(rng, "wide", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range f.Pairs {
-		hom, ok, err := FindHomomorphismMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+		hom, ok, err := FindHomomorphism(p.Left, p.Right, f.Schema, f.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hom2, ok2, err := FindHomomorphismMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+		hom2, ok2, err := FindHomomorphism(p.Left, p.Right, f.Schema, f.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok != ok2 || (ok && hom.String() != hom2.String()) {
-			t.Fatalf("%s: repeated interned decision diverged: (%v, %s) vs (%v, %s)",
+			t.Fatalf("%s: repeated decision diverged: (%v, %s) vs (%v, %s)",
 				p.Note, ok, hom, ok2, hom2)
 		}
 	}

@@ -36,13 +36,14 @@ func (h Homomorphism) String() string {
 // FindHomomorphism decides q1 ⊑ q2 and, when it holds, returns the
 // explicit homomorphism from q2 into q1.  With deps it first chases q1's
 // canonical database; a vacuous containment (failing chase) returns
-// ok=true with a nil homomorphism.
+// ok=true with a nil homomorphism.  The witness comes from the adaptive
+// search.
 func FindHomomorphism(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (Homomorphism, bool, error) {
-	return FindHomomorphismMode(q1, q2, s, deps, cq.SearchPlanned)
+	return FindHomomorphismMode(q1, q2, s, deps, cq.SearchAdaptive)
 }
 
 // FindHomomorphismMode is FindHomomorphism with an explicit homomorphism
-// search mode; differential tests verify both modes' witnesses.
+// search mode; the differential wall verifies both modes' witnesses.
 func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (Homomorphism, bool, error) {
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return nil, false, err

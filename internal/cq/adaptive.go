@@ -7,8 +7,8 @@ import (
 	"keyedeq/internal/value"
 )
 
-// This file is the SearchAdaptive dispatcher — the default search
-// mode.  It consults the cost model (cost.go) to choose, per query and
+// This file is the SearchAdaptive dispatcher — the production search.
+// It consults the cost model (cost.go) to choose, per query and
 // database, between the dense ID scan (scan_id.go) and the streamed
 // iterator pipeline (iter.go), and fans the pipeline's connected
 // components out to a bounded worker pool (parallel.go) when the model
@@ -58,12 +58,7 @@ func findAnswerAdaptive(ctx context.Context, q *Query, d *instance.Database, wan
 		return scanIDCore(ctx, q, want, eq, rels)
 	}
 	s := newStreamSearcher(ctx, plan, fz, &stats)
-	for _, pb := range pres {
-		if id, ok := plan.classOf[pb.root]; ok {
-			s.binding[id] = s.internID(pb.val)
-			s.bound[id] = true
-		}
-	}
+	s.prebind(pres)
 	var ok bool
 	if choice.parallel {
 		ok, err = runComponentsParallel(s, plan, choice.workers)

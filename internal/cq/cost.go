@@ -8,8 +8,8 @@ import (
 
 // This file is the cost model behind SearchAdaptive: a cheap,
 // plan-time estimate that chooses, per query and database, between the
-// streamed iterator pipeline (iter.go) and the dense ID scan
-// (scan_interned.go), and decides when the plan's connected components
+// streamed iterator pipeline (iter.go) and the dense scan
+// (scan_id.go), and decides when the plan's connected components
 // are worth searching in parallel (parallel.go).
 //
 // The model has two tiers.  Tier 0 runs before any plan is built: when

@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"context"
 	"testing"
 
 	"keyedeq/internal/instance"
@@ -227,83 +226,83 @@ func TestChoosePlanParallelGating(t *testing.T) {
 	}
 }
 
+// TestExplainPlanStrategies pins the three strategies the adaptive
+// search can reach for one query: the tier-0 scan with no plan, the
+// sequential pipeline, and the parallel pipeline — plus the scan the
+// tier-1 estimate falls back to when the pipeline is priced out.
 func TestExplainPlanStrategies(t *testing.T) {
 	q := multiComponentQuery()
 
 	// Tier 0: everything small, no plan built.
 	small := edgeDB(t, pathEdges(4))
-	info, err := ExplainPlan(q, small)
+	rels, _, err := resolveRelations(q, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Strategy != "scan" || info.AtomOrder != nil {
-		t.Fatalf("small instance: got %+v, want bare scan", info)
+	if cfg := defaultCostConfig; !allSmall(rels, &cfg) {
+		t.Fatal("small instance must take the tier-0 scan")
 	}
 
 	s := schema.MustParse("E(a:T1, b:T1)")
 	big := instance.NewDatabase(s)
 	completeDigraph(big, []int64{1, 2, 3, 4})
+	plan := costPlanFor(t, q, big)
+	fz := big.Frozen()
+	if len(plan.comps) != 2 || len(plan.comps[0].steps)+len(plan.comps[1].steps) != 4 {
+		t.Fatalf("unexpected plan shape: %d components", len(plan.comps))
+	}
+	indexed := 0
+	for ci := range plan.comps {
+		for _, st := range plan.comps[ci].steps {
+			if st.indexSlot >= 0 {
+				indexed++
+			}
+		}
+	}
+	if indexed == 0 {
+		t.Fatal("indexed pipeline has no indexed steps")
+	}
 
 	cfg := defaultCostConfig
 	cfg.planOverhead = 0
 	cfg.indexBuildPerRow = 0
 	cfg.nodeCost = 0
 	cfg.parallelMinNodes = 0
-	withCostConfig(t, cfg, func() {
-		info, err := ExplainPlan(q, big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Strategy != "pipeline" {
-			t.Fatalf("sequential pipeline expected on one worker, got %q", info.Strategy)
-		}
-		if len(info.Components) != 2 || len(info.AtomOrder) != 4 {
-			t.Fatalf("unexpected plan shape: %+v", info)
-		}
-		if info.IndexedSteps == 0 {
-			t.Fatal("indexed pipeline reported no indexed steps")
-		}
-	})
+	// One worker: the sequential pipeline, whatever the core count.
+	cfg.parallelWorkers = 1
+	if c := choosePlan(fz, plan, &cfg); !c.usePipeline || c.parallel {
+		t.Fatalf("one worker: got %+v, want the sequential pipeline", c)
+	}
 
 	cfg.parallelWorkers = 4
-	withCostConfig(t, cfg, func() {
-		info, err := ExplainPlan(q, big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Strategy != "pipeline-parallel" {
-			t.Fatalf("forced workers: got %q, want pipeline-parallel", info.Strategy)
-		}
-		if info.EstPipelineNodes <= 0 || info.EstScanNodes <= info.EstPipelineNodes {
-			t.Fatalf("estimates not populated sensibly: %+v", info)
-		}
-	})
+	c := choosePlan(fz, plan, &cfg)
+	if !c.usePipeline || !c.parallel {
+		t.Fatalf("forced workers: got %+v, want the parallel pipeline", c)
+	}
+	if c.pipeNodes <= 0 || c.scanNodes <= c.pipeNodes {
+		t.Fatalf("estimates not populated sensibly: %+v", c)
+	}
 
-	// A config that prices the pipeline out reports the scan with both
-	// estimates attached.
+	// A config that prices the pipeline out falls back to the scan with
+	// both estimates attached.
 	expensive := defaultCostConfig
 	expensive.planOverhead = 1e12
-	withCostConfig(t, expensive, func() {
-		info, err := ExplainPlan(q, big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Strategy != "scan" || info.EstScanNodes == 0 {
-			t.Fatalf("priced-out pipeline: got %+v, want scan with estimates", info)
-		}
-	})
+	if c := choosePlan(fz, plan, &expensive); c.usePipeline || c.scanNodes == 0 {
+		t.Fatalf("priced-out pipeline: got %+v, want scan with estimates", c)
+	}
 }
 
 // TestCostModelCliqueMisprediction is a known-failure probe, not a
 // regression test.  On the triangle (clique-3) query over a clique-4
 // digraph the tier-1 estimate strongly prefers the pipeline (~84 vs
-// ~588 estimated candidate visits), yet both runtimes visit exactly the
-// same candidates: the per-column distinct counts of a clique make the
-// frontier-product walk believe the indexes filter hard, when in fact
-// every probe bucket is nearly the whole relation.  The pipeline's
-// setup — planOverhead plus an index build over every edge — is pure
-// loss, so under the model's own weights the scan wins the run the
-// model gave to the pipeline.
+// ~588 estimated candidate visits): the per-column distinct counts of
+// a clique make the frontier-product walk believe the indexes filter
+// hard, when in fact every probe bucket is nearly the whole relation.
+// Each arm is measured by forcing it through the cost configuration.
+// The pipeline visits 4 candidates and the scan 25, but the pipeline's
+// setup — planOverhead plus an index build over every edge — costs
+// more than the scan's whole run, so under the model's own weights
+// the scan wins the run the model gave to the pipeline.
 //
 // While the misprediction stands, the probe skips with the measured
 // numbers.  If a cost-model change fixes it (either the estimate stops
@@ -333,17 +332,15 @@ func TestCostModelCliqueMisprediction(t *testing.T) {
 	plan := costPlanFor(t, q, d)
 	choice := choosePlan(d.Frozen(), plan, &cfg)
 
-	pipeOK, _, pipeStats, err := FindAnswerBindingCtxMode(context.Background(), q, d, instance.Tuple{}, SearchStreamed)
-	if err != nil {
-		t.Fatal(err)
+	pipe := searchUnder(t, pipelineConfig(), q, d, instance.Tuple{})
+	scan := searchUnder(t, scanConfig(), q, d, instance.Tuple{})
+	if pipe.err != nil || scan.err != nil {
+		t.Fatal(pipe.err, scan.err)
 	}
-	scanOK, _, scanStats, err := FindAnswerBindingCtxMode(context.Background(), q, d, instance.Tuple{}, SearchInterned)
-	if err != nil {
-		t.Fatal(err)
+	if pipe.ok != scan.ok {
+		t.Fatalf("arms disagree on the verdict: pipeline=%v scan=%v", pipe.ok, scan.ok)
 	}
-	if pipeOK != scanOK {
-		t.Fatalf("runtimes disagree on the verdict: streamed=%v interned=%v", pipeOK, scanOK)
-	}
+	pipeStats, scanStats := pipe.es, scan.es
 
 	// Price the measured runs with the model's own weights.  The scan
 	// arm has no setup; the pipeline pays plan compilation and the index

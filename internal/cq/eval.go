@@ -16,7 +16,8 @@ import (
 type EvalStats struct {
 	Nodes int64
 	// CompNodes breaks Nodes down by join-graph connected component on
-	// the planned search path (nil for the naive search).  Components
+	// the pipeline (nil for the naive search and the adaptive search's
+	// scan arm).  Components
 	// the search never reached — a miss or cancellation in an earlier
 	// component ends the search — contribute no entry, so the recorded
 	// entries always sum to Nodes.
@@ -30,9 +31,10 @@ const cancelCheckMask = 0x3ff
 
 // Eval evaluates q over database d, returning the answer as a relation
 // instance with a synthesized scheme (named by q.HeadRel, attributes
-// c0..cn-1, no key).  Evaluation uses the planned, indexed join of
-// plan.go/search.go; the classical naive backtracking join remains
-// available through EvalWithStatsMode(SearchNaive).
+// c0..cn-1, no key).  Evaluation runs the planned, indexed join of
+// plan.go through the streamed pipeline (iter.go); the classical naive
+// backtracking join remains available through
+// EvalWithStatsMode(SearchNaive).
 func Eval(q *Query, d *instance.Database) (*instance.Relation, error) {
 	rel, _, err := EvalWithStats(q, d)
 	return rel, err
@@ -53,13 +55,13 @@ func EvalInto(q *Query, d *instance.Database, scheme *schema.Relation) (*instanc
 			return nil, fmt.Errorf("cq: head position %d has type %v, scheme %q wants %v", i, t, scheme.Name, scheme.Attrs[i].Type)
 		}
 	}
-	rel, _, err := evalCore(q, d, scheme, SearchPlanned)
+	rel, _, err := evalCore(q, d, scheme, SearchAdaptive)
 	return rel, err
 }
 
 // EvalWithStats is Eval returning search statistics.
 func EvalWithStats(q *Query, d *instance.Database) (*instance.Relation, EvalStats, error) {
-	return EvalWithStatsMode(q, d, SearchPlanned)
+	return EvalWithStatsMode(q, d, SearchAdaptive)
 }
 
 // EvalWithStatsMode is EvalWithStats with an explicit search mode; the
@@ -89,13 +91,7 @@ func evalCore(q *Query, d *instance.Database, scheme *schema.Relation, mode Sear
 		stats, err := evalNaive(q, d, out)
 		return out, stats, err
 	}
-	// SearchInterned, SearchStreamed, and SearchAdaptive all share the
-	// planned path here: the ID-native runtimes target the single-answer
-	// decision search (the containment hot loop), while full enumeration
-	// materializes surface-value answer tuples anyway, so an ID-space
-	// enumeration would decode every emitted tuple and win nothing
-	// (DESIGN.md §14).
-	stats, err := evalPlanned(context.Background(), q, d, out)
+	stats, err := evalPipeline(context.Background(), q, d, out)
 	return out, stats, err
 }
 
@@ -232,10 +228,9 @@ func FindAnswerBinding(q *Query, d *instance.Database, want instance.Tuple) (boo
 }
 
 // FindAnswerBindingCtx is FindAnswerBinding with cancellation via ctx.
-// It searches in SearchDefault mode (adaptive unless a command layer
-// pinned another runtime at startup).
+// It runs the adaptive search.
 func FindAnswerBindingCtx(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	return FindAnswerBindingCtxMode(ctx, q, d, want, SearchDefault)
+	return FindAnswerBindingCtxMode(ctx, q, d, want, SearchAdaptive)
 }
 
 // FindAnswerBindingMode is FindAnswerBinding with an explicit search
@@ -284,17 +279,10 @@ func findAnswer(ctx context.Context, q *Query, d *instance.Database, want instan
 	if len(q.Body) == 0 {
 		return false, nil, EvalStats{}, fmt.Errorf("cq: empty body")
 	}
-	switch mode {
-	case SearchNaive:
+	if mode == SearchNaive {
 		return findAnswerNaive(ctx, q, d, want)
-	case SearchInterned:
-		return findAnswerInterned(ctx, q, d, want)
-	case SearchStreamed:
-		return findAnswerStreamed(ctx, q, d, want)
-	case SearchAdaptive:
-		return findAnswerAdaptive(ctx, q, d, want)
 	}
-	return findAnswerPlanned(ctx, q, d, want)
+	return findAnswerAdaptive(ctx, q, d, want)
 }
 
 // findAnswerNaive is the reference homomorphism search: dynamic

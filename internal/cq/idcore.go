@@ -8,13 +8,11 @@ import (
 	"keyedeq/internal/value"
 )
 
-// idSearchCore is the state shared by every ID-native search runtime
-// (the interned oracle in search_interned.go and the streamed iterator
-// pipeline in iter.go): dense class bindings over a frozen view, the
-// addedStack unwind discipline, ghost IDs for query values the frozen
-// view never interned, and the masked cancellation-polling node
-// counter.  Keeping it in one struct keeps the runtimes bit-identical
-// in everything but candidate enumeration machinery.
+// idSearchCore is the ID-native state of the streamed pipeline
+// (iter.go) and its parallel component workers (parallel.go): dense
+// class bindings over a frozen view, the addedStack unwind discipline,
+// ghost IDs for query values the frozen view never interned, and the
+// masked cancellation-polling node counter.
 type idSearchCore struct {
 	ctx      context.Context
 	fz       *instance.Frozen
@@ -37,7 +35,7 @@ type idSearchCore struct {
 // internID resolves a surface value to its frozen ID, or to a ghost ID
 // when the frozen view never saw it.  Ghosts are deduplicated per
 // distinct value so two prebindings of the same absent constant agree,
-// exactly as the generic search's value comparisons would.
+// exactly as surface-value comparisons would.
 func (s *idSearchCore) internID(v value.Value) value.ID {
 	if id, ok := s.fz.Interner.Lookup(v); ok {
 		return id
@@ -57,7 +55,7 @@ func (s *idSearchCore) decodeID(id value.ID) value.Value {
 		return s.ghostVals[^value.ID(0)-id]
 	}
 	v, ok := s.fz.Interner.Decode(id)
-	invariant.Mustf(ok, "cq: interned search bound foreign ID %d", id)
+	invariant.Mustf(ok, "cq: pipeline bound foreign ID %d", id)
 	return v
 }
 
@@ -88,7 +86,7 @@ func (s *idSearchCore) unbindTo(mark int) {
 }
 
 // countNode advances the shared node counter under the same polling
-// contract as the generic searcher (see searcher.countNode).
+// contract as the dense scan (see scanSearcher.countNode).
 func (s *idSearchCore) countNode() bool {
 	if s.canceled != nil {
 		return false

@@ -108,8 +108,8 @@ func FuzzInternRoundTrip(f *testing.F) {
 				t.Fatalf("decode(intern(%v)) = %v (%v)", c, got, ok)
 			}
 		}
-		// An interned search over the frozen view must agree with the
-		// generic oracle even on arbitrary parsed inputs.
+		// The adaptive search (over the frozen view when it plans) must
+		// agree with the naive oracle even on arbitrary parsed inputs.
 		if len(q.Body) == 0 {
 			return
 		}
@@ -117,13 +117,18 @@ func FuzzInternRoundTrip(f *testing.F) {
 		for i := range want {
 			want[i] = value.Value{Type: 1, N: int64(i)}
 		}
-		okP, _, esP, errP := FindAnswerBindingMode(q, d, want, SearchPlanned)
-		okI, _, esI, errI := FindAnswerBindingMode(q, d, want, SearchInterned)
-		if (errP == nil) != (errI == nil) {
-			t.Fatalf("errors diverge: planned %v, interned %v", errP, errI)
+		okN, _, _, errN := FindAnswerBindingMode(q, d, want, SearchNaive)
+		okA, _, _, errA := FindAnswerBindingMode(q, d, want, SearchAdaptive)
+		if (errN == nil) != (errA == nil) {
+			t.Fatalf("errors diverge: naive %v, adaptive %v", errN, errA)
 		}
-		if errP == nil && (okP != okI || esP.Nodes != esI.Nodes) {
-			t.Fatalf("planned (%v, %d nodes) vs interned (%v, %d nodes)", okP, esP.Nodes, okI, esI.Nodes)
+		if errN == nil && okN != okA {
+			t.Fatalf("naive %v vs adaptive %v", okN, okA)
 		}
+		// These inputs are tiny, so the default configuration scans;
+		// force the pipeline too, which interns the wanted values.
+		pipe := searchUnder(t, pipelineConfig(), q, d, want)
+		sameVerdict(t, "pipeline vs naive", pipe, searchNaive(q, d, want))
+		checkWitness(t, "pipeline witness", q, d, want, pipe)
 	})
 }

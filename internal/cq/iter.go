@@ -25,16 +25,15 @@ import (
 // Each pipeline depth is one open cursor; the driver pulls the next
 // candidate from the deepest cursor, so item A's depth-3 work never
 // waits on item B's depth-1 work and nothing is materialized beyond
-// the indexes.  The operator contracts are pinned in DESIGN.md §15.
+// the indexes.  The same driver serves the decision search (stop at
+// the first full match) and Eval's enumeration (a leaf callback per
+// full match).  The operator contracts are pinned in DESIGN.md §15.
 //
-// The runtime is differential-tested to be bit-identical — verdicts,
-// EvalStats (Nodes and CompNodes), and witnesses — to both oracles:
-// SearchPlanned (generic values) and SearchInterned (recursive ID
-// search).  That holds because all three share one plan, enumerate
-// candidates in row order (hash buckets are filled in row order; the
-// interned sorted index breaks key ties by row number), and count a
-// node for every candidate pulled, before tryBind, under the same
-// cancelCheckMask polling contract.
+// Candidates are enumerated in row order (hash buckets are filled in
+// row order) and a node is counted for every candidate pulled, before
+// tryBind, under the cancelCheckMask polling contract.  The adaptive
+// search's differential wall pins the pipeline to the naive oracle's
+// verdicts, and its witnesses to VerifyHomomorphism.
 
 // streamIndex is one pre-sized hash index shared by the plan steps of
 // an index slot.  A key resolves to a dense bucket id — single-position
@@ -127,10 +126,9 @@ func keyPosSig(keyPos []int) string {
 // positions, so every search against one frozen view — including the
 // parallel component workers and entirely separate queries — shares a
 // single build.  On a miss the fill runs in row order, so bucket row
-// lists enumerate candidates exactly as the generic search's buckets
-// and the interned search's sorted ranges do, and it honors the same
-// masked polling contract; on cancellation the partial index is
-// discarded, not memoized, and the next searcher builds afresh.
+// lists enumerate candidates in row order, and it honors the masked
+// polling contract; on cancellation the partial index is discarded,
+// not memoized, and the next searcher builds afresh.
 func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) bool {
 	v, ok := fr.IndexMemo(keyPosSig(st.keyPos), func() (any, bool) {
 		if idx := s.fillIndex(st, fr); idx != nil {
@@ -150,7 +148,7 @@ func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) b
 // dense bucket id (first-occurrence order) and the placement pass
 // prefix-sums the bucket sizes and drops each row into its bucket's
 // next slot — ascending row order in, ascending row order per bucket
-// out, the enumeration order the oracle runtimes pin.
+// out.
 func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *streamIndex {
 	n := fr.NumRows()
 	idx := streamIndex{built: true}
@@ -252,21 +250,22 @@ func (s *streamSearcher) openCursor(steps []planStep, depth int) bool {
 	return true
 }
 
-// runPipeline streams one component's steps to the first full match,
-// leaving the successful bindings in place.  The explicit cursor stack
-// replaces the oracle runtimes' recursion: pulling the next candidate,
-// counting it, binding it, and descending visits exactly the node
-// sequence findFrom (search_interned.go) visits.
+// runPipeline streams one component's steps.  With a nil leaf it stops
+// at the first full match, leaving the successful bindings in place,
+// and reports whether one was found.  With a leaf it calls leaf at
+// every full match, unwinding that match's bindings afterwards, until
+// the cursors run dry or leaf returns false, and then returns false.
+// Either way s.canceled set on return means cancellation.
 //
 //keyedeq:hot -- the streamed pipeline driver: every candidate is one cursor pull plus ID-compare binds
-func (s *streamSearcher) runPipeline(steps []planStep) bool {
+func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 	if len(steps) == 0 {
-		return true
+		return leaf == nil || leaf()
 	}
 	if !s.openCursor(steps, 0) {
 		return false
 	}
-	depth := 0
+	depth, last := 0, len(steps)-1
 	for {
 		c := &s.cursors[depth]
 		var ri int
@@ -301,8 +300,15 @@ func (s *streamSearcher) runPipeline(steps []planStep) bool {
 			s.unbindTo(s.marks[depth])
 			continue
 		}
-		if depth == len(steps)-1 {
-			return true
+		if depth == last {
+			if leaf == nil {
+				return true
+			}
+			if !leaf() {
+				return false
+			}
+			s.unbindTo(s.marks[depth])
+			continue
 		}
 		depth++
 		if !s.openCursor(steps, depth) {
@@ -311,47 +317,10 @@ func (s *streamSearcher) runPipeline(steps []planStep) bool {
 	}
 }
 
-// findAnswerStreamed is the SearchStreamed implementation behind
-// FindAnswerBindingCtx: identical prologue and component loop to
-// findAnswerInterned, with the recursive search replaced by the
-// streamed pipeline.  It always runs the pipeline sequentially — the
-// adaptive mode (adaptive.go) layers the cost-based scan choice and
-// parallel component search on top of it.
-//
-//keyedeq:hot -- the streamed homomorphism search backs the adaptive default's planned arm
-func findAnswerStreamed(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return false, nil, stats, nil
-	}
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
-	}
-	pres, earlyMiss := streamPrebindings(q, eq, want)
-	if earlyMiss {
-		return false, nil, stats, nil
-	}
-	plan := buildStreamPlan(ctx, q, rels, relIdxs, eq, pres)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats)
-	for _, pb := range pres {
-		if id, ok := plan.classOf[pb.root]; ok {
-			s.binding[id] = s.internID(pb.val)
-			s.bound[id] = true
-		}
-	}
-	ok, err := runComponentsSequential(s, plan)
-	if err != nil || !ok {
-		return false, nil, stats, err
-	}
-	return true, decodeWitness(&s.idSearchCore, plan, q, eq), stats, nil
-}
-
 // streamPrebindings collects the constant prebindings plus the head
 // classes pinned to want.  The checks run at the surface-value level,
-// before any interning, so impossible wants short-circuit exactly as
-// in the generic search; earlyMiss reports such a contradiction.
+// before any interning, so impossible wants short-circuit before a
+// plan is built; earlyMiss reports such a contradiction.
 func streamPrebindings(q *Query, eq *EqClasses, want instance.Tuple) (pres []prebinding, earlyMiss bool) {
 	pres = collectConstPrebindings(q, eq, make([]prebinding, 0, len(q.Head)+2))
 	for i, term := range q.Head {
@@ -373,9 +342,7 @@ func streamPrebindings(q *Query, eq *EqClasses, want instance.Tuple) (pres []pre
 	return pres, false
 }
 
-// buildStreamPlan compiles the plan and emits the plan-stage span the
-// oracle runtimes emit, keeping per-stage traces comparable across
-// modes.
+// buildStreamPlan compiles the plan and emits the plan-stage span.
 func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses, pres []prebinding) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
@@ -392,6 +359,18 @@ func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, r
 	return plan
 }
 
+// prebind seeds the searcher's bindings with the prebound values,
+// interning each (or minting a ghost ID for values the frozen view
+// never saw).
+func (s *streamSearcher) prebind(pres []prebinding) {
+	for _, pb := range pres {
+		if id, ok := s.plan.classOf[pb.root]; ok {
+			s.binding[id] = s.internID(pb.val)
+			s.bound[id] = true
+		}
+	}
+}
+
 // runComponentsSequential searches the plan's components in order over
 // one searcher, recording per-component node counts.  A miss or a
 // cancellation in an earlier component ends the search, so the
@@ -399,7 +378,7 @@ func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, r
 func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) {
 	for ci := range plan.comps {
 		before := s.stats.Nodes
-		found := s.runPipeline(plan.comps[ci].steps)
+		found := s.runPipeline(plan.comps[ci].steps, nil)
 		s.stats.CompNodes = append(s.stats.CompNodes, s.stats.Nodes-before)
 		if !found {
 			return false, s.canceled
@@ -419,4 +398,119 @@ func decodeWitness(core *idSearchCore, plan *searchPlan, q *Query, eq *EqClasses
 		}
 	}
 	return witness
+}
+
+// evalPipeline is the enumeration behind EvalWithStats: every
+// component's distinct head projections are enumerated once through
+// the pipeline, head-free components are checked for a single match,
+// and the answer is the cross product — so independent components
+// never multiply each other's backtracking.  Projections are
+// deduplicated and combined as IDs; values are decoded only when an
+// answer tuple is emitted.  It always plans and always runs
+// sequentially.
+//
+//keyedeq:hot -- full-enumeration evaluation visits every match of every component
+func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *instance.Relation) (EvalStats, error) {
+	var stats EvalStats
+	eq := NewEqClasses(q)
+	if eq.Unsatisfiable() {
+		return stats, nil
+	}
+	rels, relIdxs, err := resolveRelations(q, d)
+	if err != nil {
+		return stats, err
+	}
+	pres := collectConstPrebindings(q, eq, nil)
+	plan := buildPlan(q, rels, relIdxs, eq, pres)
+	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats)
+	s.prebind(pres)
+
+	// solutions[ci] holds component ci's distinct head-class projections
+	// as one flat ID slice of stride len(headRoots) (nil for head-free
+	// components, which only need one match).
+	solutions := make([][]value.ID, len(plan.comps))
+	for ci := range plan.comps {
+		comp := &plan.comps[ci]
+		before := stats.Nodes
+		if len(comp.headRoots) == 0 {
+			found := s.runPipeline(comp.steps, nil)
+			stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
+			if s.canceled != nil {
+				return stats, s.canceled
+			}
+			if !found {
+				return stats, nil
+			}
+			continue
+		}
+		seen := make(map[string]struct{})
+		var sols []value.ID
+		s.runPipeline(comp.steps, func() bool {
+			s.keyBuf = s.keyBuf[:0]
+			for _, id := range comp.headRoots {
+				s.keyBuf = appendIDKey(s.keyBuf, s.binding[id])
+			}
+			if _, dup := seen[string(s.keyBuf)]; !dup {
+				seen[string(s.keyBuf)] = struct{}{}
+				for _, id := range comp.headRoots {
+					sols = append(sols, s.binding[id])
+				}
+			}
+			return true
+		})
+		stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
+		if s.canceled != nil {
+			return stats, s.canceled
+		}
+		if len(sols) == 0 {
+			return stats, nil
+		}
+		solutions[ci] = sols
+	}
+
+	// Cross product: fix one projection per head-bearing component, then
+	// emit the decoded head tuple (constant-bound classes read from the
+	// prebound binding).  The product can dwarf the per-component
+	// searches (k components of n solutions emit n^k tuples), so it polls
+	// the context on its own emission counter — deliberately not
+	// stats.Nodes, which counts only search-tree assignments.
+	var emitted int64
+	var emit func(ci int) bool
+	emit = func(ci int) bool {
+		for ci < len(plan.comps) && solutions[ci] == nil {
+			ci++
+		}
+		if ci == len(plan.comps) {
+			emitted++
+			if emitted&cancelCheckMask == 0 {
+				if err := ctx.Err(); err != nil {
+					s.canceled = err
+					return false
+				}
+			}
+			t := make(instance.Tuple, len(q.Head))
+			for i, term := range q.Head {
+				if term.IsConst {
+					t[i] = term.Const
+					continue
+				}
+				t[i] = s.decodeID(s.binding[plan.classOf[eq.Find(term.Var)]])
+			}
+			out.MustInsert(t)
+			return true
+		}
+		roots := plan.comps[ci].headRoots
+		sols := solutions[ci]
+		for k := 0; k < len(sols); k += len(roots) {
+			for i, id := range roots {
+				s.binding[id] = sols[k+i]
+			}
+			if !emit(ci + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	emit(0)
+	return stats, s.canceled
 }

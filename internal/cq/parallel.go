@@ -105,7 +105,7 @@ func searchOneComponent(parent *streamSearcher, plan *searchPlan, ci int) compRe
 		cursors: make([]stepCursor, len(steps)),
 		marks:   make([]int, len(steps)),
 	}
-	found := ws.runPipeline(steps)
+	found := ws.runPipeline(steps, nil)
 	res := compResult{found: found, nodes: cstats.Nodes, err: ws.canceled}
 	if found {
 		res.added = ws.addedStack

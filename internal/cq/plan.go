@@ -6,8 +6,8 @@ import (
 	"keyedeq/internal/instance"
 )
 
-// This file compiles a query body into a search plan for the indexed
-// homomorphism search (search.go).  A plan fixes, per connected component
+// This file compiles a query body into a search plan for the streamed
+// pipeline (iter.go).  A plan fixes, per connected component
 // of the body's join graph, a static atom order chosen greedily by a
 // most-constrained-first heuristic, and records for every atom which
 // positions are already bound when the atom is matched — those positions
@@ -31,7 +31,7 @@ type planStep struct {
 	rel *instance.Relation
 	// relIdx is rel's index in the database's schema order, which is
 	// also its index among the frozen (interned) relation views — the
-	// interned search addresses relations by it.
+	// pipeline addresses relations by it.
 	relIdx int
 	// roots holds the class id of each position's placeholder variable.
 	roots []int32

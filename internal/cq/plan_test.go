@@ -158,7 +158,7 @@ func TestPlannedEvalMatchesNaiveRandomized(t *testing.T) {
 		default:
 			q = MustParse("V(X, W) :- E(X, Y), E(Z, W), Y = Z.")
 		}
-		planned, _, err := EvalWithStatsMode(q, d, SearchPlanned)
+		planned, _, err := EvalWithStatsMode(q, d, SearchAdaptive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,19 +183,16 @@ func TestPlannedSearchVisitsFewerNodes(t *testing.T) {
 	d := chainDB(t, 40)
 	q := MustParse("V(A, E) :- E(A, B), E(B, C), E(C, D), E(D, E).")
 	want := instance.Tuple{val(1, 0), val(1, 4)}
-	okP, _, stP, err := FindAnswerBindingMode(q, d, want, SearchPlanned)
-	if err != nil {
-		t.Fatal(err)
+	p := searchUnder(t, pipelineConfig(), q, d, want)
+	n := searchNaive(q, d, want)
+	if p.err != nil || n.err != nil {
+		t.Fatal(p.err, n.err)
 	}
-	okN, _, stN, err := FindAnswerBindingMode(q, d, want, SearchNaive)
-	if err != nil {
-		t.Fatal(err)
+	if !p.ok || !n.ok {
+		t.Fatalf("answer not found: planned %v, naive %v", p.ok, n.ok)
 	}
-	if !okP || !okN {
-		t.Fatalf("answer not found: planned %v, naive %v", okP, okN)
-	}
-	if stP.Nodes*2 > stN.Nodes {
-		t.Errorf("planned visited %d nodes, naive %d; want at least 2x fewer", stP.Nodes, stN.Nodes)
+	if p.es.Nodes*2 > n.es.Nodes {
+		t.Errorf("planned visited %d nodes, naive %d; want at least 2x fewer", p.es.Nodes, n.es.Nodes)
 	}
 }
 
@@ -203,13 +200,14 @@ func TestPlannedWitnessRespectsEqualities(t *testing.T) {
 	d := chainDB(t, 20)
 	q := MustParse("V(X, Z) :- E(X, Y), E(U, Z), Y = U.")
 	want := instance.Tuple{val(1, 3), val(1, 5)}
-	ok, witness, _, err := FindAnswerBindingMode(q, d, want, SearchPlanned)
-	if err != nil {
-		t.Fatal(err)
+	r := searchUnder(t, pipelineConfig(), q, d, want)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if !ok {
+	if !r.ok {
 		t.Fatal("answer not found")
 	}
+	witness := r.w
 	if witness["Y"] != witness["U"] {
 		t.Errorf("witness violates Y = U: %v vs %v", witness["Y"], witness["U"])
 	}
@@ -227,7 +225,7 @@ func TestPlannedSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := instance.NewRelation(nil)
-	_, err := evalPlanned(ctx, q, d, out)
+	_, err := evalPipeline(ctx, q, d, out)
 	if err == nil {
 		t.Fatal("want cancellation error, got nil")
 	}
@@ -252,18 +250,21 @@ func TestPlannedEmptyRelationRefutesEarly(t *testing.T) {
 	d := instance.NewDatabase(s)
 	d.MustInsert("E", val(1, 0), val(1, 1))
 	q := MustParse("V(X) :- E(X, Y), F(Y).")
-	ok, _, _, err := FindAnswerBindingMode(q, d, instance.Tuple{val(1, 0)}, SearchPlanned)
-	if err != nil {
-		t.Fatal(err)
+	r := searchUnder(t, pipelineConfig(), q, d, instance.Tuple{val(1, 0)})
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if ok {
+	if r.ok {
 		t.Fatal("found an answer through an empty relation")
 	}
 }
 
 func TestSearchModeString(t *testing.T) {
-	if SearchPlanned.String() != "planned" || SearchNaive.String() != "naive" || SearchInterned.String() != "interned" {
-		t.Errorf("mode strings wrong: %q, %q, %q",
-			SearchPlanned.String(), SearchNaive.String(), SearchInterned.String())
+	if SearchAdaptive.String() != "adaptive" || SearchNaive.String() != "naive" {
+		t.Errorf("mode strings wrong: %q, %q", SearchAdaptive.String(), SearchNaive.String())
+	}
+	var zero SearchMode
+	if zero != SearchAdaptive {
+		t.Errorf("zero SearchMode is %v, want adaptive", zero)
 	}
 }

@@ -115,8 +115,13 @@ func (s *scanSearcher) unbindTo(mark int) {
 	s.addedStack = s.addedStack[:mark]
 }
 
-// countNode advances the shared node counter under the same polling
-// contract as the generic searcher (see searcher.countNode).
+// countNode advances the node counter and polls the context once every
+// cancelCheckMask+1 nodes.  It reports whether the search may continue.
+// The canceled check comes before the increment: when a poll deep in
+// the recursion trips, every unwinding ancestor's candidate loop calls
+// countNode once more, and counting those visits would overshoot the
+// "observed within cancelCheckMask+1 nodes" contract by the recursion
+// depth.
 func (s *scanSearcher) countNode() bool {
 	if s.canceled != nil {
 		return false
@@ -177,21 +182,6 @@ func (s *scanSearcher) run(remaining int) {
 		s.unbindTo(mark)
 	}
 	s.used[ai] = false
-}
-
-// findAnswerScanID is the standalone entry point (the adaptive tier-0
-// fast path goes through scanIDCore to reuse its prologue work).
-func findAnswerScanID(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return false, nil, stats, nil
-	}
-	rels, _, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
-	}
-	return scanIDCore(ctx, q, want, eq, rels)
 }
 
 // scanIDCore runs the dense scan over pre-resolved relations.

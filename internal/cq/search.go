@@ -1,118 +1,33 @@
 package cq
 
 import (
-	"context"
-	"strconv"
-
-	"keyedeq/internal/instance"
-	"keyedeq/internal/obs"
 	"keyedeq/internal/value"
 )
-
-// This file runs the planned, indexed homomorphism search compiled by
-// plan.go: per-relation hash indexes keyed by the positions bound at
-// each step, matched component by component.  It threads the same
-// EvalStats.Nodes accounting and cancelCheckMask context polling as the
-// naive backtracking search in eval.go, so engine timeouts and stats
-// behave identically across modes.
 
 // SearchMode selects the homomorphism search implementation.
 type SearchMode int
 
 const (
-	// SearchPlanned is the generic indexed search: most-constrained-first
-	// join order with component decomposition over value-keyed hash
-	// indexes.  It is the differential oracle for the interned search
-	// and remains selectable as the generic fallback.
-	SearchPlanned SearchMode = iota
+	// SearchAdaptive is the production search and the zero value.  Per
+	// query and database a cost model (cost.go) chooses between the
+	// dense scan (scan_id.go) and the streamed iterator pipeline over
+	// the database's frozen view (iter.go), and searches the pipeline's
+	// connected components in parallel when the estimated work justifies
+	// it (parallel.go).
+	SearchAdaptive SearchMode = iota
 	// SearchNaive is the reference implementation: source-order dynamic
-	// atom picking with full relation scans.  It exists for differential
-	// testing and the planned-vs-naive benchmark record.
+	// atom picking with full relation scans over surface values.  It is
+	// the differential oracle and the baseline of the search benchmark
+	// record.
 	SearchNaive
-	// SearchInterned runs the planned search over the database's frozen
-	// (interned) view: dense value.ID bindings, flat ID rows, and
-	// allocation-free ID-keyed probes.  It visits exactly the nodes the
-	// generic planned search visits (same plan, same candidate order);
-	// only the tuple representation differs (search_interned.go).
-	SearchInterned
-	// SearchStreamed runs the plan as a pipeline of composable
-	// streaming iterators over the frozen view — positional scans,
-	// pre-sized hash-index lookups, and mark-unwound hash-join binds
-	// driven by an explicit cursor stack (iter.go).  It is bit-identical
-	// to SearchPlanned and SearchInterned in verdicts, EvalStats, and
-	// witnesses; the oracles differ only in candidate machinery.
-	SearchStreamed
-	// SearchAdaptive layers a cost model over SearchStreamed: per query
-	// and database it chooses between the streamed pipeline and the
-	// dense ID scan (the naive search's dynamic atom order over frozen
-	// rows — scan_id.go), and searches the pipeline's connected
-	// components in parallel when the estimated work justifies it
-	// (cost.go, adaptive.go).  It is the default.
-	SearchAdaptive
 )
-
-// SearchDefault is the mode used by every entry point that does not
-// take an explicit mode.  It is a variable so command layers can pin a
-// specific runtime (-search, -generic-search); set it at startup only —
-// concurrent mutation during a run is not supported.
-var SearchDefault = SearchAdaptive
 
 // String renders the mode tag used in benchmark tables and spans.
 func (m SearchMode) String() string {
-	switch m {
-	case SearchNaive:
+	if m == SearchNaive {
 		return "naive"
-	case SearchInterned:
-		return "interned"
-	case SearchStreamed:
-		return "streamed"
-	case SearchAdaptive:
-		return "adaptive"
 	}
-	return "planned"
-}
-
-// searcher carries the mutable state of one planned search.  Bindings
-// live in flat slices indexed by plan class id — the hot path hashes
-// nothing but the index-probe keys.
-type searcher struct {
-	ctx      context.Context
-	plan     *searchPlan
-	binding  []value.Value
-	bound    []bool
-	stats    *EvalStats
-	canceled error
-	// indexes1 holds one lazily built bucket map per plan index slot;
-	// steps sharing a slot share the index.  Single-position keys use
-	// indexes1 (keyed by the value itself, no encoding).  Wider keys use
-	// a two-level index: keyIDs maps the encoded byte-string key to a
-	// dense bucket id — the string is materialized once per distinct
-	// key, and every probe goes through the compiler's zero-alloc
-	// inline string(bytes) conversion — and buckets[slot][id] holds that
-	// key's tuples.
-	indexes1 []map[value.Value][]instance.Tuple
-	keyIDs   []map[string]int32
-	buckets  [][][]instance.Tuple
-	// keyBuf is the reusable scratch for probe-key encoding.
-	keyBuf []byte
-	// addedStack records newly bound class ids in binding order, shared
-	// by every recursion level: tryBind pushes, unbindTo truncates back
-	// to a caller's mark.  One reusable stack replaces a fresh slice per
-	// node visit.
-	addedStack []int32
-}
-
-func newSearcher(ctx context.Context, plan *searchPlan, stats *EvalStats) *searcher {
-	return &searcher{
-		ctx:      ctx,
-		plan:     plan,
-		binding:  make([]value.Value, plan.numClasses),
-		bound:    make([]bool, plan.numClasses),
-		stats:    stats,
-		indexes1: make([]map[value.Value][]instance.Tuple, plan.numSlots),
-		keyIDs:   make([]map[string]int32, plan.numSlots),
-		buckets:  make([][][]instance.Tuple, plan.numSlots),
-	}
+	return "adaptive"
 }
 
 // prebinding fixes one equality class's value before the search starts
@@ -147,380 +62,4 @@ func collectConstPrebindings(q *Query, eq *EqClasses, pres []prebinding) []prebi
 		}
 	}
 	return pres
-}
-
-// prebind seeds the binding slices from root-variable values fixed
-// before the search (constants and wanted head values).
-func (s *searcher) prebind(pres []prebinding) {
-	for _, pb := range pres {
-		if id, ok := s.plan.classOf[pb.root]; ok {
-			s.binding[id] = pb.val
-			s.bound[id] = true
-		}
-	}
-}
-
-// appendValue encodes one value into an index key.
-func appendValue(b []byte, v value.Value) []byte {
-	b = strconv.AppendInt(b, int64(v.Type), 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, v.N, 10)
-	b = append(b, '|')
-	return b
-}
-
-// candidates returns the tuples step st can match given the current
-// binding: the full (memoized) sorted order when the step has no bound
-// positions, else the step's index bucket for the bound values.
-func (s *searcher) candidates(st *planStep) []instance.Tuple {
-	if st.indexSlot < 0 {
-		return st.rel.Tuples()
-	}
-	if len(st.keyPos) == 1 {
-		p := st.keyPos[0]
-		idx := s.indexes1[st.indexSlot]
-		if idx == nil {
-			idx = make(map[value.Value][]instance.Tuple, st.rel.Len())
-			for i, t := range st.rel.Tuples() {
-				// Index builds scan whole relations, so they honor the
-				// same masked polling contract as node visits: one poll
-				// at the end of each cancelCheckMask+1-tuple window
-				// (small relations never poll).  On cancellation the
-				// partial index is discarded, not stored: a later retry
-				// must rebuild it in full rather than probe a map
-				// missing half the relation.
-				if i&cancelCheckMask == cancelCheckMask {
-					if err := s.ctx.Err(); err != nil {
-						s.canceled = err
-						return nil
-					}
-				}
-				idx[t[p]] = append(idx[t[p]], t)
-			}
-			s.indexes1[st.indexSlot] = idx
-		}
-		return idx[s.binding[st.roots[p]]]
-	}
-	ids := s.keyIDs[st.indexSlot]
-	if ids == nil {
-		ids = make(map[string]int32, st.rel.Len())
-		bks := make([][]instance.Tuple, 0, st.rel.Len())
-		for i, t := range st.rel.Tuples() {
-			if i&cancelCheckMask == cancelCheckMask {
-				if err := s.ctx.Err(); err != nil {
-					s.canceled = err
-					return nil
-				}
-			}
-			// Encode into the shared scratch and resolve the key through
-			// the zero-alloc inline probe; the key string is materialized
-			// only on first insert — once per distinct key, not per tuple.
-			b := s.keyBuf[:0]
-			for _, p := range st.keyPos {
-				b = appendValue(b, t[p])
-			}
-			s.keyBuf = b
-			bid, ok := ids[string(b)]
-			if !ok {
-				bid = int32(len(bks))
-				ids[string(b)] = bid
-				bks = append(bks, nil)
-			}
-			bks[bid] = append(bks[bid], t)
-		}
-		s.keyIDs[st.indexSlot] = ids
-		s.buckets[st.indexSlot] = bks
-	}
-	b := s.keyBuf[:0]
-	for _, p := range st.keyPos {
-		b = appendValue(b, s.binding[st.roots[p]])
-	}
-	s.keyBuf = b
-	bid, ok := ids[string(b)]
-	if !ok {
-		return nil
-	}
-	return s.buckets[st.indexSlot][bid]
-}
-
-// tryBind extends the binding with tuple t at step st, pushing each
-// newly bound class id onto addedStack.  It reports whether every
-// position was consistent; either way the caller unwinds the partial
-// adds with unbindTo(mark) using the stack length it saved beforehand.
-func (s *searcher) tryBind(st *planStep, t instance.Tuple) bool {
-	for p, id := range st.roots {
-		if s.bound[id] {
-			if s.binding[id] != t[p] {
-				return false
-			}
-			continue
-		}
-		s.binding[id] = t[p]
-		s.bound[id] = true
-		s.addedStack = append(s.addedStack, id)
-	}
-	return true
-}
-
-// unbindTo unwinds every binding pushed since the caller's mark.
-func (s *searcher) unbindTo(mark int) {
-	for _, id := range s.addedStack[mark:] {
-		s.bound[id] = false
-	}
-	s.addedStack = s.addedStack[:mark]
-}
-
-// countNode advances the node counter and polls the context once every
-// cancelCheckMask+1 nodes.  It reports whether the search may continue.
-// The canceled check comes before the increment: when a poll deep in
-// the recursion trips, every unwinding ancestor's candidate loop calls
-// countNode once more, and counting those visits would overshoot the
-// "observed within cancelCheckMask+1 nodes" contract by the recursion
-// depth.
-func (s *searcher) countNode() bool {
-	if s.canceled != nil {
-		return false
-	}
-	s.stats.Nodes++
-	if s.stats.Nodes&cancelCheckMask == 0 {
-		if err := s.ctx.Err(); err != nil {
-			s.canceled = err
-			return false
-		}
-	}
-	return true
-}
-
-// findFrom searches for one match of steps[i:], leaving the successful
-// bindings in place (the caller reads the witness out of s.binding).
-func (s *searcher) findFrom(steps []planStep, i int) bool {
-	if i == len(steps) {
-		return true
-	}
-	st := &steps[i]
-	for _, t := range s.candidates(st) {
-		if !s.countNode() {
-			return false
-		}
-		mark := len(s.addedStack)
-		if s.tryBind(st, t) && s.findFrom(steps, i+1) {
-			return true
-		}
-		s.unbindTo(mark)
-	}
-	return false
-}
-
-// eachMatch enumerates every match of steps[i:], calling emit at each
-// complete assignment.  emit returns false to stop the enumeration
-// early; eachMatch unwinds all bindings before returning either way.
-func (s *searcher) eachMatch(steps []planStep, i int, emit func() bool) bool {
-	if i == len(steps) {
-		return emit()
-	}
-	st := &steps[i]
-	for _, t := range s.candidates(st) {
-		if !s.countNode() {
-			return false
-		}
-		mark := len(s.addedStack)
-		if s.tryBind(st, t) && !s.eachMatch(steps, i+1, emit) {
-			s.unbindTo(mark)
-			return false
-		}
-		s.unbindTo(mark)
-	}
-	return true
-}
-
-// findAnswerPlanned is the planned-search implementation behind
-// FindAnswerBindingCtx: pre-bind the wanted head values, then satisfy
-// each join-graph component independently.
-//
-//keyedeq:hot -- the homomorphism search is the inner loop of every containment check
-func findAnswerPlanned(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return false, nil, stats, nil
-	}
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
-	}
-	pres := collectConstPrebindings(q, eq, make([]prebinding, 0, len(q.Head)+2))
-	// Pre-bind head variables to the wanted values; constants and
-	// already-bound classes must agree with want.
-	for i, term := range q.Head {
-		if term.IsConst {
-			if term.Const != want[i] {
-				return false, nil, stats, nil
-			}
-			continue
-		}
-		root := eq.Find(term.Var)
-		if bv, ok := lookupPre(pres, root); ok {
-			if bv != want[i] {
-				return false, nil, stats, nil
-			}
-			continue
-		}
-		pres = append(pres, prebinding{root: root, val: want[i]})
-	}
-	o := obs.FromContext(ctx)
-	planStart := o.Time()
-	plan := buildPlan(q, rels, relIdxs, eq, pres)
-	if o.SpansOn() {
-		steps := 0
-		for ci := range plan.comps {
-			steps += len(plan.comps[ci].steps)
-		}
-		o.EmitSpan(ctx, obs.StagePlan, planStart, nil,
-			obs.I("components", int64(len(plan.comps))),
-			obs.I("steps", int64(steps)))
-	}
-	s := newSearcher(ctx, plan, &stats)
-	s.prebind(pres)
-	for ci := range plan.comps {
-		before := stats.Nodes
-		found := s.findFrom(plan.comps[ci].steps, 0)
-		stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
-		if !found {
-			if s.canceled != nil {
-				return false, nil, stats, s.canceled
-			}
-			return false, nil, stats, nil
-		}
-	}
-	// Every component succeeded with its bindings left in place; resolve
-	// the witness per body variable through its class representative.
-	witness := make(map[Var]value.Value)
-	for _, a := range q.Body {
-		for _, v := range a.Vars {
-			witness[v] = s.binding[plan.classOf[eq.Find(v)]]
-		}
-	}
-	return true, witness, stats, nil
-}
-
-// evalPlanned is the planned-search implementation behind EvalWithStats:
-// every component's head projections are enumerated (deduplicated) once,
-// head-free components are checked for a single match, and the answer is
-// the cross product — so independent components never multiply each
-// other's backtracking.
-//
-//keyedeq:hot -- full-enumeration evaluation visits every match of every component
-func evalPlanned(ctx context.Context, q *Query, d *instance.Database, out *instance.Relation) (EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return stats, nil
-	}
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		return stats, err
-	}
-	pres := collectConstPrebindings(q, eq, nil)
-	plan := buildPlan(q, rels, relIdxs, eq, pres)
-	s := newSearcher(ctx, plan, &stats)
-	s.prebind(pres)
-
-	// solutions[i] holds component i's distinct head-class projections
-	// (nil for head-free components, which only need one match).
-	solutions := make([][][]value.Value, len(plan.comps))
-	for ci := range plan.comps {
-		comp := &plan.comps[ci]
-		before := stats.Nodes
-		if len(comp.headRoots) == 0 {
-			found := false
-			s.eachMatch(comp.steps, 0, func() bool {
-				found = true
-				return false
-			})
-			stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
-			if s.canceled != nil {
-				return stats, s.canceled
-			}
-			if !found {
-				return stats, nil
-			}
-			continue
-		}
-		seen := make(map[string]bool)
-		var sols [][]value.Value
-		s.eachMatch(comp.steps, 0, func() bool {
-			vals := make([]value.Value, len(comp.headRoots))
-			b := make([]byte, 0, len(vals)*8)
-			for i, id := range comp.headRoots {
-				vals[i] = s.binding[id]
-				b = appendValue(b, vals[i])
-			}
-			if k := string(b); !seen[k] {
-				seen[k] = true
-				sols = append(sols, vals)
-			}
-			return true
-		})
-		stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
-		if s.canceled != nil {
-			return stats, s.canceled
-		}
-		if len(sols) == 0 {
-			return stats, nil
-		}
-		solutions[ci] = sols
-	}
-
-	// Cross product: fix one projection per head-bearing component, then
-	// emit the head tuple (constant-bound classes read from the initial
-	// binding, which the per-component searches restored on unwind).
-	// The product can dwarf the per-component searches (k components of
-	// n solutions emit n^k tuples), so it polls the context on its own
-	// emission counter — deliberately not stats.Nodes, which counts only
-	// search-tree assignments and must stay comparable across modes.
-	var emitted int64
-	var emit func(ci int) bool
-	emit = func(ci int) bool {
-		for ci < len(plan.comps) && solutions[ci] == nil {
-			ci++
-		}
-		if ci == len(plan.comps) {
-			emitted++
-			if emitted&cancelCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					s.canceled = err
-					return false
-				}
-			}
-			t := make(instance.Tuple, len(q.Head))
-			for i, term := range q.Head {
-				if term.IsConst {
-					t[i] = term.Const
-					continue
-				}
-				t[i] = s.binding[plan.classOf[eq.Find(term.Var)]]
-			}
-			out.MustInsert(t)
-			return true
-		}
-		roots := plan.comps[ci].headRoots
-		for _, vals := range solutions[ci] {
-			for i, id := range roots {
-				s.binding[id] = vals[i]
-				s.bound[id] = true
-			}
-			if !emit(ci + 1) {
-				return false
-			}
-		}
-		for _, id := range roots {
-			s.bound[id] = false
-		}
-		return true
-	}
-	emit(0)
-	if s.canceled != nil {
-		return stats, s.canceled
-	}
-	return stats, nil
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // These tests pin the cancelCheckMask polling contract: every search
-// path — the planned search over hash indexes, its ≤smallRelScanThreshold
-// scan fallback, and the naive reference search — must observe a done
-// context within cancelCheckMask+1 node visits.  A path that skips
+// path — the adaptive search's pipeline over hash indexes, the
+// pipeline's ≤smallRelScanThreshold scan cursors, the adaptive scan
+// arm, and the naive reference search — must observe a done context
+// within cancelCheckMask+1 node visits.  A path that skips
 // Nodes++ or the poll would run arbitrarily far past a timeout.
 
 // cancelChainQuery builds V(X1, Xn+1) :- E(X1, X2), ..., E(Xn, Xn+1).
@@ -115,59 +116,101 @@ func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode S
 	}
 }
 
+// requireArm checks, on an uncancelled run, which arm the adaptive
+// search under the live cost configuration takes for the cancel chain,
+// so each test below provably polls on the path it names.
+func requireArm(t *testing.T, d *instance.Database, chainLen int, pipeline bool) {
+	t.Helper()
+	_, _, es, err := FindAnswerBinding(cancelChainQuery(chainLen), d, wantAcross())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := es.CompNodes != nil; got != pipeline {
+		t.Fatalf("search took the pipeline: %v, want %v", got, pipeline)
+	}
+}
+
 func TestCancelObservedPlannedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: every planned step scans.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchPlanned)
+	// 8 edges ≤ smallRelScanThreshold with tier 0 disabled: the search
+	// compiles a plan, and with no index to build the tier-1 estimate
+	// falls back to the dense scan.
+	cfg := defaultCostConfig
+	cfg.scanMaxCard = -1
+	withCostConfig(t, cfg, func() {
+		d := cancelGraph(t, false)
+		requireArm(t, d, 9, false)
+		testCancelObserved(t, d, 9, SearchAdaptive)
+	})
 }
 
 func TestCancelObservedPlannedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold: bound steps probe hash indexes.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchPlanned)
+	// 12 edges > smallRelScanThreshold under the default configuration:
+	// the estimate itself picks the indexed pipeline.
+	withCostConfig(t, defaultCostConfig, func() {
+		d := cancelGraph(t, true)
+		requireArm(t, d, 12, true)
+		testCancelObserved(t, d, 12, SearchAdaptive)
+	})
+}
+
+func TestCancelObservedInternedScanFallback(t *testing.T) {
+	// 8 edges ≤ smallRelScanThreshold, scan arm forced through tier 0:
+	// the dense ID scan polls inside its own recursion.
+	withCostConfig(t, scanConfig(), func() {
+		d := cancelGraph(t, false)
+		requireArm(t, d, 9, false)
+		testCancelObserved(t, d, 9, SearchAdaptive)
+	})
+}
+
+func TestCancelObservedInternedIndexed(t *testing.T) {
+	// 12 edges > smallRelScanThreshold, scan arm still forced: the dense
+	// ID scan must poll just as well over a relation the pipeline would
+	// have indexed.
+	withCostConfig(t, scanConfig(), func() {
+		d := cancelGraph(t, true)
+		requireArm(t, d, 12, false)
+		testCancelObserved(t, d, 12, SearchAdaptive)
+	})
 }
 
 func TestCancelObservedNaive(t *testing.T) {
 	testCancelObserved(t, cancelGraph(t, false), 9, SearchNaive)
 }
 
-func TestCancelObservedInternedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: every interned step scans frozen
-	// rows directly.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchInterned)
-}
-
-func TestCancelObservedInternedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold: bound steps binary-search the
-	// sorted ID indexes.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchInterned)
-}
-
 func TestCancelObservedStreamedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: every streamed cursor scans
-	// frozen rows directly.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchStreamed)
+	// 8 edges ≤ smallRelScanThreshold: the forced pipeline builds no
+	// index, so every cursor scans frozen rows directly.
+	withCostConfig(t, pipelineConfig(), func() {
+		testCancelObserved(t, cancelGraph(t, false), 9, SearchAdaptive)
+	})
 }
 
 func TestCancelObservedStreamedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold: bound cursors walk pre-built
-	// hash buckets.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchStreamed)
+	// 12 edges > smallRelScanThreshold: bound cursors walk hash buckets,
+	// built lazily under the same polling contract.
+	withCostConfig(t, pipelineConfig(), func() {
+		testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
+	})
 }
 
 func TestCancelObservedAdaptiveScanArm(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: tier 0 routes to the dense ID
-	// scan, which polls inside its own recursion.
+	// 8 edges ≤ smallRelScanThreshold: tier 0 routes the default
+	// configuration to the dense scan, which polls inside its own
+	// recursion.
 	testCancelObserved(t, cancelGraph(t, false), 9, SearchAdaptive)
 }
 
 func TestCancelObservedAdaptivePipeline(t *testing.T) {
-	// Above the threshold the adaptive mode plans; force the pipeline
-	// choice so the poll point under test is the cursor driver's.
+	// Above the threshold the adaptive search plans; price the pipeline
+	// in through the estimate (no forced tier 0) so the poll point under
+	// test is the cursor driver's as the cost model reaches it.
 	cfg := defaultCostConfig
 	cfg.planOverhead = 0
 	cfg.indexBuildPerRow = 0
 	cfg.nodeCost = 0
-	orig := costCfg
-	costCfg = cfg
-	defer func() { costCfg = orig }()
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
+	cfg.parallelWorkers = 1
+	withCostConfig(t, cfg, func() {
+		testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
+	})
 }

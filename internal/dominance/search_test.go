@@ -282,7 +282,7 @@ func TestSearchCtxDeciderWins(t *testing.T) {
 		},
 		EquivCtx: func(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
 			viaCtx.Add(1)
-			return containment.EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
+			return containment.EquivalentUnderCtx(ctx, q1, q2, s, deps)
 		},
 	}
 	_, found, _, err := SearchDominanceOptsCtx(context.Background(), s1, s2, smallBounds(), opts)

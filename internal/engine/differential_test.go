@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"keyedeq/internal/containment"
+	"keyedeq/internal/cq"
 	"keyedeq/internal/gen"
 )
 
@@ -82,6 +83,39 @@ func TestDifferentialEngineVsSequential(t *testing.T) {
 				t.Fatalf("degenerate corpus: %d/%d positive verdicts", pos, len(f.Pairs))
 			}
 		})
+	}
+}
+
+// TestAdaptiveDefaultMatchesGenericVerdicts checks the engine's batch
+// path — shared chase artifacts, dedup, the adaptive search — against
+// the naive oracle's generic surface-value search, on one family whose
+// searches take the scan arm (keyed) and one whose searches take the
+// pipeline (wide).  Node counts legitimately differ; verdicts may not.
+func TestAdaptiveDefaultMatchesGenericVerdicts(t *testing.T) {
+	for _, fam := range []string{"keyed", "wide"} {
+		rng := rand.New(rand.NewSource(2024))
+		f, err := gen.PairCorpus(rng, fam, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]Job, len(f.Pairs))
+		for i, p := range f.Pairs {
+			jobs[i] = Job{Left: p.Left, Right: p.Right, Op: OpEquivalent}
+		}
+		rep := New(f.Schema, f.Deps, Options{Workers: 2, DisableCache: true}).Run(context.Background(), jobs)
+		for i, p := range f.Pairs {
+			want, _, err := containment.EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchNaive)
+			if err != nil {
+				t.Fatalf("%s pair %d: naive: %v", fam, i, err)
+			}
+			if r := rep.Results[i]; r.Err != nil || r.Holds != want {
+				t.Fatalf("%s pair %d: engine (%v, %v), naive %v\n  left  %s\n  right %s",
+					fam, i, r.Holds, r.Err, want, p.Left, p.Right)
+			}
+		}
+		if rep.Holding == 0 || rep.Holding == rep.Pairs {
+			t.Fatalf("%s: degenerate corpus: %d/%d holding", fam, rep.Holding, rep.Pairs)
+		}
 	}
 }
 

@@ -61,12 +61,6 @@ type Options struct {
 	// carried by the caller's context is used instead; with neither the
 	// pipeline runs unobserved at near-zero cost.
 	Obs *obs.Obs
-	// GenericSearch forces the generic planned homomorphism search
-	// instead of the interned default — the escape hatch when a verdict
-	// needs re-checking against the differential oracle.  A bool (rather
-	// than a cq.SearchMode field) keeps the zero-value Options on the
-	// default interned path.
-	GenericSearch bool
 	// Store, when set (and caching is enabled), receives every freshly
 	// computed verdict at the moment it enters the cache — never cache
 	// hits, batch dedups, warm loads, or errored pairs — so a daemon
@@ -165,15 +159,6 @@ func New(s *schema.Schema, deps []fd.FD, opts Options) *Engine {
 
 // Schema returns the schema the engine decides over.
 func (e *Engine) Schema() *schema.Schema { return e.s }
-
-// searchMode resolves the homomorphism search mode this engine's
-// decisions run under.
-func (e *Engine) searchMode() cq.SearchMode {
-	if e.opts.GenericSearch {
-		return cq.SearchPlanned
-	}
-	return cq.SearchDefault
-}
 
 // CacheStats snapshots the verdict cache (zero when caching is off).
 func (e *Engine) CacheStats() CacheStats {
@@ -333,9 +318,9 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		err error
 	)
 	if op == OpContained {
-		ok, st, err = containment.ContainedUnderCtxMode(ctx, q1, q2, e.s, e.deps, e.searchMode())
+		ok, st, err = containment.ContainedUnderCtx(ctx, q1, q2, e.s, e.deps)
 	} else {
-		ok, st, err = containment.EquivalentUnderCtxMode(ctx, q1, q2, e.s, e.deps, e.searchMode())
+		ok, st, err = containment.EquivalentUnderCtx(ctx, q1, q2, e.s, e.deps)
 	}
 	if err != nil {
 		// Cancellation and timeout never reach the cache: the partial
@@ -398,6 +383,11 @@ func (f *frozen) claim() containment.Stats {
 type batchState struct {
 	ctx    context.Context
 	consts []value.Value // every constant of the batch, reserved in every freeze
+	// first maps each canonical query key to the first query carrying it,
+	// in job order.  Freezing that query, not whichever sharer a worker
+	// reaches first, keeps the artifact's value numbering — and so every
+	// search's node count — independent of the worker count.
+	first  map[string]*cq.Query
 	mu     sync.Mutex
 	frozen map[string]*frozen // canonical query key -> artifact
 }
@@ -407,7 +397,7 @@ type batchState struct {
 // constant of the whole batch so fresh nulls never collide with any
 // query's constants — the invariant that makes sharing the database
 // across pairs sound.
-func (e *Engine) frozenOf(b *batchState, k string, q *cq.Query) *frozen {
+func (e *Engine) frozenOf(b *batchState, k string) *frozen {
 	b.mu.Lock()
 	f, ok := b.frozen[k]
 	if !ok {
@@ -416,6 +406,7 @@ func (e *Engine) frozenOf(b *batchState, k string, q *cq.Query) *frozen {
 	}
 	b.mu.Unlock()
 	f.once.Do(func() {
+		q := b.first[k]
 		o := obs.FromContext(b.ctx)
 		tb := chase.NewTableau(e.s)
 		vars, err := chase.Freeze(tb, q)
@@ -473,7 +464,7 @@ func (e *Engine) frozenOf(b *batchState, k string, q *cq.Query) *frozen {
 // containedFrom decides frozenLeft ⊑ right using the memoized canonical
 // database.  A failed chase means the left query is empty under the
 // dependencies, so containment holds vacuously.
-func containedFrom(ctx context.Context, f *frozen, right *cq.Query, mode cq.SearchMode) (bool, containment.Stats, error) {
+func containedFrom(ctx context.Context, f *frozen, right *cq.Query) (bool, containment.Stats, error) {
 	var st containment.Stats
 	if f.err != nil {
 		return false, st, f.err
@@ -481,7 +472,7 @@ func containedFrom(ctx context.Context, f *frozen, right *cq.Query, mode cq.Sear
 	if f.failed {
 		return true, containment.FailedChaseStats(), nil
 	}
-	ok, _, es, err := cq.FindAnswerBindingCtxMode(ctx, right, f.db, f.want, mode)
+	ok, _, es, err := cq.FindAnswerBindingCtx(ctx, right, f.db, f.want)
 	return ok, containment.SearchStats(es.Nodes), err
 }
 
@@ -526,6 +517,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		indexes []int
 	}
 	groups := make(map[string]*group)
+	firstOf := make(map[string]*cq.Query)
 	var order []string // deterministic dispatch order
 	leftKey := make([]string, len(jobs))
 	rightKey := make([]string, len(jobs))
@@ -536,6 +528,12 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		}
 		leftKey[i] = keyOf(j.Left)
 		rightKey[i] = keyOf(j.Right)
+		if _, ok := firstOf[leftKey[i]]; !ok {
+			firstOf[leftKey[i]] = j.Left
+		}
+		if _, ok := firstOf[rightKey[i]]; !ok {
+			firstOf[rightKey[i]] = j.Right
+		}
 		pk := pairKey(j.Op, leftKey[i], rightKey[i])
 		rep.Results[i].PairKey = pk
 		g, ok := groups[pk]
@@ -567,7 +565,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	}
 
 	// Compute the remaining groups on the pool.
-	bs := &batchState{ctx: ctx, frozen: make(map[string]*frozen)}
+	bs := &batchState{ctx: ctx, first: firstOf, frozen: make(map[string]*frozen)}
 	bs.consts = batchConstants(jobs)
 	var wg sync.WaitGroup
 	ch := make(chan string)
@@ -660,8 +658,8 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) Result {
 		jctx, cancel = context.WithTimeout(jctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	fl := e.frozenOf(bs, lk, j.Left)
-	ok, st, err := containedFrom(jctx, fl, j.Right, e.searchMode())
+	fl := e.frozenOf(bs, lk)
+	ok, st, err := containedFrom(jctx, fl, j.Right)
 	// Chase work is attributed to exactly one pair: the first to claim
 	// the shared artifact.  Sharers after that merge a zero value, so
 	// batch-wide sums match the chase work actually performed.
@@ -669,8 +667,8 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) Result {
 	if err != nil || !ok || j.Op == OpContained {
 		return Result{Holds: ok, Stats: st, Err: err}
 	}
-	fr := e.frozenOf(bs, rk, j.Right)
-	ok2, st2, err := containedFrom(jctx, fr, j.Left, e.searchMode())
+	fr := e.frozenOf(bs, rk)
+	ok2, st2, err := containedFrom(jctx, fr, j.Left)
 	st.Merge(st2)
 	st.Merge(fr.claim())
 	return Result{Holds: ok2, Stats: st, Err: err}

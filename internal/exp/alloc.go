@@ -173,8 +173,8 @@ func allocInternRun(b *testing.B) error {
 }
 
 // allocSearchRun is the BenchmarkT3Containment/clique-4 workload: the
-// containment curve's most expensive point, freeze + search (in the
-// default interned mode) per operation.
+// containment curve's most expensive point, freeze + search (the
+// adaptive search) per operation.
 func allocSearchRun(b *testing.B) error {
 	gs := gen.GraphSchema()
 	q1 := gen.CliqueQuery(4)

@@ -47,11 +47,7 @@ func BenchmarkHomKeyedAdaptive(b *testing.B) { benchHomMode(b, "keyed", cq.Searc
 
 func BenchmarkHomWideNaive(b *testing.B)    { benchHomMode(b, "wide", cq.SearchNaive) }
 func BenchmarkHomWideAdaptive(b *testing.B) { benchHomMode(b, "wide", cq.SearchAdaptive) }
-func BenchmarkHomWidePlanned(b *testing.B)  { benchHomMode(b, "wide", cq.SearchPlanned) }
 func BenchmarkHomLongAdaptive(b *testing.B) { benchHomMode(b, "graph-long", cq.SearchAdaptive) }
-func BenchmarkHomLongPlanned(b *testing.B)  { benchHomMode(b, "graph-long", cq.SearchPlanned) }
-func BenchmarkHomChainPlanned(b *testing.B) { benchHomMode(b, "graph-chain", cq.SearchPlanned) }
-func BenchmarkHomChainScan(b *testing.B)    { benchHomMode(b, "graph-chain", cq.SearchStreamed) }
 
 func BenchmarkHomStarNaive(b *testing.B)    { benchHomMode(b, "graph-star", cq.SearchNaive) }
 func BenchmarkHomStarAdaptive(b *testing.B) { benchHomMode(b, "graph-star", cq.SearchAdaptive) }

@@ -56,14 +56,11 @@ func (m *Mapping) IsIdentityOnWith(deps []fd.FD, equiv EquivFunc) (bool, error) 
 }
 
 // IsIdentityOnCtx is IsIdentityOnWith with a context threaded into the
-// per-relation equivalence decisions (nil equiv falls back to the
-// ctx-aware containment.EquivalentUnderCtxMode on the default search
-// runtime).  Cancelling ctx aborts between and inside decisions.
+// per-relation equivalence decisions (nil equiv falls back to
+// containment.EquivalentUnderCtx).  Cancelling ctx aborts between and inside decisions.
 func (m *Mapping) IsIdentityOnCtx(ctx context.Context, deps []fd.FD, equiv EquivCtxFunc) (bool, error) {
 	if equiv == nil {
-		equiv = func(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-			return containment.EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
-		}
+		equiv = containment.EquivalentUnderCtx
 	}
 	if len(m.Src.Relations) != len(m.Dst.Relations) {
 		return false, nil

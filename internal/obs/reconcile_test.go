@@ -41,18 +41,25 @@ func corpusCases(t *testing.T, family string, pairs, seed int) []exp.HomCase {
 	return cases
 }
 
-// TestMetamorphicComponentNodes pins the planner's node accounting
-// three ways at once: the search span's nodes attribute, the span's
-// per-connected-component breakdown, and EvalStats.CompNodes must all
-// agree with EvalStats.Nodes on every search of the wide and keyed
-// corpora.  A counting path that skips a component (or double-counts
-// one) breaks the equality somewhere in the corpus.
+// TestMetamorphicComponentNodes pins the adaptive search's node
+// accounting three ways at once.  On the families whose searches take
+// the pipeline arm (wide, graph-long), the search span's nodes
+// attribute, the span's per-connected-component breakdown, and
+// EvalStats.CompNodes must all agree with EvalStats.Nodes on every
+// search; a counting path that skips a component (or double-counts
+// one) breaks the equality somewhere in the corpus.  On a family whose
+// searches take the scan arm (keyed), which has no components, both
+// the breakdown and the span attributes must be absent.
 func TestMetamorphicComponentNodes(t *testing.T) {
 	pairs := 500
 	if testing.Short() {
 		pairs = 60
 	}
-	for _, family := range []string{"wide", "keyed"} {
+	for _, tc := range []struct {
+		family   string
+		pipeline bool
+	}{{"wide", true}, {"graph-long", true}, {"keyed", false}} {
+		family := tc.family
 		t.Run(family, func(t *testing.T) {
 			cases := corpusCases(t, family, pairs, 21)
 			reg := obs.NewRegistry()
@@ -62,7 +69,7 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 			var total int64
 			for ci, c := range cases {
 				sink.Reset()
-				_, _, es, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, cq.SearchPlanned)
+				_, _, es, err := cq.FindAnswerBindingCtx(ctx, c.Q, c.DB, c.Want)
 				if err != nil {
 					t.Fatalf("case %d: %v", ci, err)
 				}
@@ -87,6 +94,13 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 					}
 					compSum += v
 					nComp++
+				}
+				if !tc.pipeline {
+					if nComp != 0 || es.CompNodes != nil {
+						t.Fatalf("case %d: scan-arm search reports components (span %d, EvalStats %v)", ci, nComp, es.CompNodes)
+					}
+					total += es.Nodes
+					continue
 				}
 				if nComp == 0 {
 					t.Fatalf("case %d: search span has no per-component attributes", ci)

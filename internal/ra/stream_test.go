@@ -12,12 +12,11 @@ import (
 
 // Differential tests for the streaming evaluator: drain (the iterator
 // tree) must produce exactly the rows of evalMaterialize, in the same
-// order, on every operator shape — and the planned bridge must agree
-// with both the plain compilation and the cq runtime's semantics.
+// order, on every operator shape.
 
-// randomExprAndDB compiles a random conjunctive query over a binary
-// edge relation and builds a random database for it.
-func randomExprQueryDB(t *testing.T, rng *rand.Rand, gs *schema.Schema) (Expr, *cq.Query, *instance.Database) {
+// randomExprDB compiles a random conjunctive query over a binary edge
+// relation and builds a random database for it.
+func randomExprDB(t *testing.T, rng *rand.Rand, gs *schema.Schema) (Expr, *instance.Database) {
 	t.Helper()
 	n := 1 + rng.Intn(4)
 	q := &cq.Query{}
@@ -47,7 +46,7 @@ func randomExprQueryDB(t *testing.T, rng *rand.Rand, gs *schema.Schema) (Expr, *
 			value.Value{Type: 1, N: int64(rng.Intn(4) + 1)},
 			value.Value{Type: 1, N: int64(rng.Intn(4) + 1)})
 	}
-	return e, q, d
+	return e, d
 }
 
 func sameRows(t *testing.T, tag string, got, want []instance.Tuple) {
@@ -74,7 +73,7 @@ func TestStreamMatchesMaterializeFuzz(t *testing.T) {
 	gs := schema.MustParse("E(x:T1, y:T1)")
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 150; trial++ {
-		e, _, d := randomExprQueryDB(t, rng, gs)
+		e, d := randomExprDB(t, rng, gs)
 		opt, err := Optimize(e, gs)
 		if err != nil {
 			t.Fatal(err)
@@ -151,89 +150,4 @@ func TestStreamOperatorEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "const projection", rows, want)
-}
-
-// TestFromCQPlannedAgreesWithFromCQ checks the planned bridge end to
-// end on random queries: the reordered-and-optimized expression must
-// evaluate to the same relation as the plain compilation, whatever
-// strategy the cost model picked.
-func TestFromCQPlannedAgreesWithFromCQ(t *testing.T) {
-	gs := schema.MustParse("E(x:T1, y:T1)")
-	rng := rand.New(rand.NewSource(82))
-	for trial := 0; trial < 100; trial++ {
-		e, q, d := randomExprQueryDB(t, rng, gs)
-		planned, info, err := FromCQPlanned(q, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Strategy == "" {
-			t.Fatal("bridge returned no plan info")
-		}
-		a1, err := Eval(e, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := Eval(planned, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a1.Equal(a2) {
-			t.Fatalf("planned bridge changed semantics (strategy %s):\nplain   %s\nplanned %s",
-				info.Strategy, e, planned)
-		}
-	}
-}
-
-// TestFromCQPlannedUsesPipelineOrder pins that on an indexable
-// instance the bridge actually reorders: the compiled join tree's atom
-// order must follow ExplainPlan, not the source text.
-func TestFromCQPlannedUsesPipelineOrder(t *testing.T) {
-	gs := schema.MustParse("E(x:T1, y:T1)")
-	d := instance.NewDatabase(gs)
-	for a := int64(1); a <= 4; a++ {
-		for b := int64(1); b <= 4; b++ {
-			if a != b {
-				d.MustInsert("E", value.Value{Type: 1, N: a}, value.Value{Type: 1, N: b})
-			}
-		}
-	}
-	// V(X, Z) :- E(X, Y), E(Y, Z) in the paper's normal form: distinct
-	// placeholders with an explicit join equality.
-	q := &cq.Query{
-		Body: []cq.Atom{
-			{Rel: "E", Vars: []cq.Var{"x0", "y0"}},
-			{Rel: "E", Vars: []cq.Var{"x1", "y1"}},
-		},
-		Eqs:  []cq.Equality{{Left: "y0", Right: cq.Term{Var: "x1"}}},
-		Head: []cq.Term{{Var: "x0"}, {Var: "y1"}},
-	}
-	planned, info, err := FromCQPlanned(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Strategy == "scan" {
-		t.Skip("cost model chose the scan on this machine; order bridge not exercised")
-	}
-	if len(info.AtomOrder) != 2 {
-		t.Fatalf("unexpected atom order %v", info.AtomOrder)
-	}
-	// Whatever the order, the expression still computes the query.
-	plain, err := FromCQ(q, gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := Eval(plain, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, info2, err := EvalPlanned(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Strategy != info.Strategy {
-		t.Fatalf("EvalPlanned strategy %q, FromCQPlanned strategy %q", info2.Strategy, info.Strategy)
-	}
-	if !a1.Equal(a2) {
-		t.Fatalf("EvalPlanned differs from plain evaluation:\nplain %s\nplanned %s", plain, planned)
-	}
 }

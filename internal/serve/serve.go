@@ -270,6 +270,27 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
+// maxBodyBytes bounds what one request may make the daemon buffer: a
+// whole JSON request body, or one NDJSON line of a batch stream.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v.  On failure it writes the error response itself — 413 for an
+// oversized body, 400 for a malformed one — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -320,8 +341,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.decideHook()
 	}
 	var req decideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sch, deps, err := parseSchemaDeps(req.Schema, req.Unkeyed)
@@ -408,7 +428,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.decideHook()
 	}
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
 	if !sc.Scan() {
 		writeError(w, http.StatusBadRequest, "empty batch: expected a header line")
 		return
@@ -509,8 +529,7 @@ func (s *Server) handleSchemaEquiv(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req schemaEquivRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s1, err := schema.Parse(req.Schema1)
@@ -568,8 +587,7 @@ func (s *Server) handleSchemaDominance(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req schemaDominanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s1, err := schema.Parse(req.Schema1)

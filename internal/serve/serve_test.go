@@ -114,6 +114,41 @@ func TestDecideBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected sends a JSON body one byte over the cap
+// to every JSON endpoint: each must refuse it with a JSON 413 rather
+// than buffer it, while a body exactly at the cap is still read.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	// One JSON value whose string field pads the body to n bytes, so the
+	// decoder must read all of it to finish the value.
+	padded := func(n int) string {
+		prefix, suffix := `{"schema":"`, `"}`
+		return prefix + strings.Repeat("x", n-len(prefix)-len(suffix)) + suffix
+	}
+	post := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	for _, path := range []string{"/v1/decide", "/v1/schema/equiv", "/v1/schema/dominance"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			// At the cap the body decodes and fails later, on its schema.
+			if rec := post(path, padded(maxBodyBytes)); rec.Code != http.StatusBadRequest {
+				t.Fatalf("body at the cap: status %d, want 400", rec.Code)
+			}
+			rec := post(path, padded(maxBodyBytes+1))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413", rec.Code)
+			}
+			var resp map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp["error"] == "" {
+				t.Fatalf("413 body %q is not a JSON error (%v)", rec.Body.String(), err)
+			}
+		})
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var b strings.Builder
