@@ -109,12 +109,15 @@ search-verify:
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 
 # obs-verify gates the observability layer: the reconciliation smoke
-# tests (exported metric totals must equal the summed per-job Stats)
-# plus the in-process overhead measurement (metrics collection at most
-# 2% over the unobserved path, adaptive node totals identical to the
-# committed H1 record).
+# tests (exported metric totals must equal the summed per-job Stats),
+# the worker-count invariance test (results, totals and the
+# canonicalization count identical at 1, 2 and 8 workers), plus the
+# in-process overhead measurement (metrics collection at most 2% over
+# the unobserved path, adaptive node totals identical to the committed
+# H1 record).
 obs-verify:
 	$(GO) test ./internal/obs -run 'TestBatchMetricsReconcile|TestMetamorphicComponentNodes' -count=1
+	$(GO) test ./internal/engine -run 'TestRunWorkerCountInvariance' -count=1
 	$(GO) run ./cmd/keyedeq-bench -verify-obs BENCH_homsearch.json
 
 # serve-smoke gates the daemon end to end: boot with a verdict store,

@@ -22,6 +22,7 @@ package containment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"keyedeq/internal/chase"
@@ -215,10 +216,21 @@ func EquivalentUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Sch
 	return ok, st1, err
 }
 
+// ErrNilQuery is wrapped by the error CheckComparable (and so every
+// containment check) returns when handed a nil query.
+var ErrNilQuery = errors.New("nil query")
+
 // CheckComparable validates both queries against s and requires equal
-// head types — the precondition every containment test shares.  The
-// batch engine calls it once per pair before dispatching workers.
+// head types — the precondition every containment test shares.  A nil
+// query is an error wrapping ErrNilQuery, never a panic.  The batch
+// engine calls it once per pair, on its worker pool, before grouping.
 func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
+	if q1 == nil {
+		return fmt.Errorf("containment: left query: %w", ErrNilQuery)
+	}
+	if q2 == nil {
+		return fmt.Errorf("containment: right query: %w", ErrNilQuery)
+	}
 	if err := q1.Validate(s); err != nil {
 		return fmt.Errorf("containment: left query: %v", err)
 	}

@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -159,6 +160,26 @@ func TestComparabilityErrors(t *testing.T) {
 	}
 	if _, err := Contained(q1, bad, graph); err == nil {
 		t.Error("invalid right query accepted")
+	}
+}
+
+// TestNilQueryIsAnError checks that every entry point reports a nil
+// query as an error wrapping ErrNilQuery instead of panicking.
+func TestNilQueryIsAnError(t *testing.T) {
+	q := cq.MustParse("V(X) :- E(X, Y).")
+	for _, pair := range [][2]*cq.Query{{nil, q}, {q, nil}, {nil, nil}} {
+		if err := CheckComparable(pair[0], pair[1], graph); !errors.Is(err, ErrNilQuery) {
+			t.Errorf("CheckComparable(%v, %v): err %v, want ErrNilQuery", pair[0], pair[1], err)
+		}
+		if _, _, err := ContainedUnder(pair[0], pair[1], graph, nil); !errors.Is(err, ErrNilQuery) {
+			t.Errorf("ContainedUnder(%v, %v): err %v, want ErrNilQuery", pair[0], pair[1], err)
+		}
+		if _, _, err := EquivalentUnder(pair[0], pair[1], graph, nil); !errors.Is(err, ErrNilQuery) {
+			t.Errorf("EquivalentUnder(%v, %v): err %v, want ErrNilQuery", pair[0], pair[1], err)
+		}
+	}
+	if err := CheckComparable(nil, q, graph); err.Error() != "containment: left query: nil query" {
+		t.Errorf("nil left side: message %q", err)
 	}
 }
 

@@ -228,7 +228,11 @@ func (q *Query) RelationsUsed() []string {
 // (the paper requires this), and type correctness of every equality and
 // constant.
 func (q *Query) Validate(s *schema.Schema) error {
-	varType := make(map[Var]value.Type)
+	n := 0
+	for _, a := range q.Body {
+		n += len(a.Vars)
+	}
+	varType := make(map[Var]value.Type, n)
 	for _, a := range q.Body {
 		r := s.Relation(a.Rel)
 		if r == nil {
@@ -284,9 +288,10 @@ func (q *Query) Validate(s *schema.Schema) error {
 }
 
 // HeadType infers the answer type (the "type of the view") against a
-// schema.  Validate must succeed first.
+// schema.  Validate must succeed first.  A head variable takes the type
+// of its body position; should an invalid query reuse a placeholder,
+// the last occurrence in body order decides.
 func (q *Query) HeadType(s *schema.Schema) ([]value.Type, error) {
-	varType := make(map[Var]value.Type)
 	for _, a := range q.Body {
 		r := s.Relation(a.Rel)
 		if r == nil {
@@ -295,9 +300,6 @@ func (q *Query) HeadType(s *schema.Schema) ([]value.Type, error) {
 		if len(a.Vars) != r.Arity() {
 			return nil, fmt.Errorf("cq: %s arity mismatch", a.Rel)
 		}
-		for i, v := range a.Vars {
-			varType[v] = r.Attrs[i].Type
-		}
 	}
 	out := make([]value.Type, len(q.Head))
 	for i, t := range q.Head {
@@ -305,13 +307,27 @@ func (q *Query) HeadType(s *schema.Schema) ([]value.Type, error) {
 			out[i] = t.Const.Type
 			continue
 		}
-		tt, ok := varType[t.Var]
+		tt, ok := q.bodyVarType(s, t.Var)
 		if !ok {
 			return nil, fmt.Errorf("cq: head variable %s unbound", t.Var)
 		}
 		out[i] = tt
 	}
 	return out, nil
+}
+
+// bodyVarType returns the schema type of v's last placeholder position
+// in the body.  Every body relation must exist with matching arity.
+func (q *Query) bodyVarType(s *schema.Schema, v Var) (value.Type, bool) {
+	for i := len(q.Body) - 1; i >= 0; i-- {
+		a := q.Body[i]
+		for j := len(a.Vars) - 1; j >= 0; j-- {
+			if a.Vars[j] == v {
+				return s.Relation(a.Rel).Attrs[j].Type, true
+			}
+		}
+	}
+	return value.NoType, false
 }
 
 // String renders the query in the paper's syntax:

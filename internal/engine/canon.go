@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,8 +106,14 @@ type canonizer struct {
 // occurrence tables.  The second return is true when the equality list
 // equates two distinct constants, i.e. the query is unsatisfiable.
 func newCanonizer(q *cq.Query) (*canonizer, bool) {
-	// Slot per distinct variable, in order of first appearance.
-	slotOf := make(map[cq.Var]int, 2*len(q.Body))
+	// Slot per distinct variable, in order of first appearance.  Body
+	// placeholders are distinct, so their count is the variable count of
+	// any valid query (equality and head variables occur in the body).
+	nvars := 0
+	for _, a := range q.Body {
+		nvars += len(a.Vars)
+	}
+	slotOf := make(map[cq.Var]int, nvars)
 	slot := func(v cq.Var) int {
 		if i, ok := slotOf[v]; ok {
 			return i
@@ -292,10 +299,12 @@ func (c *canonizer) refine() {
 	// posBase makes (color, position) pairs collision-free when packed
 	// into one int.
 	posBase := 1
+	total := 0 // variable occurrences
 	for _, args := range c.atomArgs {
 		if len(args) >= posBase {
 			posBase = len(args) + 1
 		}
+		total += len(args)
 	}
 
 	// Constant bindings are the only name-bearing invariant left after
@@ -319,10 +328,15 @@ func (c *canonizer) refine() {
 
 	// Initial round: constant rank, head positions (length-prefixed so
 	// the row layout is unambiguous), then the sorted (relation, position)
-	// occurrence multiset.
+	// occurrence multiset.  Every round's row of a class fits in its
+	// initial capacity, so all class rows share one backing array.
 	classRows := make([][]int, len(c.color))
+	classBacking := make([]int, 2*len(c.color)+len(c.head)+total)
+	idx := make([]int, max(len(c.color), len(c.atomRel))) // rankRows scratch
 	for ci := range classRows {
-		row := make([]int, 0, 2+len(c.classHeadP[ci])+len(c.occAtom[ci]))
+		n := 2 + len(c.classHeadP[ci]) + len(c.occAtom[ci])
+		row := classBacking[:0:n]
+		classBacking = classBacking[n:]
 		row = append(row, constRank[ci], len(c.classHeadP[ci]))
 		row = append(row, c.classHeadP[ci]...)
 		mark := len(row)
@@ -333,12 +347,16 @@ func (c *canonizer) refine() {
 		sort.Ints(occ)
 		classRows[ci] = row
 	}
-	distinct := rankRows(classRows, c.color)
+	distinct := rankRows(classRows, c.color, idx)
 	if distinct == len(c.color) {
 		return // discrete partition: colors are final
 	}
 
 	atomRows := make([][]int, len(c.atomRel))
+	atomBacking := make([]int, len(c.atomRel)+total)
+	for ai, args := range c.atomArgs {
+		atomRows[ai], atomBacking = atomBacking[:0:1+len(args)], atomBacking[1+len(args):]
+	}
 	atomColor := make([]int, len(c.atomRel))
 	for round := 0; round < len(c.color); round++ {
 		// Atom signature: relation color then argument class colors.
@@ -350,7 +368,7 @@ func (c *canonizer) refine() {
 			}
 			atomRows[ai] = row
 		}
-		rankRows(atomRows, atomColor)
+		rankRows(atomRows, atomColor, idx)
 		// Class signature: own color then the sorted multiset of
 		// (atom color, position) occurrences.
 		for ci := range classRows {
@@ -364,7 +382,7 @@ func (c *canonizer) refine() {
 			sort.Ints(occ)
 			classRows[ci] = row
 		}
-		d := rankRows(classRows, c.color)
+		d := rankRows(classRows, c.color, idx)
 		if d == distinct || d == len(c.color) {
 			return
 		}
@@ -385,15 +403,14 @@ func uniqStrings(s []string) []string {
 
 // rankRows assigns each row its dense rank under lexicographic order,
 // writing ranks into out (len(out) == len(rows)), and returns the number
-// of distinct rows.
-func rankRows(rows [][]int, out []int) int {
-	idx := make([]int, len(rows))
+// of distinct rows.  Equal rows share a rank, so the sort need not be
+// stable.  idx is scratch space of at least len(rows).
+func rankRows(rows [][]int, out, idx []int) int {
+	idx = idx[:len(rows)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return compareIntRows(rows[idx[a]], rows[idx[b]]) < 0
-	})
+	slices.SortFunc(idx, func(a, b int) int { return compareIntRows(rows[a], rows[b]) })
 	rank := 0
 	for k, i := range idx {
 		if k > 0 && compareIntRows(rows[idx[k-1]], rows[i]) != 0 {

@@ -70,8 +70,8 @@ type Options struct {
 	Store VerdictStore
 }
 
-// VerdictStore receives computed verdicts for persistence.  The engine
-// calls Put from its worker goroutines, so implementations must be safe
+// VerdictStore receives computed verdicts for persistence.  Concurrent
+// Decide and Run calls each call Put, so implementations must be safe
 // for concurrent use.  It is defined here (rather than importing the
 // store package) so the engine stays decoupled from any one on-disk
 // format.
@@ -252,13 +252,13 @@ func countResult(o *obs.Obs, r *Result) {
 	}
 }
 
-// emitVerify sends the closing span of one pair's decision, carrying
-// the verdict and the pair's merged containment.Stats.
-func emitVerify(ctx context.Context, o *obs.Obs, start time.Time, r *Result) {
+// emitVerify sends the closing span of one pair's decision, from start
+// to end, carrying the verdict and the pair's merged containment.Stats.
+func emitVerify(ctx context.Context, o *obs.Obs, start, end time.Time, r *Result) {
 	if !o.SpansOn() {
 		return
 	}
-	o.EmitSpan(obs.WithPair(ctx, r.PairKey), obs.StageVerify, start, r.Err,
+	o.EmitSpanAt(obs.WithPair(ctx, r.PairKey), obs.StageVerify, start, end, r.Err,
 		obs.B("holds", r.Holds),
 		obs.B("cache_hit", r.CacheHit),
 		obs.B("deduped", r.Deduped),
@@ -278,7 +278,7 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 	start := o.Time()
 	defer func() {
 		countResult(o, &res)
-		emitVerify(ctx, o, start, &res)
+		emitVerify(ctx, o, start, o.Time(), &res)
 	}()
 	// An already-cancelled or expired context never starts work (small
 	// decisions can otherwise finish before the search polls ctx, which
@@ -363,19 +363,22 @@ type frozen struct {
 	// claimed hands the chase stats to exactly one pair.  The artifact
 	// is shared by every pair mentioning the query, but the chase ran
 	// once; attributing cs to each sharer would overcount, attributing
-	// to none would lose it.  The first claimant — whichever pair's
-	// worker gets there first — books it.
-	claimed atomic.Bool
+	// to none would lose it.  Run claims in dispatch order after the
+	// pool has finished, so the first leader in that order to read the
+	// artifact books it, whichever worker computed it.
+	claimed bool
 }
 
 // claim returns the artifact's chase stats exactly once; later calls
 // (other pairs sharing the artifact) get zero.  Summing claimed stats
 // over a batch therefore equals the chase work actually performed,
-// which is what the obs reconciliation check enforces.
+// which is what the obs reconciliation check enforces.  Only Run's
+// serial booking pass calls it.
 func (f *frozen) claim() containment.Stats {
-	if !f.claimed.CompareAndSwap(false, true) {
+	if f == nil || f.claimed {
 		return containment.Stats{}
 	}
+	f.claimed = true
 	return containment.ChaseStats(f.cs)
 }
 
@@ -476,9 +479,76 @@ func containedFrom(ctx context.Context, f *frozen, right *cq.Query) (bool, conta
 	return ok, containment.SearchStats(es.Nodes), err
 }
 
-// Run decides every job of the batch: canonicalize, dedupe identical
-// pairs, probe the cache, then fan the remaining work across the
-// worker pool.  Chase artifacts are shared per distinct query; the
+// fanOut calls f(i) for every i in [0, n) on at most workers
+// goroutines, each claiming the lowest unclaimed index, and returns once
+// every call has.  With one worker (or at most one item) it runs inline
+// on the caller's goroutine, so Workers 1 stays strictly sequential.
+func fanOut(workers, n int, f func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// canonMemo canonicalizes each distinct query of a batch once; batches
+// repeat queries heavily (identity views, shared sides, regenerated
+// corpora).  Queries are looked up by pointer, then by printed
+// presentation, so clones of one query — pointer-distinct but textually
+// identical — share a single canonicalization.  It is safe for
+// concurrent use: the mutex guards only the two maps, and each entry's
+// sync.Once makes concurrent sharers of a presentation wait for its one
+// canonicalization instead of repeating it.
+type canonMemo struct {
+	mu     sync.Mutex
+	byPtr  map[*cq.Query]*canonEntry
+	byText map[string]*canonEntry
+}
+
+type canonEntry struct {
+	once sync.Once
+	key  string
+}
+
+// keyOf returns q's canonical key, canonicalizing its presentation at
+// most once per batch.
+func (e *Engine) keyOf(ctx context.Context, o *obs.Obs, m *canonMemo, q *cq.Query) string {
+	m.mu.Lock()
+	ent, ok := m.byPtr[q]
+	m.mu.Unlock()
+	if !ok {
+		p := q.String()
+		m.mu.Lock()
+		if ent, ok = m.byText[p]; !ok {
+			ent = &canonEntry{}
+			m.byText[p] = ent
+		}
+		m.byPtr[q] = ent
+		m.mu.Unlock()
+	}
+	ent.once.Do(func() { ent.key = e.canonicalize(ctx, o, q) })
+	return ent.key
+}
+
+// Run decides every job of the batch: validate and canonicalize, dedupe
+// identical pairs, probe the cache, then fan the remaining work across
+// the worker pool.  Chase artifacts are shared per distinct query; the
 // homomorphism searches of each pair run under the per-job timeout.
 // Results are positionally aligned with jobs.
 func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
@@ -489,29 +559,28 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		started = e.opts.Now()
 	}
 
-	// Canonicalize each distinct query once (batches repeat queries
-	// heavily: identity views, shared sides, regenerated corpora).  The
-	// second-level memo is keyed by printed presentation, so clones of
-	// one query — pointer-distinct but textually identical — share a
-	// single canonicalization.
-	canonOf := make(map[*cq.Query]string)
-	byPresentation := make(map[string]string)
-	keyOf := func(q *cq.Query) string {
-		if k, ok := canonOf[q]; ok {
-			return k
-		}
-		p := q.String()
-		k, ok := byPresentation[p]
-		if !ok {
-			k = e.canonicalize(ctx, o, q)
-			byPresentation[p] = k
-		}
-		canonOf[q] = k
-		return k
+	// Validate and canonicalize on the pool, each job into its own
+	// slots.  Everything order-dependent happens in the serial pass
+	// below, so the result does not depend on which worker got where.
+	leftKey := make([]string, len(jobs))
+	rightKey := make([]string, len(jobs))
+	checkErr := make([]error, len(jobs))
+	memo := &canonMemo{
+		byPtr:  make(map[*cq.Query]*canonEntry, 2*len(jobs)),
+		byText: make(map[string]*canonEntry),
 	}
+	fanOut(e.opts.Workers, len(jobs), func(i int) {
+		j := jobs[i]
+		if err := containment.CheckComparable(j.Left, j.Right, e.s); err != nil {
+			checkErr[i] = err
+			return
+		}
+		leftKey[i] = e.keyOf(ctx, o, memo, j.Left)
+		rightKey[i] = e.keyOf(ctx, o, memo, j.Right)
+	})
 
-	// Group jobs by canonical pair key; one leader computes, the rest
-	// copy.  qKeys remembers each job's (left, right) canonical keys.
+	// Group jobs by canonical pair key in job order; one leader computes,
+	// the rest copy.
 	type group struct {
 		leader  int
 		indexes []int
@@ -519,15 +588,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	groups := make(map[string]*group)
 	firstOf := make(map[string]*cq.Query)
 	var order []string // deterministic dispatch order
-	leftKey := make([]string, len(jobs))
-	rightKey := make([]string, len(jobs))
 	for i, j := range jobs {
-		if err := containment.CheckComparable(j.Left, j.Right, e.s); err != nil {
-			rep.Results[i] = Result{Err: err}
+		if checkErr[i] != nil {
+			rep.Results[i] = Result{Err: checkErr[i]}
 			continue
 		}
-		leftKey[i] = keyOf(j.Left)
-		rightKey[i] = keyOf(j.Right)
 		if _, ok := firstOf[leftKey[i]]; !ok {
 			firstOf[leftKey[i]] = j.Left
 		}
@@ -557,7 +622,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 				rep.Results[i].Holds = v.Holds
 				rep.Results[i].CacheHit = true
 				rep.Results[i].Stats = v.Stats
-				emitVerify(ctx, o, o.Time(), &rep.Results[i])
+				now := o.Time()
+				emitVerify(ctx, o, now, now, &rep.Results[i])
 			}
 			continue
 		}
@@ -567,49 +633,51 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	// Compute the remaining groups on the pool.
 	bs := &batchState{ctx: ctx, first: firstOf, frozen: make(map[string]*frozen)}
 	bs.consts = batchConstants(jobs)
-	var wg sync.WaitGroup
-	ch := make(chan string)
-	workers := e.opts.Workers
-	if workers > len(work) {
-		workers = len(work)
+	type leaderRun struct {
+		res        Result
+		read       [2]*frozen // chase artifacts the leader read
+		start, end time.Time
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pk := range ch {
-				g := groups[pk]
-				j := jobs[g.leader]
-				start := o.Time()
-				res := e.runLeader(bs, j, leftKey[g.leader], rightKey[g.leader])
-				res.PairKey = pk
-				rep.Results[g.leader] = res
-				// Cancellation and timeout never reach the cache: the
-				// partial verdict would shadow a real decision on retry.
-				if res.Err == nil && e.cache != nil {
-					e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
-				}
-				emitVerify(ctx, o, start, &res)
-				for _, i := range g.indexes[1:] {
-					dup := res
-					dup.Deduped = true
-					// A dedup copy carries none of the leader's work,
-					// only the vacuity marker the verdict depends on.
-					dup.Stats = containment.Stats{}
-					if res.Stats.ChaseFailed {
-						dup.Stats = containment.FailedChaseStats()
-					}
-					rep.Results[i] = dup
-					emitVerify(ctx, o, start, &dup)
-				}
+	runs := make([]leaderRun, len(work))
+	fanOut(e.opts.Workers, len(work), func(w int) {
+		g := groups[work[w]]
+		r := &runs[w]
+		r.start = o.Time()
+		r.res, r.read = e.runLeader(bs, jobs[g.leader], leftKey[g.leader], rightKey[g.leader])
+		r.end = o.Time()
+	})
+
+	// Book, cache and report each group in dispatch order.  Claiming
+	// here rather than on the pool gives each artifact's chase work to
+	// the first leader in that order that read it, so per-pair Stats do
+	// not depend on which worker got where.
+	for w, pk := range work {
+		r := &runs[w]
+		g := groups[pk]
+		res := r.res
+		res.Stats.Merge(r.read[0].claim())
+		res.Stats.Merge(r.read[1].claim())
+		res.PairKey = pk
+		rep.Results[g.leader] = res
+		// Cancellation and timeout never reach the cache: the partial
+		// verdict would shadow a real decision on retry.
+		if res.Err == nil && e.cache != nil {
+			e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
+		}
+		emitVerify(ctx, o, r.start, r.end, &res)
+		for _, i := range g.indexes[1:] {
+			dup := res
+			dup.Deduped = true
+			// A dedup copy carries none of the leader's work, only the
+			// vacuity marker the verdict depends on.
+			dup.Stats = containment.Stats{}
+			if res.Stats.ChaseFailed {
+				dup.Stats = containment.FailedChaseStats()
 			}
-		}()
+			rep.Results[i] = dup
+			emitVerify(ctx, o, r.start, r.end, &dup)
+		}
 	}
-	for _, pk := range work {
-		ch <- pk
-	}
-	close(ch)
-	wg.Wait()
 
 	for i := range rep.Results {
 		r := &rep.Results[i]
@@ -641,37 +709,34 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 }
 
 // runLeader decides one deduplicated pair using the batch's memoized
-// chase artifacts.
-func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) Result {
+// chase artifacts.  It returns the artifacts it read, whose chase work
+// Run books; the Result's Stats hold the searches only.
+func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*frozen) {
+	var read [2]*frozen
 	jctx := bs.ctx
 	if err := jctx.Err(); err != nil {
-		return Result{Err: err}
+		return Result{Err: err}, read
 	}
 	// Equal canonical keys mean the queries are isomorphic (a key is a
 	// faithful encoding even when inexact), so both ops hold with no
 	// chase or homomorphism search at all.
 	if lk == rk {
-		return Result{Holds: true}
+		return Result{Holds: true}, read
 	}
 	if e.opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		jctx, cancel = context.WithTimeout(jctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	fl := e.frozenOf(bs, lk)
-	ok, st, err := containedFrom(jctx, fl, j.Right)
-	// Chase work is attributed to exactly one pair: the first to claim
-	// the shared artifact.  Sharers after that merge a zero value, so
-	// batch-wide sums match the chase work actually performed.
-	st.Merge(fl.claim())
+	read[0] = e.frozenOf(bs, lk)
+	ok, st, err := containedFrom(jctx, read[0], j.Right)
 	if err != nil || !ok || j.Op == OpContained {
-		return Result{Holds: ok, Stats: st, Err: err}
+		return Result{Holds: ok, Stats: st, Err: err}, read
 	}
-	fr := e.frozenOf(bs, rk)
-	ok2, st2, err := containedFrom(jctx, fr, j.Left)
+	read[1] = e.frozenOf(bs, rk)
+	ok2, st2, err := containedFrom(jctx, read[1], j.Left)
 	st.Merge(st2)
-	st.Merge(fr.claim())
-	return Result{Holds: ok2, Stats: st, Err: err}
+	return Result{Holds: ok2, Stats: st, Err: err}, read
 }
 
 // batchConstants collects every constant mentioned by any query of the

@@ -103,11 +103,18 @@ func (o *Obs) EmitSpan(ctx context.Context, stage string, start time.Time, err e
 	if !o.SpansOn() {
 		return
 	}
+	o.EmitSpanAt(ctx, stage, start, o.Time(), err, attrs...)
+}
+
+// EmitSpanAt is EmitSpan for a stage that ended at end rather than now,
+// for callers that settle a stage's attributes after it has finished.
+func (o *Obs) EmitSpanAt(ctx context.Context, stage string, start, end time.Time, err error, attrs ...Attr) {
+	if !o.SpansOn() {
+		return
+	}
 	sp := &Span{Stage: stage, Pair: PairFromContext(ctx), Start: start, Attrs: attrs}
-	if !start.IsZero() {
-		if end := o.Time(); !end.IsZero() {
-			sp.DurNs = end.Sub(start).Nanoseconds()
-		}
+	if !start.IsZero() && !end.IsZero() {
+		sp.DurNs = end.Sub(start).Nanoseconds()
 	}
 	if err != nil {
 		sp.Err = err.Error()
