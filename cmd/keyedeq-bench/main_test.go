@@ -124,6 +124,8 @@ func TestCompareAllocRecords(t *testing.T) {
 			{Name: "chase/rows-1000", AllocsPerOp: chaseAllocs, SeedAllocsPerOp: 882},
 			{Name: "search/clique-4", AllocsPerOp: searchAllocs, SeedAllocsPerOp: 258},
 			{Name: "intern/rows-1M", AllocsPerOp: 8212, SeedAllocsPerOp: 9881004},
+			{Name: "parse/decide-hot", AllocsPerOp: 5, SeedAllocsPerOp: 318},
+			{Name: "canon/decide-hot", AllocsPerOp: 19, SeedAllocsPerOp: 101},
 		}}
 	}
 	if problems := compareAllocRecords(rec(18, 228), rec(19, 228)); len(problems) != 0 {
@@ -138,6 +140,8 @@ func TestCompareAllocRecords(t *testing.T) {
 	missing := &exp.AllocBenchResult{Cases: []exp.AllocCaseResult{
 		{Name: "chase/rows-1000", AllocsPerOp: 18, SeedAllocsPerOp: 882},
 		{Name: "intern/rows-1M", AllocsPerOp: 8212, SeedAllocsPerOp: 9881004},
+		{Name: "parse/decide-hot", AllocsPerOp: 5, SeedAllocsPerOp: 318},
+		{Name: "canon/decide-hot", AllocsPerOp: 19, SeedAllocsPerOp: 101},
 	}}
 	if problems := compareAllocRecords(missing, rec(18, 228)); len(problems) != 1 {
 		t.Errorf("missing committed case: got %v, want 1 problem", problems)

@@ -49,6 +49,15 @@ func (t Term) String() string {
 	return string(t.Var)
 }
 
+// writeTo writes t.String() to b.
+func (t Term) writeTo(b *strings.Builder) {
+	if t.IsConst {
+		b.WriteString(t.Const.String())
+		return
+	}
+	b.WriteString(string(t.Var))
+}
+
 // Atom is one occurrence of a relation in a query body.  Per the paper's
 // syntax every position holds a distinct variable (globally distinct
 // across the whole body); all conditions are expressed in the equality
@@ -76,11 +85,32 @@ func (a Atom) VarPosition(i int) Pos {
 
 // String renders "R(X, Y)".
 func (a Atom) String() string {
-	parts := make([]string, len(a.Vars))
-	for i, v := range a.Vars {
-		parts[i] = string(v)
+	var b strings.Builder
+	b.Grow(a.textLen())
+	a.writeTo(&b)
+	return b.String()
+}
+
+// textLen is the length of a.String().
+func (a Atom) textLen() int {
+	n := len(a.Rel) + 2 + 2*max(len(a.Vars)-1, 0)
+	for _, v := range a.Vars {
+		n += len(v)
 	}
-	return a.Rel + "(" + strings.Join(parts, ", ") + ")"
+	return n
+}
+
+// writeTo writes a.String() to b.
+func (a Atom) writeTo(b *strings.Builder) {
+	b.WriteString(a.Rel)
+	b.WriteByte('(')
+	for i, v := range a.Vars {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(v))
+	}
+	b.WriteByte(')')
 }
 
 // Equality is one predicate of the equality list: Left = Right where Right
@@ -334,29 +364,43 @@ func (q *Query) bodyVarType(s *schema.Schema, v Var) (value.Type, bool) {
 //
 //	Q(X, Y) :- R(X, Z), S(W, Y), Z = W, X = T1:3.
 func (q *Query) String() string {
-	var b strings.Builder
 	head := q.HeadRel
 	if head == "" {
 		head = "Q"
 	}
+	// Size the builder for everything but constants, which are rare.
+	n := len(head) + len(") :- .") + 2*len(q.Head)
+	for _, t := range q.Head {
+		n += len(t.Var)
+	}
+	for _, a := range q.Body {
+		n += a.textLen() + 2
+	}
+	for _, e := range q.Eqs {
+		n += len(e.Left) + len(e.Right.Var) + 5
+	}
+	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(head)
 	b.WriteByte('(')
 	for i, t := range q.Head {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(t.String())
+		t.writeTo(&b)
 	}
 	b.WriteString(") :- ")
 	for i, a := range q.Body {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.String())
+		a.writeTo(&b)
 	}
 	for _, e := range q.Eqs {
 		b.WriteString(", ")
-		b.WriteString(e.String())
+		b.WriteString(string(e.Left))
+		b.WriteString(" = ")
+		e.Right.writeTo(&b)
 	}
 	b.WriteByte('.')
 	return b.String()

@@ -247,3 +247,67 @@ func TestInvolvedInCondition(t *testing.T) {
 		t.Error("unknown relation should not be involved")
 	}
 }
+
+// refAtomString and refQueryString are the earlier renderings the
+// single-builder String methods replaced: every output must match them
+// byte for byte.
+func refAtomString(a Atom) string {
+	parts := make([]string, len(a.Vars))
+	for i, v := range a.Vars {
+		parts[i] = string(v)
+	}
+	return a.Rel + "(" + strings.Join(parts, ", ") + ")"
+}
+
+func refQueryString(q *Query) string {
+	var b strings.Builder
+	head := q.HeadRel
+	if head == "" {
+		head = "Q"
+	}
+	b.WriteString(head + "(")
+	for i, t := range q.Head {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(t.String())
+	}
+	b.WriteString(") :- ")
+	for i, a := range q.Body {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(refAtomString(a))
+	}
+	for _, e := range q.Eqs {
+		b.WriteString(", " + e.String())
+	}
+	b.WriteByte('.')
+	return b.String()
+}
+
+func TestQueryStringMatchesReference(t *testing.T) {
+	qs := []*Query{
+		MustParse("Q(X, Y) :- R(X, Z), S(W, Y), Z = W, X = T1:3."),
+		MustParse("V(T1:7, Y) :- P(X, Y), Y = T2:-5."),
+		MustParse("V() :- P(), R(A, B, C), A = B."),
+		MustParse("名前(X) :- P(X, Y)."),
+		{Body: []Atom{{Rel: "R"}}},
+		{
+			HeadRel: "W",
+			Head:    []Term{C(value.Value{}), C(value.Value{Type: 2, N: -9}), V("X")},
+			Body:    []Atom{{Rel: "E", Vars: []Var{"X", "Y"}}, {Rel: "E", Vars: []Var{"Y2", ""}}},
+			Eqs:     []Equality{{Left: "Y", Right: V("Y2")}, {Left: "X", Right: C(value.Value{Type: 1, N: -1})}},
+		},
+	}
+	for _, q := range qs {
+		if got, want := q.String(), refQueryString(q); got != want {
+			t.Errorf("Query.String() = %q, want %q", got, want)
+		}
+		for _, a := range q.Body {
+			if got, want := a.String(), refAtomString(a); got != want {
+				t.Errorf("Atom.String() = %q, want %q", got, want)
+			}
+		}
+	}
+}

@@ -293,13 +293,9 @@ func findAnswerNaive(ctx context.Context, q *Query, d *instance.Database, want i
 	if eq.Unsatisfiable() {
 		return false, nil, stats, nil
 	}
-	rels := make([]*instance.Relation, len(q.Body))
-	for i, a := range q.Body {
-		r := d.Relation(a.Rel)
-		if r == nil {
-			return false, nil, stats, fmt.Errorf("cq: no relation %q in database", a.Rel)
-		}
-		rels[i] = r
+	rels, _, err := resolveRelations(q, d)
+	if err != nil {
+		return false, nil, stats, err
 	}
 	binding := make(map[Var]value.Value)
 	for _, a := range q.Body {

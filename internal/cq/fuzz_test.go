@@ -7,7 +7,9 @@ import (
 // Native fuzz targets.  Under plain `go test` the seed corpus runs as
 // regression tests; `go test -fuzz=FuzzParseCQ` explores further.  The
 // invariant in each case: the parser never panics, and anything it
-// accepts survives a print/reparse round trip.
+// accepts survives a print/reparse round trip.  FuzzParseCQ also checks
+// the parser's offset-to-position conversion against the reference
+// scan at every offset of the input.
 
 func FuzzParseCQ(f *testing.F) {
 	seeds := []string{
@@ -27,6 +29,9 @@ func FuzzParseCQ(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
+		for _, base := range []Pos{{Line: 1, Col: 1}, {Line: 3, Col: 7}} {
+			checkPosAgainstScan(t, text, base)
+		}
 		q, err := Parse(text)
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"keyedeq/internal/invariant"
@@ -29,7 +30,7 @@ func Parse(text string) (*Query, error) {
 // position is reported file-absolute.  The mapping and program parsers
 // use it to give their per-line queries real coordinates.
 func ParseAt(text string, base Pos) (*Query, error) {
-	p := &src{text: text, base: base}
+	p := &src{text: text, base: base, nl: newlineOffsets(text)}
 	start, end := p.trim(0, len(text))
 	if start < end && text[end-1] == '.' {
 		start, end = p.trim(start, end-1)
@@ -48,7 +49,10 @@ func ParseAt(text string, base Pos) (*Query, error) {
 		return nil, wrap(err, "bad head")
 	}
 	q.HeadRel = name
-	for _, arg := range args {
+	if args.n > 0 {
+		q.Head = make([]Term, 0, args.n)
+	}
+	for arg, ok := args.next(p); ok; arg, ok = args.next(p) {
 		t, err := p.parseTerm(arg)
 		if err != nil {
 			return nil, p.errf(arg.a, "bad head term %q: %v", p.str(arg), msg(err))
@@ -56,14 +60,27 @@ func ParseAt(text string, base Pos) (*Query, error) {
 		q.Head = append(q.Head, t)
 	}
 
-	for _, lit := range p.splitTop(sep+2, end) {
+	// Size the body once, so the literal pass below never regrows a
+	// slice: every atom's placeholders share one Var and one Pos backing.
+	atoms, eqs, vars := p.countBody(sep+2, end)
+	if atoms > 0 {
+		q.Body = make([]Atom, 0, atoms)
+	}
+	if eqs > 0 {
+		q.Eqs = make([]Equality, 0, eqs)
+	}
+	varBuf := make([]Var, 0, vars)
+	posBuf := make([]Pos, 0, vars)
+	for at := sep + 2; at <= end; {
+		lit := p.nextLit(at, end)
+		at = lit.b + 1
 		ls, le := p.trim(lit.a, lit.b)
 		if ls >= le {
 			continue
 		}
 		litText := text[ls:le]
-		if eqi := strings.IndexByte(litText, '='); eqi >= 0 && !strings.ContainsRune(litText, '(') {
-			eq, err := p.parseEquality(ls, le, ls+eqi)
+		if isEquality(litText) {
+			eq, err := p.parseEquality(ls, le, ls+strings.IndexByte(litText, '='))
 			if err != nil {
 				return nil, err
 			}
@@ -75,16 +92,21 @@ func ParseAt(text string, base Pos) (*Query, error) {
 			return nil, wrap(err, fmt.Sprintf("bad literal %q", litText))
 		}
 		a := Atom{Rel: name, Pos: namePos}
-		for _, arg := range args {
-			if isConstant(p.str(arg)) {
+		first := len(varBuf)
+		for arg, ok := args.next(p); ok; arg, ok = args.next(p) {
+			t, err := p.parseTerm(arg)
+			if err == nil && t.IsConst {
 				return nil, p.errf(arg.a, "constant %q used as placeholder; the paper's syntax requires distinct variables with conditions in the equality list", p.str(arg))
 			}
-			t, err := p.parseTerm(arg)
-			if err != nil || t.IsConst {
+			if err != nil {
 				return nil, p.errf(arg.a, "bad placeholder %q in %s", p.str(arg), name)
 			}
-			a.Vars = append(a.Vars, t.Var)
-			a.VarPos = append(a.VarPos, t.Pos)
+			varBuf = append(varBuf, t.Var)
+			posBuf = append(posBuf, t.Pos)
+		}
+		if last := len(varBuf); last > first {
+			a.Vars = varBuf[first:last:last]
+			a.VarPos = posBuf[first:last:last]
 		}
 		q.Body = append(q.Body, a)
 	}
@@ -107,6 +129,9 @@ func MustParse(text string) *Query {
 type src struct {
 	text string
 	base Pos
+	// nl holds the offset of every '\n' in text, ascending; nil for a
+	// single-line text.
+	nl []int
 }
 
 // span is a half-open byte range [a, b) into the source text.
@@ -115,21 +140,35 @@ type span struct{ a, b int }
 // str returns the text of a span.
 func (p *src) str(s span) string { return p.text[s.a:s.b] }
 
-// pos converts a byte offset into a file position.
+// newlineOffsets returns the offset of every '\n' in text, or nil when
+// there is none.
+func newlineOffsets(text string) []int {
+	n := strings.Count(text, "\n")
+	if n == 0 {
+		return nil
+	}
+	nl := make([]int, 0, n)
+	for i := 0; i < len(text); i++ {
+		if text[i] == '\n' {
+			nl = append(nl, i)
+		}
+	}
+	return nl
+}
+
+// pos converts a byte offset into a file position: the line advances
+// once per '\n' before off, and the column counts bytes after the last
+// of them (from base.Col on the first line).  Offsets past the end
+// clamp to it.
 func (p *src) pos(off int) Pos {
 	if off > len(p.text) {
 		off = len(p.text)
 	}
-	line, col := p.base.Line, p.base.Col
-	for i := 0; i < off; i++ {
-		if p.text[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
+	k := sort.SearchInts(p.nl, off) // newlines before off
+	if k == 0 {
+		return Pos{Line: p.base.Line, Col: p.base.Col + off}
 	}
-	return Pos{Line: line, Col: col}
+	return Pos{Line: p.base.Line + k, Col: off - p.nl[k-1]}
 }
 
 // errf builds a positioned parse error at byte offset off.
@@ -160,72 +199,92 @@ func (p *src) parseEquality(ls, le, eq int) (Equality, error) {
 		return Equality{}, p.errf(ls, "bad equality %q", litText)
 	}
 	left, right := span{la, lb}, span{ra, rb}
-	if isConstant(p.str(left)) {
-		if isConstant(p.str(right)) {
+	lt, lerr := p.parseTerm(left)
+	rt, rerr := p.parseTerm(right)
+	if lerr == nil && lt.IsConst {
+		if rerr == nil && rt.IsConst {
 			// constant = constant: the paper's syntax requires a
 			// variable on one side.
 			return Equality{}, p.errf(ls, "equality %q has no variable", litText)
 		}
-		left, right = right, left
+		left, right, lt, lerr, rt, rerr = right, left, rt, rerr, lt, lerr
 	}
-	lt, err := p.parseTerm(left)
-	if err != nil || lt.IsConst {
+	if lerr != nil {
 		return Equality{}, p.errf(left.a, "bad equality %q: left side must be a variable", litText)
 	}
-	rt, err := p.parseTerm(right)
-	if err != nil {
-		return Equality{}, p.errf(right.a, "bad equality %q: %v", litText, msg(err))
+	if rerr != nil {
+		return Equality{}, p.errf(right.a, "bad equality %q: %v", litText, msg(rerr))
 	}
 	return Equality{Left: lt.Var, Right: rt, Pos: p.pos(ls)}, nil
 }
 
+// isEquality reports whether a body literal is an equality: it holds
+// '=' and no '('.
+func isEquality(lit string) bool {
+	return strings.IndexByte(lit, '=') >= 0 && strings.IndexByte(lit, '(') < 0
+}
+
+// argList walks the comma-separated arguments of an atom: n arguments
+// in [at, end), each already checked non-empty by splitAtom.
+type argList struct{ at, end, n int }
+
+// next returns the next argument, trimmed, or false after the last.
+func (l *argList) next(p *src) (span, bool) {
+	if l.n == 0 {
+		return span{}, false
+	}
+	l.n--
+	b := l.end
+	if l.n > 0 {
+		b = l.at + strings.IndexByte(p.text[l.at:l.end], ',')
+	}
+	a, e := p.trim(l.at, b)
+	l.at = b + 1
+	return span{a, e}, true
+}
+
 // splitAtom parses "R(a, b, c)" between [start, end) into the relation
-// name, its position, and the raw argument spans.
-func (p *src) splitAtom(start, end int) (string, Pos, []span, error) {
+// name, its position, and its argument list.  Every argument is checked
+// non-empty before any is parsed, so an empty argument is reported
+// ahead of a bad one.
+func (p *src) splitAtom(start, end int) (string, Pos, argList, error) {
 	text := p.text[start:end]
 	open := strings.IndexByte(text, '(')
 	if open <= 0 || !strings.HasSuffix(text, ")") {
-		return "", Pos{}, nil, p.errf(start, "expected name(args)")
+		return "", Pos{}, argList{}, p.errf(start, "expected name(args)")
 	}
 	na, nb := p.trim(start, start+open)
 	name := p.text[na:nb]
 	if name == "" || strings.ContainsAny(name, "(), =\t") {
-		return "", Pos{}, nil, p.errf(na, "bad relation name %q", name)
+		return "", Pos{}, argList{}, p.errf(na, "bad relation name %q", name)
 	}
 	ia, ib := p.trim(start+open+1, end-1)
 	if ia >= ib {
-		return name, p.pos(na), nil, nil
+		return name, p.pos(na), argList{}, nil
 	}
-	var args []span
-	for _, raw := range p.splitAll(ia, ib) {
-		aa, ab := p.trim(raw.a, raw.b)
-		if aa >= ab {
-			return "", Pos{}, nil, p.errf(raw.a, "empty argument")
+	n := 0
+	for at := ia; ; {
+		b := ib
+		if c := strings.IndexByte(p.text[at:ib], ','); c >= 0 {
+			b = at + c
 		}
-		args = append(args, span{aa, ab})
+		if aa, ab := p.trim(at, b); aa >= ab {
+			return "", Pos{}, argList{}, p.errf(at, "empty argument")
+		}
+		n++
+		if b == ib {
+			break
+		}
+		at = b + 1
 	}
-	return name, p.pos(na), args, nil
+	return name, p.pos(na), argList{at: ia, end: ib, n: n}, nil
 }
 
-// splitAll splits [start, end) on every comma.
-func (p *src) splitAll(start, end int) []span {
-	var out []span
-	at := start
-	for i := start; i < end; i++ {
-		if p.text[i] == ',' {
-			out = append(out, span{at, i})
-			at = i + 1
-		}
-	}
-	return append(out, span{at, end})
-}
-
-// splitTop splits [start, end) on commas that are not inside
-// parentheses.
-func (p *src) splitTop(start, end int) []span {
-	var out []span
-	depth, at := 0, start
-	for i := start; i < end; i++ {
+// nextLit returns the body literal starting at at: the span up to the
+// next comma outside parentheses, or up to end.
+func (p *src) nextLit(at, end int) span {
+	depth := 0
+	for i := at; i < end; i++ {
 		switch p.text[i] {
 		case '(':
 			depth++
@@ -233,27 +292,38 @@ func (p *src) splitTop(start, end int) []span {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, span{at, i})
-				at = i + 1
+				return span{at, i}
 			}
 		}
 	}
-	return append(out, span{at, end})
+	return span{at, end}
 }
 
-// isConstant reports whether the token looks like a T<n>:<m> constant.
-func isConstant(s string) bool {
-	_, err := value.Parse(s)
-	return err == nil
+// countBody bounds the body between [start, end) for presizing: its
+// atoms, its equalities, and its placeholders (one more than the commas
+// of each atom).
+func (p *src) countBody(start, end int) (atoms, eqs, vars int) {
+	for at := start; at <= end; {
+		lit := p.nextLit(at, end)
+		at = lit.b + 1
+		ls, le := p.trim(lit.a, lit.b)
+		switch {
+		case ls >= le:
+		case isEquality(p.text[ls:le]):
+			eqs++
+		default:
+			atoms++
+			vars += 1 + strings.Count(p.text[ls:le], ",")
+		}
+	}
+	return atoms, eqs, vars
 }
 
+// parseTerm classifies a token once: a constant when it parses as
+// T<type>:<n>, else a variable.
 func (p *src) parseTerm(s span) (Term, error) {
 	text := p.str(s)
-	if isConstant(text) {
-		v, err := value.Parse(text)
-		if err != nil {
-			return Term{}, p.errf(s.a, "%v", err)
-		}
+	if v, ok := value.TryParse(text); ok {
 		t := C(v)
 		t.Pos = p.pos(s.a)
 		return t, nil

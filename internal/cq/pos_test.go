@@ -1,8 +1,11 @@
 package cq
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParsePositionsOnNodes(t *testing.T) {
@@ -110,5 +113,90 @@ func TestClonePreservesPositions(t *testing.T) {
 	}
 	if c.Eqs[0].Pos != q.Eqs[0].Pos {
 		t.Error("Clone dropped equality positions")
+	}
+}
+
+// scanPos is the reference offset-to-position conversion: a scan from
+// byte 0 on every call, the parser's original quadratic loop.  src.pos
+// must agree with it at every offset.
+func scanPos(text string, base Pos, off int) Pos {
+	if off > len(text) {
+		off = len(text)
+	}
+	line, col := base.Line, base.Col
+	for i := 0; i < off; i++ {
+		if text[i] == '\n' {
+			line++
+			col = 1
+		} else {
+			col++
+		}
+	}
+	return Pos{Line: line, Col: col}
+}
+
+// checkPosAgainstScan compares src.pos with scanPos at every offset of
+// text and a few past its end.
+func checkPosAgainstScan(t *testing.T, text string, base Pos) {
+	t.Helper()
+	p := &src{text: text, base: base, nl: newlineOffsets(text)}
+	for off := 0; off <= len(text)+2; off++ {
+		if got, want := p.pos(off), scanPos(text, base, off); got != want {
+			t.Fatalf("pos(%d) of %q from %v = %v, want %v", off, text, base, got, want)
+		}
+	}
+}
+
+func TestSrcPosMatchesScan(t *testing.T) {
+	bases := []Pos{{Line: 1, Col: 1}, {Line: 7, Col: 3}, {Line: 1, Col: 9}, {Line: 40, Col: 1}}
+	fixed := []string{"", "\n", "\n\n", "a\n", "\na", "\r\n", "Q(X) :-\n  R(X, Y),\n  Y = T2:5."}
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"a", "Q(", ")", " ", "\t", "\n", "\r\n", "é", "名", "😀", ", ", ":-", "T1:3"}
+	for i := 0; i < 300; i++ {
+		var b strings.Builder
+		for n := rng.Intn(40); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		fixed = append(fixed, b.String())
+	}
+	for _, text := range fixed {
+		for _, base := range bases {
+			checkPosAgainstScan(t, text, base)
+		}
+	}
+}
+
+// TestParseLargeQueryLinear parses a 50,000-atom query of about 0.9 MB,
+// once on one line and once with a line per atom.  Deriving every
+// position by a scan from byte 0 made this quadratic: 88 s on a 2-vCPU
+// VM for the one-line text, against ~40 ms for the newline table.
+func TestParseLargeQueryLinear(t *testing.T) {
+	const atoms = 50000
+	for _, sep := range []string{", ", ",\n"} {
+		var b strings.Builder
+		b.WriteString("Q(A0) :- ")
+		for i := 0; i < atoms; i++ {
+			if i > 0 {
+				b.WriteString(sep)
+			}
+			fmt.Fprintf(&b, "E(A%d, B%d)", i, i)
+		}
+		b.WriteString(".")
+		text := b.String()
+		start := time.Now()
+		q, err := Parse(text)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("parsing %d bytes took %v, want under 10s", len(text), elapsed)
+		}
+		last := q.Body[atoms-1]
+		off := strings.LastIndex(text, "E(")
+		if len(q.Body) != atoms || last.Pos != scanPos(text, Pos{Line: 1, Col: 1}, off) {
+			t.Fatalf("%d atoms, last at %v; want %d at %v", len(q.Body), last.Pos, atoms, scanPos(text, Pos{Line: 1, Col: 1}, off))
+		}
+		t.Logf("%d bytes, separator %q: %v", len(text), sep, elapsed)
 	}
 }

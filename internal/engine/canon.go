@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"keyedeq/internal/cq"
 	"keyedeq/internal/schema"
@@ -51,8 +52,9 @@ const tieBreakBudget = 1 << 14
 // equality lists equate distinct constants) to a shared per-head-type
 // key, since all such queries are empty on every database.
 func CanonicalizeQuery(q *cq.Query, s *schema.Schema) Canonical {
-	c, unsat := newCanonizer(q)
-	if unsat {
+	c := canonizers.Get().(*canonizer)
+	defer c.release()
+	if c.reset(q) {
 		return Canonical{Key: unsatKey(q, s), Exact: true}
 	}
 	c.refine()
@@ -86,6 +88,10 @@ type headTerm struct {
 // canonizer holds the normalized query during canonicalization.  All
 // state is slice-indexed by dense class and atom numbers so every loop
 // is deterministic (no map iteration anywhere on this path).
+//
+// Canonizers are pooled: reset sizes every table for the next query
+// from the capacity earlier queries left behind, and release drops
+// every reference into the query before the canonizer goes back.
 type canonizer struct {
 	atomRel  []string // per atom: relation name
 	relColor []int    // per atom: dense rank of its relation name
@@ -98,29 +104,79 @@ type canonizer struct {
 	occAtom    [][]int // per class: atom index of each occurrence
 	occPos     [][]int // per class: position of each occurrence
 	color      []int   // current refinement color per class
+
+	// Scratch that reset, refine and encode overwrite before reading.
+	slotOf                  map[cq.Var]int
+	parent, rnk, classAt    []int // per variable slot
+	hasC                    []bool
+	cval                    []value.Value
+	argsFlat, headPFlat     []int // backings of atomArgs and classHeadP
+	occAtomFlat, occPosFlat []int // backings of occAtom and occPos
+	headClass, occCount     []int
+	relNames                []string
+	constRank               []int
+	constStr, consts        []string
+	classRows, atomRows     [][]int
+	classBacking            []int
+	atomBacking, atomColor  []int
+	idx                     []int // rankRows scratch
+	st                      encState
+	best                    []string
+	row, bestRow, cands     []int // minCandidates scratch
 }
 
-// newCanonizer normalizes q: it resolves the equality list with a
+// canonizers recycles canonizers across queries and goroutines.
+var canonizers = sync.Pool{New: func() any { return new(canonizer) }}
+
+// maxPooledSlots bounds the variable count of a canonizer that goes
+// back to the pool, so one huge query cannot leave every later small
+// one clearing its tables.
+const maxPooledSlots = 1 << 12
+
+// release returns c to the pool, first dropping the strings that point
+// into the query text (relation names and variables).
+func (c *canonizer) release() {
+	if len(c.parent) > maxPooledSlots {
+		return
+	}
+	clear(c.atomRel)
+	clear(c.relNames[:cap(c.relNames)])
+	clear(c.slotOf)
+	canonizers.Put(c)
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reset normalizes q into c: it resolves the equality list with a
 // slot-indexed union-find (one map lookup per variable occurrence, all
 // union-find state in slices), then builds the class-indexed atom and
-// occurrence tables.  The second return is true when the equality list
-// equates two distinct constants, i.e. the query is unsatisfiable.
-func newCanonizer(q *cq.Query) (*canonizer, bool) {
+// occurrence tables.  It returns true when the equality list equates two
+// distinct constants, i.e. the query is unsatisfiable.
+func (c *canonizer) reset(q *cq.Query) bool {
 	// Slot per distinct variable, in order of first appearance.  Body
 	// placeholders are distinct, so their count is the variable count of
 	// any valid query (equality and head variables occur in the body).
-	nvars := 0
+	total := 0
 	for _, a := range q.Body {
-		nvars += len(a.Vars)
+		total += len(a.Vars)
 	}
-	slotOf := make(map[cq.Var]int, nvars)
-	slot := func(v cq.Var) int {
-		if i, ok := slotOf[v]; ok {
-			return i
+	if c.slotOf == nil {
+		c.slotOf = make(map[cq.Var]int, total)
+	}
+	slotOf := c.slotOf
+	slot := func(v cq.Var) {
+		if _, ok := slotOf[v]; !ok {
+			slotOf[v] = len(slotOf)
 		}
-		i := len(slotOf)
-		slotOf[v] = i
-		return i
 	}
 	for _, a := range q.Body {
 		for _, v := range a.Vars {
@@ -140,10 +196,11 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 	}
 
 	n := len(slotOf)
-	parent := make([]int, n)
-	rnk := make([]int, n)
-	hasC := make([]bool, n)        // valid on roots
-	cval := make([]value.Value, n) // valid on roots with hasC
+	c.parent = resize(c.parent, n)
+	c.rnk = resize(c.rnk, n)
+	c.hasC = resize(c.hasC, n) // valid on roots
+	c.cval = resize(c.cval, n) // valid on roots with hasC
+	parent, rnk, hasC, cval := c.parent, c.rnk, c.hasC, c.cval
 	for i := range parent {
 		parent[i] = i
 	}
@@ -191,41 +248,36 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 		}
 	}
 	if unsat {
-		return nil, true
+		return true
 	}
 
-	c := &canonizer{}
-	classAt := make([]int, n) // root slot -> dense class index
-	for i := range classAt {
-		classAt[i] = -1
-	}
-	c.classConst = make([]value.Value, 0, n)
-	c.classHasC = make([]bool, 0, n)
+	c.classAt = resize(c.classAt, n) // root slot -> dense class index + 1
+	classAt := c.classAt
+	c.classConst = c.classConst[:0]
+	c.classHasC = c.classHasC[:0]
 	classIdx := func(v cq.Var) int {
 		root := find(slotOf[v])
-		if i := classAt[root]; i >= 0 {
-			return i
+		if i := classAt[root]; i > 0 {
+			return i - 1
 		}
 		i := len(c.classConst)
-		classAt[root] = i
+		classAt[root] = i + 1
 		c.classConst = append(c.classConst, cval[root])
 		c.classHasC = append(c.classHasC, hasC[root])
 		return i
 	}
-	total := 0
-	for _, a := range q.Body {
-		total += len(a.Vars)
-	}
-	argsFlat := make([]int, 0, total)
-	c.atomRel = make([]string, len(q.Body))
-	c.atomArgs = make([][]int, len(q.Body))
+	c.argsFlat = resize(c.argsFlat, total)
+	c.atomRel = resize(c.atomRel, len(q.Body))
+	c.atomArgs = resize(c.atomArgs, len(q.Body))
+	off := 0
 	for ai, a := range q.Body {
-		start := len(argsFlat)
-		for _, v := range a.Vars {
-			argsFlat = append(argsFlat, classIdx(v))
+		args := c.argsFlat[off : off+len(a.Vars) : off+len(a.Vars)]
+		for k, v := range a.Vars {
+			args[k] = classIdx(v)
 		}
+		off += len(a.Vars)
 		c.atomRel[ai] = a.Rel
-		c.atomArgs[ai] = argsFlat[start:len(argsFlat):len(argsFlat)]
+		c.atomArgs[ai] = args
 	}
 	// Equality-only variables (invalid against any schema, but the
 	// canonizer is total): give them classes so encoding never panics.
@@ -235,59 +287,70 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 			classIdx(e.Right.Var)
 		}
 	}
-	c.head = make([]headTerm, 0, len(q.Head))
-	headClass := make([]int, len(q.Head)) // class per head position, -1 for consts
+	c.head = c.head[:0]
+	c.headClass = resize(c.headClass, len(q.Head)) // class per head position, -1 for consts
 	for hi, t := range q.Head {
 		if t.IsConst {
 			c.head = append(c.head, headTerm{isConst: true, cnst: t.Const})
-			headClass[hi] = -1
+			c.headClass[hi] = -1
 			continue
 		}
 		ci := classIdx(t.Var)
 		c.head = append(c.head, headTerm{class: ci})
-		headClass[hi] = ci
+		c.headClass[hi] = ci
 	}
 
-	// All classes exist now; build the per-class tables over flat
-	// backings (one allocation each instead of one per class).
+	// All classes exist now; carve the per-class tables from flat
+	// backings, counting first so each class's run is exactly sized.
 	nc := len(c.classConst)
-	c.classHeadP = make([][]int, nc)
-	for hi, ci := range headClass {
+	c.occCount = resize(c.occCount, nc)
+	for _, ci := range c.headClass {
+		if ci >= 0 {
+			c.occCount[ci]++
+		}
+	}
+	c.headPFlat = resize(c.headPFlat, len(q.Head))
+	c.classHeadP = carve(c.classHeadP, c.headPFlat, c.occCount)
+	for hi, ci := range c.headClass {
 		if ci >= 0 {
 			c.classHeadP[ci] = append(c.classHeadP[ci], hi)
 		}
 	}
-	occCount := make([]int, nc)
-	for _, args := range c.atomArgs {
-		for _, ci := range args {
-			occCount[ci]++
-		}
+	clear(c.occCount)
+	for _, ci := range c.argsFlat {
+		c.occCount[ci]++
 	}
-	occAtomFlat := make([]int, total)
-	occPosFlat := make([]int, total)
-	c.occAtom = make([][]int, nc)
-	c.occPos = make([][]int, nc)
-	off := 0
-	for ci := 0; ci < nc; ci++ {
-		c.occAtom[ci] = occAtomFlat[off : off : off+occCount[ci]]
-		c.occPos[ci] = occPosFlat[off : off : off+occCount[ci]]
-		off += occCount[ci]
-	}
+	c.occAtomFlat = resize(c.occAtomFlat, total)
+	c.occPosFlat = resize(c.occPosFlat, total)
+	c.occAtom = carve(c.occAtom, c.occAtomFlat, c.occCount)
+	c.occPos = carve(c.occPos, c.occPosFlat, c.occCount)
 	for ai, args := range c.atomArgs {
 		for p, ci := range args {
 			c.occAtom[ci] = append(c.occAtom[ci], ai)
 			c.occPos[ci] = append(c.occPos[ci], p)
 		}
 	}
-	c.color = make([]int, nc)
-	relNames := append([]string(nil), c.atomRel...)
-	sort.Strings(relNames)
-	relNames = uniqStrings(relNames)
-	c.relColor = make([]int, len(c.atomRel))
+	c.color = resize(c.color, nc)
+	c.relNames = append(c.relNames[:0], c.atomRel...)
+	sort.Strings(c.relNames)
+	c.relNames = uniqStrings(c.relNames)
+	c.relColor = resize(c.relColor, len(c.atomRel))
 	for ai, r := range c.atomRel {
-		c.relColor[ai] = sort.SearchStrings(relNames, r)
+		c.relColor[ai] = sort.SearchStrings(c.relNames, r)
 	}
-	return c, false
+	return false
+}
+
+// carve resizes rows to len(counts) empty rows over backing, row i with
+// capacity counts[i], so appending a row's entries never reallocates.
+func carve(rows [][]int, backing, counts []int) [][]int {
+	rows = resize(rows, len(counts))
+	off := 0
+	for i, n := range counts {
+		rows[i] = backing[off : off : off+n]
+		off += n
+	}
+	return rows
 }
 
 // refine assigns renaming-invariant colors to classes by iterated
@@ -295,33 +358,38 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 // binding, head positions, and (relation, position) occurrence multiset;
 // each round folds in the colors of co-occurring classes until the
 // partition stabilizes.
+//
+//keyedeq:hot -- color refinement runs once per canonicalized query; its rounds reuse the canonizer's scratch
 func (c *canonizer) refine() {
 	// posBase makes (color, position) pairs collision-free when packed
 	// into one int.
 	posBase := 1
-	total := 0 // variable occurrences
+	total := len(c.argsFlat) // variable occurrences
 	for _, args := range c.atomArgs {
 		if len(args) >= posBase {
 			posBase = len(args) + 1
 		}
-		total += len(args)
 	}
 
 	// Constant bindings are the only name-bearing invariant left after
-	// relColor; rank them once up front (most classes bind none).
-	constRank := make([]int, len(c.color))
-	var consts []string
+	// relColor; rank them once up front (most classes bind none) by
+	// their rendered text.
+	nc := len(c.color)
+	c.constRank = resize(c.constRank, nc)
+	c.constStr = resize(c.constStr, nc)
+	c.consts = c.consts[:0]
 	for ci := range c.color {
 		if c.classHasC[ci] {
-			consts = append(consts, c.classConst[ci].String())
+			c.constStr[ci] = c.classConst[ci].String()
+			c.consts = append(c.consts, c.constStr[ci])
 		}
 	}
-	if len(consts) > 0 {
-		sort.Strings(consts)
-		consts = uniqStrings(consts)
+	if len(c.consts) > 0 {
+		sort.Strings(c.consts)
+		c.consts = uniqStrings(c.consts)
 		for ci := range c.color {
 			if c.classHasC[ci] {
-				constRank[ci] = 1 + sort.SearchStrings(consts, c.classConst[ci].String())
+				c.constRank[ci] = 1 + sort.SearchStrings(c.consts, c.constStr[ci])
 			}
 		}
 	}
@@ -330,14 +398,15 @@ func (c *canonizer) refine() {
 	// the row layout is unambiguous), then the sorted (relation, position)
 	// occurrence multiset.  Every round's row of a class fits in its
 	// initial capacity, so all class rows share one backing array.
-	classRows := make([][]int, len(c.color))
-	classBacking := make([]int, 2*len(c.color)+len(c.head)+total)
-	idx := make([]int, max(len(c.color), len(c.atomRel))) // rankRows scratch
-	for ci := range classRows {
+	c.classRows = resize(c.classRows, nc)
+	c.classBacking = resize(c.classBacking, 2*nc+len(c.head)+total)
+	c.idx = resize(c.idx, max(nc, len(c.atomRel)))
+	backing := c.classBacking
+	for ci := range c.classRows {
 		n := 2 + len(c.classHeadP[ci]) + len(c.occAtom[ci])
-		row := classBacking[:0:n]
-		classBacking = classBacking[n:]
-		row = append(row, constRank[ci], len(c.classHeadP[ci]))
+		row := backing[:0:n]
+		backing = backing[n:]
+		row = append(row, c.constRank[ci], len(c.classHeadP[ci]))
 		row = append(row, c.classHeadP[ci]...)
 		mark := len(row)
 		for k, ai := range c.occAtom[ci] {
@@ -345,45 +414,46 @@ func (c *canonizer) refine() {
 		}
 		occ := row[mark:]
 		sort.Ints(occ)
-		classRows[ci] = row
+		c.classRows[ci] = row
 	}
-	distinct := rankRows(classRows, c.color, idx)
-	if distinct == len(c.color) {
+	distinct := rankRows(c.classRows, c.color, c.idx)
+	if distinct == nc {
 		return // discrete partition: colors are final
 	}
 
-	atomRows := make([][]int, len(c.atomRel))
-	atomBacking := make([]int, len(c.atomRel)+total)
+	c.atomRows = resize(c.atomRows, len(c.atomRel))
+	c.atomBacking = resize(c.atomBacking, len(c.atomRel)+total)
+	backing = c.atomBacking
 	for ai, args := range c.atomArgs {
-		atomRows[ai], atomBacking = atomBacking[:0:1+len(args)], atomBacking[1+len(args):]
+		c.atomRows[ai], backing = backing[:0:1+len(args)], backing[1+len(args):]
 	}
-	atomColor := make([]int, len(c.atomRel))
-	for round := 0; round < len(c.color); round++ {
+	c.atomColor = resize(c.atomColor, len(c.atomRel))
+	for round := 0; round < nc; round++ {
 		// Atom signature: relation color then argument class colors.
 		for ai, args := range c.atomArgs {
-			row := atomRows[ai][:0]
+			row := c.atomRows[ai][:0]
 			row = append(row, c.relColor[ai])
 			for _, ci := range args {
 				row = append(row, c.color[ci])
 			}
-			atomRows[ai] = row
+			c.atomRows[ai] = row
 		}
-		rankRows(atomRows, atomColor, idx)
+		rankRows(c.atomRows, c.atomColor, c.idx)
 		// Class signature: own color then the sorted multiset of
 		// (atom color, position) occurrences.
-		for ci := range classRows {
-			row := classRows[ci][:0]
+		for ci := range c.classRows {
+			row := c.classRows[ci][:0]
 			row = append(row, c.color[ci])
 			mark := len(row)
 			for k, ai := range c.occAtom[ci] {
-				row = append(row, atomColor[ai]*posBase+c.occPos[ci][k])
+				row = append(row, c.atomColor[ai]*posBase+c.occPos[ci][k])
 			}
 			occ := row[mark:]
 			sort.Ints(occ)
-			classRows[ci] = row
+			c.classRows[ci] = row
 		}
-		d := rankRows(classRows, c.color, idx)
-		if d == distinct || d == len(c.color) {
+		d := rankRows(c.classRows, c.color, c.idx)
+		if d == distinct || d == nc {
 			return
 		}
 		distinct = d
@@ -455,11 +525,14 @@ type encState struct {
 // bounded backtracking over full encodings; automorphic ties (stars,
 // cliques) yield identical encodings on every branch, so even a budget
 // cutoff returns the true canonical form for them.
+//
+//keyedeq:hot -- the tie-break search behind every canonical key; the root state lives in the pooled canonizer
 func (c *canonizer) encode() (string, bool) {
-	st := &encState{
-		num:  make([]int, len(c.color)),
-		used: make([]bool, len(c.atomRel)),
-	}
+	st := &c.st
+	st.num = resize(st.num, len(c.color))
+	st.used = resize(st.used, len(c.atomRel))
+	st.next = 0
+	st.out = st.out[:0]
 	for i := range st.num {
 		st.num[i] = -1
 	}
@@ -470,7 +543,8 @@ func (c *canonizer) encode() (string, bool) {
 			hb.WriteByte(',')
 		}
 		if h.isConst {
-			hb.WriteString("c" + h.cnst.String())
+			hb.WriteByte('c')
+			hb.WriteString(h.cnst.String())
 			continue
 		}
 		c.writeClass(st, h.class, &hb)
@@ -478,9 +552,9 @@ func (c *canonizer) encode() (string, bool) {
 	st.out = append(st.out, hb.String())
 
 	budget := tieBreakBudget
-	var best []string
-	exact := c.search(st, &best, &budget)
-	return strings.Join(best, "|"), exact
+	c.best = c.best[:0]
+	exact := c.search(st, &budget)
+	return strings.Join(c.best, "|"), exact
 }
 
 // writeClass appends the encoding of a class occurrence to b, assigning
@@ -502,15 +576,16 @@ func (c *canonizer) writeClass(st *encState, ci int, b *strings.Builder) {
 
 // search extends st one atom at a time, branching over minimal-key
 // candidates, and records the lexicographically least complete encoding
-// in best.  It returns false when the budget ran out before the branch
-// space was exhausted.
+// in c.best (empty until the first completes).  It returns false when
+// the budget ran out before the branch space was exhausted.
+//
 //keyedeq:hot -- budgeted branch-and-bound over candidate atom orders; every canonical key pays for it
-func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
+func (c *canonizer) search(st *encState, budget *int) bool {
 	exact := true
 	for {
 		if len(st.out)-1 == len(c.atomRel) { // head segment + all atoms
-			if *best == nil || lessSeq(st.out, *best) {
-				*best = append([]string(nil), st.out...)
+			if len(c.best) == 0 || lessSeq(st.out, c.best) {
+				c.best = append(c.best[:0], st.out...)
 			}
 			return exact
 		}
@@ -529,23 +604,32 @@ func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
 			// with zero state copies).
 			c.applyTo(st, cands[0])
 			// Prune once the extension is worse than the best encoding.
-			if *best != nil && prefixCompare(st.out, *best) > 0 {
+			if len(c.best) > 0 && prefixCompare(st.out, c.best) > 0 {
 				return exact
 			}
 			continue
 		}
-		for _, ai := range cands {
-			child := c.apply(st, ai)
-			// Prune branches already worse than the best known encoding.
-			if *best != nil && prefixCompare(child.out, *best) > 0 {
-				continue
-			}
-			if !c.search(child, best, budget) {
-				exact = false
-			}
-		}
-		return exact
+		return c.branch(st, cands, budget) && exact
 	}
+}
+
+// branch searches each candidate of a branching step from its own copy
+// of st.  The recursion refills minCandidates' scratch, so the
+// candidate list is copied first.
+func (c *canonizer) branch(st *encState, cands []int, budget *int) bool {
+	cands = append(make([]int, 0, len(cands)), cands...)
+	exact := true
+	for _, ai := range cands {
+		child := c.apply(st, ai)
+		// Prune branches already worse than the best known encoding.
+		if len(c.best) > 0 && prefixCompare(child.out, c.best) > 0 {
+			continue
+		}
+		if !c.search(child, budget) {
+			exact = false
+		}
+	}
+	return exact
 }
 
 // unassignedBase offsets refinement colors in step-key rows so every
@@ -570,26 +654,29 @@ func (c *canonizer) stepKeyRow(st *encState, ai int, row []int) []int {
 }
 
 // minCandidates returns the unused atoms whose step-key row is minimal.
+// The result lives in c's scratch until the next call.
+//
+//keyedeq:hot -- runs once per search step; rows and candidates stay in the canonizer's scratch
 func (c *canonizer) minCandidates(st *encState) []int {
-	var bestRow, row []int
-	var out []int
+	out := c.cands[:0]
 	for ai := range c.atomRel {
 		if st.used[ai] {
 			continue
 		}
-		row = c.stepKeyRow(st, ai, row)
+		c.row = c.stepKeyRow(st, ai, c.row)
 		cmp := -1
-		if out != nil {
-			cmp = compareIntRows(row, bestRow)
+		if len(out) > 0 {
+			cmp = compareIntRows(c.row, c.bestRow)
 		}
 		switch {
 		case cmp < 0:
-			bestRow = append(bestRow[:0], row...)
+			c.bestRow = append(c.bestRow[:0], c.row...)
 			out = append(out[:0], ai)
 		case cmp == 0:
 			out = append(out, ai)
 		}
 	}
+	c.cands = out
 	return out
 }
 

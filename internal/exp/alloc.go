@@ -7,6 +7,8 @@ import (
 
 	"keyedeq/internal/chase"
 	"keyedeq/internal/containment"
+	"keyedeq/internal/cq"
+	"keyedeq/internal/engine"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/gen"
 	"keyedeq/internal/instance"
@@ -34,6 +36,11 @@ const (
 	// map-backed Database and frozen (one MustInsert per tuple, then
 	// FreezeDatabase), which the Interner + flat-row bulk load replaces.
 	seedInternAllocs = 9881004
+	// seedParseAllocs and seedCanonAllocs are cq.Parse and
+	// engine.CanonicalizeQuery per decide-hot query as measured before
+	// the parser went linear-time and the canonizer was pooled.
+	seedParseAllocs = 318
+	seedCanonAllocs = 101
 )
 
 // AllocCaseResult is one kernel's steady-state allocation measurement.
@@ -64,20 +71,21 @@ func (r *AllocBenchResult) Case(name string) (AllocCaseResult, bool) {
 
 // AllocCaseNames lists the cases every complete record must carry.
 func AllocCaseNames() []string {
-	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M"}
+	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M", "parse/decide-hot", "canon/decide-hot"}
 }
 
-// A1AllocBench measures allocations per operation of the two hot-path
-// kernels the allocation lint rules police — one semi-naive chase run
-// and one freeze-chase-search containment check — via testing.Benchmark
-// with the exact workloads of BenchmarkT4Chase/rows-1000 and
-// BenchmarkT3Containment/clique-4.  A case that fails to run is noted
-// in the table and omitted from the record, which the verify gate then
-// rejects as incomplete.
+// A1AllocBench measures allocations per operation of the hot-path
+// kernels the allocation lint rules police — one semi-naive chase run,
+// one freeze-chase-search containment check (the exact workloads of
+// BenchmarkT4Chase/rows-1000 and BenchmarkT3Containment/clique-4), the
+// bulk intern load, and the per-query front end every decision pays
+// (one parse, one canonicalization) — via testing.Benchmark.  A case
+// that fails to run is noted in the table and omitted from the record,
+// which the verify gate then rejects as incomplete.
 func A1AllocBench() (*Table, *AllocBenchResult) {
 	t := &Table{
 		ID:      "A1",
-		Title:   "hot-path allocations per operation (chase + homomorphism search)",
+		Title:   "hot-path allocations per operation (chase, search, interning, query parse and canonicalization)",
 		Columns: []string{"case", "allocs/op", "bytes/op", "seed allocs/op"},
 	}
 	res := &AllocBenchResult{}
@@ -89,6 +97,8 @@ func A1AllocBench() (*Table, *AllocBenchResult) {
 		{"chase/rows-1000", seedChaseAllocs, allocChaseRun},
 		{"search/clique-4", seedSearchAllocs, allocSearchRun},
 		{"intern/rows-1M", seedInternAllocs, allocInternRun},
+		{"parse/decide-hot", seedParseAllocs, allocParseRun},
+		{"canon/decide-hot", seedCanonAllocs, allocCanonRun},
 	} {
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
@@ -188,6 +198,74 @@ func allocSearchRun(b *testing.B) error {
 		}
 		if !ok {
 			return fmt.Errorf("clique-4 containment unexpectedly false")
+		}
+	}
+	return nil
+}
+
+// decideHotQuery is one query text of the decide-hot mix with the
+// schema of its family.
+type decideHotQuery struct {
+	text   string
+	schema *schema.Schema
+}
+
+// decideHotQueries is the query mix the end-to-end benchmark's
+// decide-hot workload sends, without its Zipf draw: 40 pairs per
+// gen.PairCorpus family (family fi seeded 11+fi, as E1 is), each side
+// printed as a fresh alpha variant.
+func decideHotQueries() ([]decideHotQuery, error) {
+	rng := rand.New(rand.NewSource(1))
+	var out []decideHotQuery
+	for fi, name := range gen.FamilyNames() {
+		f, err := gen.PairCorpus(rand.New(rand.NewSource(int64(11+fi))), name, 40)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range f.Pairs {
+			for _, q := range []*cq.Query{p.Left, p.Right} {
+				out = append(out, decideHotQuery{gen.AlphaVariant(rng, q).String(), f.Schema})
+			}
+		}
+	}
+	return out, nil
+}
+
+// allocParseRun parses one decide-hot query text per operation, cycling
+// through the mix.
+func allocParseRun(b *testing.B) error {
+	b.StopTimer()
+	qs, err := decideHotQueries()
+	if err != nil {
+		return err
+	}
+	b.StartTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cq.Parse(qs[i%len(qs)].text); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// allocCanonRun canonicalizes one parsed decide-hot query per operation,
+// cycling through the mix; parsing happens before the timer.
+func allocCanonRun(b *testing.B) error {
+	b.StopTimer()
+	qs, err := decideHotQueries()
+	if err != nil {
+		return err
+	}
+	parsed := make([]*cq.Query, len(qs))
+	for i, q := range qs {
+		if parsed[i], err = cq.Parse(q.text); err != nil {
+			return err
+		}
+	}
+	b.StartTimer()
+	for i := 0; i < b.N; i++ {
+		if engine.CanonicalizeQuery(parsed[i%len(qs)], qs[i%len(qs)].schema).Key == "" {
+			return fmt.Errorf("empty canonical key for %s", qs[i%len(qs)].text)
 		}
 	}
 	return nil

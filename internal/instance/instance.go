@@ -8,6 +8,7 @@ package instance
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -73,15 +74,19 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
+// key renders the tuple's map key: "type:n" per value, comma-separated.
 func (t Tuple) key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d:%d", v.Type, v.N)
+		b = strconv.AppendInt(b, int64(v.Type), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, v.N, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Relation is an instance of one relation scheme: a set of tuples of the

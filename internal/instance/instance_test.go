@@ -1,6 +1,9 @@
 package instance
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"keyedeq/internal/schema"
@@ -237,5 +240,22 @@ func TestRelationString(t *testing.T) {
 	r.MustInsert(Tuple{v(1, 1)})
 	if got := r.String(); got != "r {(T1:1)}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestTupleKeyMatchesFmt pins the fmt-free map key to the
+// fmt.Fprintf("%d:%d") rendering it replaced.
+func TestTupleKeyMatchesFmt(t *testing.T) {
+	for _, tu := range []Tuple{
+		nil, {}, {v(1, 1)}, {v(1, 5), v(2, -7)}, {{}, v(0, 3)},
+		{v(math.MaxInt32, math.MaxInt64), v(math.MinInt32, math.MinInt64), v(-2, 0)},
+	} {
+		parts := make([]string, len(tu))
+		for i, x := range tu {
+			parts[i] = fmt.Sprintf("%d:%d", x.Type, x.N)
+		}
+		if got, want := tu.key(), strings.Join(parts, ","); got != want {
+			t.Errorf("key(%v) = %q, want %q", tu, got, want)
+		}
 	}
 }

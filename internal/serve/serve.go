@@ -274,6 +274,30 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // whole JSON request body, or one NDJSON line of a batch stream.
 const maxBodyBytes = 1 << 20
 
+// maxQueryAtoms caps the body atoms of every query the daemon accepts.
+// Parsing is linear in the text, but canonicalization grows faster than
+// linearly and never polls the request context, so a query over the cap
+// is refused before any decision work starts.
+const maxQueryAtoms = 512
+
+// checkQuerySize reports a query over maxQueryAtoms, naming it by what.
+func checkQuerySize(what string, q *cq.Query) error {
+	if n := len(q.Body); n > maxQueryAtoms {
+		return fmt.Errorf("%s has %d atoms, over the cap of %d", what, n, maxQueryAtoms)
+	}
+	return nil
+}
+
+// checkMappingSize applies checkQuerySize to every view of a mapping.
+func checkMappingSize(what string, m *mapping.Mapping) error {
+	for _, q := range m.Queries {
+		if err := checkQuerySize(fmt.Sprintf("%s view %s", what, q.HeadRel), q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into
 // v.  On failure it writes the error response itself — 413 for an
 // oversized body, 400 for a malformed one — and reports false.
@@ -354,9 +378,17 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("left query: %v", err))
 		return
 	}
+	if err := checkQuerySize("left query", left); err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
 	right, err := cq.Parse(req.Right)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("right query: %v", err))
+		return
+	}
+	if err := checkQuerySize("right query", right); err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
 	op, err := parseOp(req.Op)
@@ -465,9 +497,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return engine.Result{}, fmt.Errorf("line %d left query: %v", i, err)
 			}
+			if err := checkQuerySize("left query", left); err != nil {
+				return engine.Result{}, fmt.Errorf("line %d: %v", i, err)
+			}
 			right, err := cq.Parse(line.Right)
 			if err != nil {
 				return engine.Result{}, fmt.Errorf("line %d right query: %v", i, err)
+			}
+			if err := checkQuerySize("right query", right); err != nil {
+				return engine.Result{}, fmt.Errorf("line %d: %v", i, err)
 			}
 			op, err := parseOp(line.Op)
 			if err != nil {
@@ -605,9 +643,17 @@ func (s *Server) handleSchemaDominance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("alpha: %v", err))
 		return
 	}
+	if err := checkMappingSize("alpha", alpha); err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
 	beta, err := mapping.Parse(s2, s1, req.Beta)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("beta: %v", err))
+		return
+	}
+	if err := checkMappingSize("beta", beta); err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
 	s.o.C(obs.CServeRequests).Add(1)

@@ -532,3 +532,130 @@ func TestBootCompaction(t *testing.T) {
 		t.Fatalf("replayed counter = %d, want 2048", got)
 	}
 }
+
+// productQuery renders a query over edge with n independent atoms,
+// written without spaces so large ones stay compact.
+func productQuery(head string, n int) string {
+	var b strings.Builder
+	b.WriteString(head + "(X0) :- ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "edge(X%d,Y%d)", i, i)
+	}
+	b.WriteByte('.')
+	return b.String()
+}
+
+// TestQueryAtomCap sends a query at maxQueryAtoms and one over it to
+// every endpoint that accepts queries: the first is decided, the second
+// refused — a JSON 413 naming the side for decide and dominance, a
+// per-line error for batch, whose next line is still decided.
+func TestQueryAtomCap(t *testing.T) {
+	s := newTestServer(t, Config{})
+	small := "V(X) :- edge(X, Y)."
+	for _, n := range []int{maxQueryAtoms, maxQueryAtoms + 1} {
+		over := n > maxQueryAtoms
+		big := productQuery("V", n)
+		t.Run(fmt.Sprintf("decide/%d", n), func(t *testing.T) {
+			for _, side := range []string{"left", "right"} {
+				body := decideBody(big, small)
+				if side == "right" {
+					body = decideBody(small, big)
+				}
+				rec := postJSON(t, s, "/v1/decide", body, nil)
+				if !over {
+					if rec.Code != http.StatusOK {
+						t.Fatalf("%s at the cap: status %d: %s", side, rec.Code, rec.Body.String())
+					}
+					continue
+				}
+				var resp map[string]string
+				if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+					!strings.Contains(resp["error"], side+" query has") {
+					t.Fatalf("%s over the cap: status %d body %q, want a JSON 413 naming the side", side, rec.Code, rec.Body.String())
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("batch/%d", n), func(t *testing.T) {
+			var b strings.Builder
+			fmt.Fprintf(&b, `{"schema":%q,"unkeyed":true}`+"\n", graphSchema)
+			for _, line := range []batchLine{{Left: big, Right: small}, {Left: small, Right: small}} {
+				enc, err := json.Marshal(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(append(enc, '\n'))
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(b.String()))
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+			if rec.Code != http.StatusOK || len(lines) != 3 {
+				t.Fatalf("status %d, %d lines: %s", rec.Code, len(lines), rec.Body.String())
+			}
+			var first, second batchResult
+			if json.Unmarshal([]byte(lines[0]), &first) != nil || json.Unmarshal([]byte(lines[1]), &second) != nil {
+				t.Fatalf("undecodable result lines: %s", rec.Body.String())
+			}
+			if over != strings.Contains(first.Error, "over the cap") {
+				t.Fatalf("line 0 error %q, over the cap: %v", first.Error, over)
+			}
+			if second.Error != "" || !second.Holds {
+				t.Fatalf("line 1 after the capped line: %+v", second)
+			}
+		})
+		t.Run(fmt.Sprintf("dominance/%d", n), func(t *testing.T) {
+			// α defines p with an n-atom body; only its size matters.
+			var alpha strings.Builder
+			alpha.WriteString("p(X0, X0) :- ")
+			for i := 0; i < n; i++ {
+				if i > 0 {
+					alpha.WriteByte(',')
+				}
+				fmt.Fprintf(&alpha, "r(X%d)", i)
+			}
+			alpha.WriteByte('.')
+			rec := postJSON(t, s, "/v1/schema/dominance", schemaDominanceRequest{
+				Schema1: "r(a*:T1)",
+				Schema2: "p(a*:T1, b:T1)",
+				Alpha:   alpha.String(),
+				Beta:    "r(X) :- p(X, Y).",
+			}, nil)
+			if !over {
+				if rec.Code != http.StatusOK {
+					t.Fatalf("at the cap: status %d: %s", rec.Code, rec.Body.String())
+				}
+				return
+			}
+			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "alpha view p has") {
+				t.Fatalf("over the cap: status %d body %q, want a 413 naming alpha", rec.Code, rec.Body.String())
+			}
+		})
+	}
+}
+
+// TestHugeQueryRefusedQuickly sends a decide body just under
+// maxBodyBytes whose left query has 50,000 atoms: it must be refused
+// with 413 in seconds, not after minutes of parsing.
+func TestHugeQueryRefusedQuickly(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body, err := json.Marshal(decideBody(productQuery("V", 50000), "V(X) :- edge(X, Y)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxBodyBytes {
+		t.Fatalf("body is %d bytes, over the %d-byte cap", len(body), maxBodyBytes)
+	}
+	start := time.Now()
+	req := httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(string(body)))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("refusal took %v, want under 10s", elapsed)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "left query has 50000 atoms") {
+		t.Fatalf("status %d body %q, want a 413 for the left query", rec.Code, rec.Body.String())
+	}
+}

@@ -23,10 +23,16 @@ const NoType Type = 0
 
 // String returns a stable human-readable name such as "T3".
 func (t Type) String() string {
+	var buf [12]byte
+	return string(t.appendName(buf[:0]))
+}
+
+// appendName appends t.String() to b.
+func (t Type) appendName(b []byte) []byte {
 	if t == NoType {
-		return "T?"
+		return append(b, "T?"...)
 	}
-	return "T" + strconv.FormatInt(int64(t), 10)
+	return strconv.AppendInt(append(b, 'T'), int64(t), 10)
 }
 
 // Value is an atomic constant of some attribute type.  The zero Value is
@@ -44,7 +50,9 @@ func (v Value) String() string {
 	if v.IsZero() {
 		return "<zero>"
 	}
-	return fmt.Sprintf("%s:%d", v.Type, v.N)
+	var buf [36]byte // "T" + int32 + ":" + int64, signs included
+	b := append(v.Type.appendName(buf[:0]), ':')
+	return string(strconv.AppendInt(b, v.N, 10))
 }
 
 // Compare orders values first by type, then by N.  It returns -1, 0, or +1.
@@ -72,19 +80,51 @@ func Sort(vs []Value) {
 
 // Parse parses the "T<type>:<n>" form produced by Value.String.
 func Parse(s string) (Value, error) {
+	switch v, bad := parse(s); bad {
+	case badForm:
+		return Value{}, fmt.Errorf("value: cannot parse %q: want T<type>:<n>", s)
+	case badType:
+		return Value{}, fmt.Errorf("value: bad type in %q", s)
+	case badOrdinal:
+		return Value{}, fmt.Errorf("value: bad ordinal in %q", s)
+	default:
+		return v, nil
+	}
+}
+
+// TryParse is Parse without the error: it reports whether s is in
+// "T<type>:<n>" form.  A parser classifying tokens calls it on every
+// variable, so it builds no error value for a token without ':' or
+// without the 'T' prefix.
+func TryParse(s string) (Value, bool) {
+	v, bad := parse(s)
+	return v, bad == parsed
+}
+
+// parseResult says which part of the "T<type>:<n>" form parse rejected.
+type parseResult int
+
+const (
+	parsed parseResult = iota
+	badForm
+	badType
+	badOrdinal
+)
+
+func parse(s string) (Value, parseResult) {
 	i := strings.IndexByte(s, ':')
 	if i < 0 || !strings.HasPrefix(s, "T") {
-		return Value{}, fmt.Errorf("value: cannot parse %q: want T<type>:<n>", s)
+		return Value{}, badForm
 	}
 	t, err := strconv.ParseInt(s[1:i], 10, 32)
 	if err != nil || t <= 0 {
-		return Value{}, fmt.Errorf("value: bad type in %q", s)
+		return Value{}, badType
 	}
 	n, err := strconv.ParseInt(s[i+1:], 10, 64)
 	if err != nil {
-		return Value{}, fmt.Errorf("value: bad ordinal in %q", s)
+		return Value{}, badOrdinal
 	}
-	return Value{Type: Type(t), N: n}, nil
+	return Value{Type: Type(t), N: n}, parsed
 }
 
 // Allocator hands out fresh values per attribute type.  Fresh values are

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -83,6 +85,63 @@ func TestSort(t *testing.T) {
 		if vs[i] != want[i] {
 			t.Fatalf("Sort = %v, want %v", vs, want)
 		}
+	}
+}
+
+// TestValueStringMatchesFmt pins the fmt-free renderings of Type and
+// Value to the fmt forms they replaced, byte for byte: canonical keys,
+// and so verdict-log keys, embed them.
+func TestValueStringMatchesFmt(t *testing.T) {
+	for _, v := range []Value{
+		{}, {Type: 3, N: 17}, {Type: NoType, N: 5}, {Type: 1, N: -1}, {Type: 7, N: 0},
+		{Type: -4, N: 2}, {Type: math.MaxInt32, N: math.MaxInt64}, {Type: math.MinInt32, N: math.MinInt64},
+	} {
+		typeWant := "T?"
+		if v.Type != NoType {
+			typeWant = fmt.Sprintf("T%d", int64(v.Type))
+		}
+		if got := v.Type.String(); got != typeWant {
+			t.Errorf("Type(%d).String() = %q, want %q", int64(v.Type), got, typeWant)
+		}
+		want := "<zero>"
+		if !v.IsZero() {
+			want = fmt.Sprintf("%s:%d", v.Type, v.N)
+		}
+		if got := v.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestParseErrorMessages pins Parse's messages and TryParse's agreement
+// with it; TryParse allocates nothing on a token that is no constant.
+func TestParseErrorMessages(t *testing.T) {
+	for _, c := range []struct{ in, msg string }{
+		{"", `value: cannot parse "": want T<type>:<n>`},
+		{"T1", `value: cannot parse "T1": want T<type>:<n>`},
+		{"1:2", `value: cannot parse "1:2": want T<type>:<n>`},
+		{"Tx:2", `value: bad type in "Tx:2"`},
+		{"T0:1", `value: bad type in "T0:1"`},
+		{"T-3:4", `value: bad type in "T-3:4"`},
+		{"T1:y", `value: bad ordinal in "T1:y"`},
+		{"T1:99999999999999999999", `value: bad ordinal in "T1:99999999999999999999"`},
+		{"T2:-5", ""},
+		{"T2147483647:0", ""},
+	} {
+		v, err := Parse(c.in)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.msg {
+			t.Errorf("Parse(%q) error %q, want %q", c.in, got, c.msg)
+		}
+		if tv, ok := TryParse(c.in); ok != (err == nil) || tv != v {
+			t.Errorf("TryParse(%q) = %v, %v; Parse gave %v, %v", c.in, tv, ok, v, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { TryParse("X17") }); n != 0 {
+		t.Errorf("TryParse of a variable allocates %v times", n)
 	}
 }
 
