@@ -99,11 +99,10 @@ bench-alloc-verify:
 # search-verify gates the homomorphism search under the race detector:
 # the adaptive-vs-naive differential wall over every corpus family
 # (verdicts, witnesses, and the arm each family takes), the in-package
-# arm-vs-oracle and parallel-vs-sequential parity suites, and the
-# cancellation contracts; then the chase freeze tests and the
-# allocation record.
+# arm-vs-oracle parity suites, and the cancellation contracts; then the
+# chase freeze tests and the allocation record.
 search-verify:
-	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestParallel|TestCancelObserved' -count=1
+	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved' -count=1
 	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive' -count=1
 	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json

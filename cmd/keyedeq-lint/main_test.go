@@ -358,9 +358,9 @@ func TestSARIFGoldenForHotRules(t *testing.T) {
 				} `json:"driver"`
 			} `json:"tool"`
 			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Message   struct {
+				RuleID  string `json:"ruleId"`
+				Level   string `json:"level"`
+				Message struct {
 					Text string `json:"text"`
 				} `json:"message"`
 				Locations []struct {

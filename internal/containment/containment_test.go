@@ -1,8 +1,11 @@
 package containment
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"keyedeq/internal/cq"
@@ -385,5 +388,75 @@ func TestMinimizeSemanticsFuzz(t *testing.T) {
 				t.Fatalf("Minimize changed semantics of %s -> %s on %s:\n%s vs %s", q, m, d, a1, a2)
 			}
 		}
+	}
+}
+
+// wideRel writes R(<prefix>0, ..., <prefix>257), one atom of the
+// 258-column relation below.
+func wideRel(sb *strings.Builder, prefix string) {
+	sb.WriteString("R(")
+	for p := 0; p < 258; p++ {
+		if p > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(sb, "%s%d", prefix, p)
+	}
+	sb.WriteString(")")
+}
+
+// TestContainedWideRelationMatchesNaive decides containment over a
+// 258-column relation whose witness needs hash indexes on positions 1
+// and 257, 256 apart.  q1 chains 64 atoms c2 → c1, with atom 5's c257
+// equal to atom 1's c2; q2 asks for A, then B with B.c1 = A.c2, then C
+// with C.c257 = B.c2.  Atoms 0, 1 and 5 of q1 are the witness.
+func TestContainedWideRelationMatchesNaive(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("R(")
+	for p := 0; p < 258; p++ {
+		if p > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "c%d:T1", p)
+	}
+	sb.WriteString(")")
+	s := schema.MustParse(sb.String())
+
+	sb.Reset()
+	sb.WriteString("V() :- ")
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		wideRel(&sb, fmt.Sprintf("X%d_", i))
+	}
+	for i := 1; i < 64; i++ {
+		fmt.Fprintf(&sb, ", X%d_1 = X%d_2", i, i-1)
+	}
+	sb.WriteString(", X5_257 = X1_2.")
+	q1 := cq.MustParse(sb.String())
+
+	sb.Reset()
+	sb.WriteString("V() :- ")
+	wideRel(&sb, "A")
+	sb.WriteString(", ")
+	wideRel(&sb, "B")
+	sb.WriteString(", ")
+	wideRel(&sb, "C")
+	sb.WriteString(", B1 = A2, C257 = B2.")
+	q2 := cq.MustParse(sb.String())
+
+	naive, _, err := ContainedUnderCtxMode(context.Background(), q1, q2, s, nil, cq.SearchNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !naive {
+		t.Fatal("naive: q1 not contained in q2, want contained")
+	}
+	got, err := Contained(q1, q2, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != naive {
+		t.Fatalf("adaptive Contained = %v, naive = %v", got, naive)
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // idSearchCore is the ID-native state of the streamed pipeline
-// (iter.go) and its parallel component workers (parallel.go): dense
-// class bindings over a frozen view, the addedStack unwind discipline,
-// ghost IDs for query values the frozen view never interned, and the
-// masked cancellation-polling node counter.
+// (iter.go): dense class bindings over a frozen view, the addedStack
+// unwind discipline, ghost IDs for query values the frozen view never
+// interned, and the masked cancellation-polling node counter.
 type idSearchCore struct {
 	ctx      context.Context
 	fz       *instance.Frozen

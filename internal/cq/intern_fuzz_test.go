@@ -125,10 +125,14 @@ func FuzzInternRoundTrip(f *testing.F) {
 		if errN == nil && okN != okA {
 			t.Fatalf("naive %v vs adaptive %v", okN, okA)
 		}
-		// These inputs are tiny, so the default configuration scans;
-		// force the pipeline too, which interns the wanted values.
-		pipe := searchUnder(t, pipelineConfig(), q, d, want)
+		// These inputs are tiny, so the size rule picks the scan; run the
+		// pipeline arm too, which interns the wanted values.
+		pipe := searchArm(findAnswerPipeline, q, d, want)
 		sameVerdict(t, "pipeline vs naive", pipe, searchNaive(q, d, want))
-		checkWitness(t, "pipeline witness", q, d, want, pipe)
+		// A witness maps body variables only, so it can answer want only
+		// for a valid query, whose head variables all occur in the body.
+		if q.Validate(sch) == nil {
+			checkWitness(t, "pipeline witness", q, d, want, pipe)
+		}
 	})
 }

@@ -110,48 +110,15 @@ func appendIDKey(b []byte, id value.ID) []byte {
 	return append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 }
 
-// keyPosSig encodes a step's key-position list as the frozen view's
-// index-memo signature.  Positions are relation arities, so one byte
-// each is plenty.
-func keyPosSig(keyPos []int) string {
-	b := make([]byte, len(keyPos))
-	for i, p := range keyPos {
-		b[i] = byte(p)
-	}
-	return string(b)
-}
-
-// buildIndex resolves the step's hash index, memoized on the frozen
-// relation: the index is a pure function of the rows and the key
-// positions, so every search against one frozen view — including the
-// parallel component workers and entirely separate queries — shares a
-// single build.  On a miss the fill runs in row order, so bucket row
-// lists enumerate candidates in row order, and it honors the masked
-// polling contract; on cancellation the partial index is discarded,
-// not memoized, and the next searcher builds afresh.
+// buildIndex fills the step's hash index slot; false means the fill
+// was cancelled mid-scan, leaving the slot unbuilt.  The keying pass
+// assigns every row a dense bucket id (first-occurrence order) and the
+// placement pass prefix-sums the bucket sizes and drops each row into
+// its bucket's next slot — ascending row order in, ascending row order
+// per bucket out — under the masked polling contract.
 func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) bool {
-	v, ok := fr.IndexMemo(keyPosSig(st.keyPos), func() (any, bool) {
-		if idx := s.fillIndex(st, fr); idx != nil {
-			return idx, true
-		}
-		return nil, false
-	})
-	if !ok {
-		return false
-	}
-	s.idx[st.indexSlot] = *v.(*streamIndex)
-	return true
-}
-
-// fillIndex builds the step's hash index from scratch; nil means the
-// fill was cancelled mid-scan.  The keying pass assigns every row a
-// dense bucket id (first-occurrence order) and the placement pass
-// prefix-sums the bucket sizes and drops each row into its bucket's
-// next slot — ascending row order in, ascending row order per bucket
-// out.
-func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *streamIndex {
 	n := fr.NumRows()
-	idx := streamIndex{built: true}
+	idx := &s.idx[st.indexSlot]
 	rowBid := make([]int32, n)
 	var nBuckets int32
 	if len(st.keyPos) == 1 {
@@ -161,7 +128,7 @@ func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *s
 			if i&cancelCheckMask == cancelCheckMask {
 				if err := s.ctx.Err(); err != nil {
 					s.canceled = err
-					return nil
+					return false
 				}
 			}
 			id := fr.Cell(i, p)
@@ -180,7 +147,7 @@ func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *s
 			if i&cancelCheckMask == cancelCheckMask {
 				if err := s.ctx.Err(); err != nil {
 					s.canceled = err
-					return nil
+					return false
 				}
 			}
 			s.keyBuf = s.keyBuf[:0]
@@ -211,8 +178,8 @@ func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *s
 		rows[next[bid]] = int32(i)
 		next[bid]++
 	}
-	idx.starts, idx.rows = starts, rows
-	return &idx
+	idx.starts, idx.rows, idx.built = starts, rows, true
+	return true
 }
 
 // openCursor opens the pipeline operator for steps[depth] under the

@@ -21,6 +21,9 @@ import (
 // smallRelScanThreshold is the relation cardinality at or below which a
 // step scans instead of probing a hash index: building the bucket map
 // costs one allocation per tuple, which a scan of that few tuples beats.
+// The adaptive dispatcher (adaptive.go) applies the same bound to the
+// whole query: with every relation at or under it no step would index,
+// so the dense scan runs without a plan.
 const smallRelScanThreshold = 8
 
 // planStep is one atom of the compiled matching order.
@@ -120,13 +123,11 @@ func equalPos(a, b []int) bool {
 // value is fixed before the search starts (constant-bound classes, plus
 // the head classes when searching for a specific answer tuple).
 //
-// Plan compilation is the adaptive runtime's cold-path setup cost, paid
-// once per (frozen database, query) and amortized by the prepared-plan
-// cache — but on single-shot containment checks there is nothing to
-// amortize against, so the compile itself stays lean: two arenas (one
-// int, one bool) back every scratch table and every step's key-position
-// list, and index-slot sharing compares position lists directly instead
-// of building signature strings.
+// Plan compilation is the pipeline's setup cost, paid on every
+// pipeline search, so the compile stays lean: two arenas (one int, one
+// bool) back every scratch table and every step's key-position list,
+// and index-slot sharing compares position lists directly instead of
+// building signature strings.
 func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses, pres []prebinding) *searchPlan {
 	n := len(q.Body)
 	plan := &searchPlan{classOf: make(map[Var]int32, 2*n)}

@@ -183,7 +183,7 @@ func TestPlannedSearchVisitsFewerNodes(t *testing.T) {
 	d := chainDB(t, 40)
 	q := MustParse("V(A, E) :- E(A, B), E(B, C), E(C, D), E(D, E).")
 	want := instance.Tuple{val(1, 0), val(1, 4)}
-	p := searchUnder(t, pipelineConfig(), q, d, want)
+	p := searchArm(findAnswerPipeline, q, d, want)
 	n := searchNaive(q, d, want)
 	if p.err != nil || n.err != nil {
 		t.Fatal(p.err, n.err)
@@ -200,7 +200,7 @@ func TestPlannedWitnessRespectsEqualities(t *testing.T) {
 	d := chainDB(t, 20)
 	q := MustParse("V(X, Z) :- E(X, Y), E(U, Z), Y = U.")
 	want := instance.Tuple{val(1, 3), val(1, 5)}
-	r := searchUnder(t, pipelineConfig(), q, d, want)
+	r := searchArm(findAnswerPipeline, q, d, want)
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -250,7 +250,7 @@ func TestPlannedEmptyRelationRefutesEarly(t *testing.T) {
 	d := instance.NewDatabase(s)
 	d.MustInsert("E", val(1, 0), val(1, 1))
 	q := MustParse("V(X) :- E(X, Y), F(Y).")
-	r := searchUnder(t, pipelineConfig(), q, d, instance.Tuple{val(1, 0)})
+	r := searchArm(findAnswerPipeline, q, d, instance.Tuple{val(1, 0)})
 	if r.err != nil {
 		t.Fatal(r.err)
 	}

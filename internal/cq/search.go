@@ -8,12 +8,12 @@ import (
 type SearchMode int
 
 const (
-	// SearchAdaptive is the production search and the zero value.  Per
-	// query and database a cost model (cost.go) chooses between the
-	// dense scan (scan_id.go) and the streamed iterator pipeline over
-	// the database's frozen view (iter.go), and searches the pipeline's
-	// connected components in parallel when the estimated work justifies
-	// it (parallel.go).
+	// SearchAdaptive is the production search and the zero value.  When
+	// every relation the query touches holds at most
+	// smallRelScanThreshold tuples it runs the dense scan (scan_id.go);
+	// otherwise it runs the streamed iterator pipeline over the
+	// database's frozen view (iter.go), one connected component at a
+	// time (adaptive.go).
 	SearchAdaptive SearchMode = iota
 	// SearchNaive is the reference implementation: source-order dynamic
 	// atom picking with full relation scans over surface values.  It is

@@ -8,6 +8,7 @@ import (
 
 	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
+	"keyedeq/internal/value"
 )
 
 // These tests pin the cancelCheckMask polling contract: every search
@@ -17,8 +18,9 @@ import (
 // within cancelCheckMask+1 node visits.  A path that skips
 // Nodes++ or the poll would run arbitrarily far past a timeout.
 
-// cancelChainQuery builds V(X1, Xn+1) :- E(X1, X2), ..., E(Xn, Xn+1).
-func cancelChainQuery(n int) *Query {
+// cancelChainQuery builds V(X1, Xn+1) :- E(X1, X2), ..., E(Xn, Xn+1),
+// followed by the extra atoms, if any.
+func cancelChainQuery(n int, extra ...string) *Query {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "V(X1, X%d) :- ", n+1)
 	for i := 1; i <= n; i++ {
@@ -27,8 +29,16 @@ func cancelChainQuery(n int) *Query {
 		}
 		fmt.Fprintf(&sb, "E(X%d, X%d)", i, i+1)
 	}
+	for _, a := range extra {
+		sb.WriteString(", " + a)
+	}
 	sb.WriteString(".")
 	return MustParse(sb.String())
+}
+
+// naiveSearch runs the naive oracle through the reporting funnel.
+func naiveSearch(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
+	return FindAnswerBindingCtxMode(ctx, q, d, want, SearchNaive)
 }
 
 // completeDigraph inserts every edge between distinct vertices of verts.
@@ -78,13 +88,12 @@ func wantAcross() instance.Tuple {
 	return instance.Tuple{val(1, 1), val(1, 4)}
 }
 
-func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode SearchMode) {
+func testCancelObserved(t *testing.T, q *Query, d *instance.Database, search searchFunc) {
 	t.Helper()
-	q := cancelChainQuery(chainLen)
 
 	// Control: uncancelled, the search must exhaust past the first poll
 	// point — otherwise the cancellation assertion below is vacuous.
-	ok, _, es, err := FindAnswerBindingCtxMode(context.Background(), q, d, wantAcross(), mode)
+	ok, _, es, err := search(context.Background(), q, d, wantAcross())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode S
 	// within cancelCheckMask+1 node visits.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ok, _, es, err = FindAnswerBindingCtxMode(ctx, q, d, wantAcross(), mode)
+	ok, _, es, err = search(ctx, q, d, wantAcross())
 	if err == nil {
 		t.Fatalf("canceled search returned no error (ok=%v, %d nodes)", ok, es.Nodes)
 	}
@@ -116,12 +125,12 @@ func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode S
 	}
 }
 
-// requireArm checks, on an uncancelled run, which arm the adaptive
-// search under the live cost configuration takes for the cancel chain,
-// so each test below provably polls on the path it names.
-func requireArm(t *testing.T, d *instance.Database, chainLen int, pipeline bool) {
+// requireArm checks, on an uncancelled run, which arm the size rule
+// picks for q, so each dispatcher test below provably polls on the
+// path it names.
+func requireArm(t *testing.T, q *Query, d *instance.Database, pipeline bool) {
 	t.Helper()
-	_, _, es, err := FindAnswerBinding(cancelChainQuery(chainLen), d, wantAcross())
+	_, _, es, err := FindAnswerBinding(q, d, wantAcross())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,86 +140,99 @@ func requireArm(t *testing.T, d *instance.Database, chainLen int, pipeline bool)
 }
 
 func TestCancelObservedPlannedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold with tier 0 disabled: the search
-	// compiles a plan, and with no index to build the tier-1 estimate
-	// falls back to the dense scan.
-	cfg := defaultCostConfig
-	cfg.scanMaxCard = -1
-	withCostConfig(t, cfg, func() {
-		d := cancelGraph(t, false)
-		requireArm(t, d, 9, false)
-		testCancelObserved(t, d, 9, SearchAdaptive)
-	})
+	// The chain runs over 8 edges ≤ smallRelScanThreshold, but the
+	// query also names a relation of 9 rows, so the size rule plans:
+	// the pipeline's chain steps fall back to scan cursors.
+	s := schema.MustParse("E(a:T1, b:T1)\nF(a:T1, b:T1)")
+	d := instance.NewDatabase(s)
+	completeDigraph(d, []int64{1, 2, 3})
+	d.MustInsert("E", val(1, 4), val(1, 5))
+	d.MustInsert("E", val(1, 5), val(1, 4))
+	for i := int64(0); i <= smallRelScanThreshold; i++ {
+		d.MustInsert("F", val(1, i), val(1, i+1))
+	}
+	q := cancelChainQuery(9, "F(Y1, Y2)")
+	requireArm(t, q, d, true)
+	testCancelObserved(t, q, d, FindAnswerBindingCtx)
 }
 
 func TestCancelObservedPlannedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold under the default configuration:
-	// the estimate itself picks the indexed pipeline.
-	withCostConfig(t, defaultCostConfig, func() {
-		d := cancelGraph(t, true)
-		requireArm(t, d, 12, true)
-		testCancelObserved(t, d, 12, SearchAdaptive)
-	})
+	// 12 edges > smallRelScanThreshold: the size rule picks the indexed
+	// pipeline.
+	d := cancelGraph(t, true)
+	q := cancelChainQuery(12)
+	requireArm(t, q, d, true)
+	testCancelObserved(t, q, d, FindAnswerBindingCtx)
 }
 
 func TestCancelObservedInternedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold, scan arm forced through tier 0:
-	// the dense ID scan polls inside its own recursion.
-	withCostConfig(t, scanConfig(), func() {
-		d := cancelGraph(t, false)
-		requireArm(t, d, 9, false)
-		testCancelObserved(t, d, 9, SearchAdaptive)
-	})
+	// 8 edges ≤ smallRelScanThreshold through the scan arm: the dense
+	// ID scan polls inside its own recursion.
+	testCancelObserved(t, cancelChainQuery(9), cancelGraph(t, false), findAnswerScan)
 }
 
 func TestCancelObservedInternedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold, scan arm still forced: the dense
+	// 12 edges > smallRelScanThreshold through the scan arm: the dense
 	// ID scan must poll just as well over a relation the pipeline would
 	// have indexed.
-	withCostConfig(t, scanConfig(), func() {
-		d := cancelGraph(t, true)
-		requireArm(t, d, 12, false)
-		testCancelObserved(t, d, 12, SearchAdaptive)
-	})
+	testCancelObserved(t, cancelChainQuery(12), cancelGraph(t, true), findAnswerScan)
 }
 
 func TestCancelObservedNaive(t *testing.T) {
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchNaive)
+	testCancelObserved(t, cancelChainQuery(9), cancelGraph(t, false), naiveSearch)
 }
 
 func TestCancelObservedStreamedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: the forced pipeline builds no
-	// index, so every cursor scans frozen rows directly.
-	withCostConfig(t, pipelineConfig(), func() {
-		testCancelObserved(t, cancelGraph(t, false), 9, SearchAdaptive)
-	})
+	// 8 edges ≤ smallRelScanThreshold through the pipeline arm: the plan
+	// builds no index, so every cursor scans frozen rows directly.
+	testCancelObserved(t, cancelChainQuery(9), cancelGraph(t, false), findAnswerPipeline)
 }
 
 func TestCancelObservedStreamedIndexed(t *testing.T) {
 	// 12 edges > smallRelScanThreshold: bound cursors walk hash buckets,
 	// built lazily under the same polling contract.
-	withCostConfig(t, pipelineConfig(), func() {
-		testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
-	})
+	testCancelObserved(t, cancelChainQuery(12), cancelGraph(t, true), findAnswerPipeline)
 }
 
 func TestCancelObservedAdaptiveScanArm(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: tier 0 routes the default
-	// configuration to the dense scan, which polls inside its own
-	// recursion.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchAdaptive)
+	// 8 edges ≤ smallRelScanThreshold: the size rule routes the search
+	// to the dense scan, which polls inside its own recursion.
+	d := cancelGraph(t, false)
+	q := cancelChainQuery(9)
+	requireArm(t, q, d, false)
+	testCancelObserved(t, q, d, FindAnswerBindingCtx)
 }
 
 func TestCancelObservedAdaptivePipeline(t *testing.T) {
-	// Above the threshold the adaptive search plans; price the pipeline
-	// in through the estimate (no forced tier 0) so the poll point under
-	// test is the cursor driver's as the cost model reaches it.
-	cfg := defaultCostConfig
-	cfg.planOverhead = 0
-	cfg.indexBuildPerRow = 0
-	cfg.nodeCost = 0
-	cfg.parallelWorkers = 1
-	withCostConfig(t, cfg, func() {
-		testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
-	})
+	// Two 11-step chains over the two-component complete digraph, each
+	// pinned 1→4 across the digraph's components: the plan has two
+	// components, both unsatisfiable, and the first fans out well past
+	// the poll mask before exhausting.  The pipeline searches components
+	// in order, so a cancellation observed in the first ends the search:
+	// no later component runs.
+	d := cancelGraph(t, true)
+	q := MustParse("V(A1, A12, B1, B12) :- " +
+		"E(A1, A2), E(A2, A3), E(A3, A4), E(A4, A5), E(A5, A6), E(A6, A7), E(A7, A8), E(A8, A9), E(A9, A10), E(A10, A11), E(A11, A12), " +
+		"E(B1, B2), E(B2, B3), E(B3, B4), E(B4, B5), E(B5, B6), E(B6, B7), E(B7, B8), E(B8, B9), E(B9, B10), E(B10, B11), E(B11, B12).")
+	want := instance.Tuple{val(1, 1), val(1, 4), val(1, 1), val(1, 4)}
+	okC, _, esC, errC := FindAnswerBinding(q, d, want)
+	if errC != nil {
+		t.Fatal(errC)
+	}
+	if okC || len(esC.CompNodes) != 1 {
+		t.Fatalf("uncancelled: got (%v, %v), want a miss in the first of two components", okC, esC.CompNodes)
+	}
+	if esC.Nodes <= cancelCheckMask+1 {
+		t.Fatalf("exhaustive search visited %d nodes, need > %d", esC.Nodes, cancelCheckMask+1)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ok, _, es, err := FindAnswerBindingCtx(ctx, q, d, want)
+	if err != context.Canceled {
+		t.Fatalf("canceled search returned %v (ok=%v)", err, ok)
+	}
+	if len(es.CompNodes) != 1 || es.Nodes > cancelCheckMask+1 {
+		t.Fatalf("cancellation observed after %d nodes across components %v, contract allows at most %d in the first",
+			es.Nodes, es.CompNodes, cancelCheckMask+1)
+	}
 }

@@ -131,8 +131,9 @@ const (
 // generated pair corpus of every schema family (freeze + chase, shared
 // across modes) and runs each search with the naive full-scan
 // backtracking search and with the adaptive runtime (the process
-// default: cost-chosen scan-vs-pipeline with parallel component
-// search) — reporting wall time, search nodes, and verdict agreement.
+// default: the dense scan when every relation is small, otherwise the
+// planned pipeline, one component at a time) — reporting wall time,
+// search nodes, and verdict agreement.
 // Timing interleaves homTrials trials of each arm and keeps the
 // minima, so neither arm is systematically charged for cache warmup
 // or drift.  The record keeps the historical planned_* JSON keys: the

@@ -1,8 +1,6 @@
 package instance
 
 import (
-	"sync"
-
 	"keyedeq/internal/invariant"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
@@ -13,8 +11,9 @@ import (
 // one flat fixed-width row array.  The chase and the homomorphism
 // search run their hot loops over these ID rows; surface values
 // reappear only at the decode boundary (witnesses, dumps, errors).
-// The frozen view is derived state — it is memoized per Database and
-// invalidated by mutation, never mutated itself.
+// The frozen view is immutable data with no locks: it is memoized per
+// Database and invalidated by mutation, never mutated itself, so any
+// number of searches may read one view concurrently.
 
 // FrozenRelation is one relation instance encoded as interned rows:
 // rows holds NumRows()*Arity() IDs, row-major, in exactly the order of
@@ -24,22 +23,6 @@ type FrozenRelation struct {
 	Scheme *schema.Relation
 	arity  int
 	rows   []value.ID
-
-	// distinct memoizes per-column distinct-value counts for the search
-	// cost model.  It is built lazily, one column at a time, on first
-	// request — never during FreezeDatabase, so bulk freezing stays on
-	// its allocation budget — and guarded by its own mutex so concurrent
-	// readers of a shared frozen view stay safe.
-	distinctMu sync.Mutex
-	distinct   []int
-
-	// idxMemo caches derived read-only access structures (hash indexes,
-	// keyed by the caller's signature of the indexed positions).  Like
-	// distinct, it exists because the frozen view is immutable: anything
-	// derived from the rows can be computed once and shared by every
-	// search against this view.
-	idxMu   sync.RWMutex
-	idxMemo map[string]any
 }
 
 // NewFrozenRelation wraps pre-interned flat rows in row-major order —
@@ -71,62 +54,6 @@ func (f *FrozenRelation) Row(i int) []value.ID {
 // Cell returns position p of row i.
 func (f *FrozenRelation) Cell(i, p int) value.ID { return f.rows[i*f.arity+p] }
 
-// DistinctAt returns the number of distinct IDs in column p — the
-// cardinality statistic the adaptive search planner turns into
-// per-probe candidate estimates.  The count is computed on first
-// request and memoized; the frozen view is immutable, so it never goes
-// stale.  Safe for concurrent use.
-func (f *FrozenRelation) DistinctAt(p int) int {
-	n := f.NumRows()
-	if n == 0 || p < 0 || p >= f.arity {
-		return 0
-	}
-	f.distinctMu.Lock()
-	defer f.distinctMu.Unlock()
-	if f.distinct == nil {
-		f.distinct = make([]int, f.arity)
-	}
-	if d := f.distinct[p]; d > 0 {
-		return d
-	}
-	seen := make(map[value.ID]struct{}, n)
-	for i := 0; i < n; i++ {
-		seen[f.Cell(i, p)] = struct{}{}
-	}
-	f.distinct[p] = len(seen)
-	return f.distinct[p]
-}
-
-// IndexMemo returns the cached derived structure stored under sig,
-// building and caching it on first request.  The build callback may
-// decline (returning ok=false, e.g. on context cancellation); nothing
-// is cached then and the next caller builds afresh.  The build runs
-// under the write lock, so concurrent requests for one signature do
-// the work exactly once and everyone else blocks until it is shared —
-// the result must be treated as read-only.
-func (f *FrozenRelation) IndexMemo(sig string, build func() (any, bool)) (any, bool) {
-	f.idxMu.RLock()
-	v, hit := f.idxMemo[sig]
-	f.idxMu.RUnlock()
-	if hit {
-		return v, true
-	}
-	f.idxMu.Lock()
-	defer f.idxMu.Unlock()
-	if v, hit := f.idxMemo[sig]; hit {
-		return v, true
-	}
-	v, ok := build()
-	if !ok {
-		return nil, false
-	}
-	if f.idxMemo == nil {
-		f.idxMemo = make(map[string]any)
-	}
-	f.idxMemo[sig] = v
-	return v, true
-}
-
 // Frozen is the interned view of one Database: a shared Interner and
 // one FrozenRelation per schema relation, positionally aligned with
 // Database.Relations.  IDs are meaningful only relative to this view's
@@ -135,37 +62,6 @@ type Frozen struct {
 	Schema    *schema.Schema
 	Interner  *value.Interner
 	Relations []*FrozenRelation
-
-	planMu   sync.RWMutex
-	planMemo map[any]any
-}
-
-// PlanMemo returns the cached derived structure stored under key,
-// building and caching it on first request — the frozen view's
-// prepared-plan cache.  A compiled search plan is a pure function of
-// the query and this view's relation cardinalities, so repeated
-// decisions against one frozen database (engine replays, containment
-// in both directions, benchmark passes) share a single compilation.
-// The build runs under the write lock and its result must be treated
-// as read-only.
-func (f *Frozen) PlanMemo(key any, build func() any) any {
-	f.planMu.RLock()
-	v, hit := f.planMemo[key]
-	f.planMu.RUnlock()
-	if hit {
-		return v
-	}
-	f.planMu.Lock()
-	defer f.planMu.Unlock()
-	if v, hit := f.planMemo[key]; hit {
-		return v
-	}
-	v = build()
-	if f.planMemo == nil {
-		f.planMemo = make(map[any]any)
-	}
-	f.planMemo[key] = v
-	return v
 }
 
 // FreezeDatabase builds the interned view of d: values are interned in

@@ -125,54 +125,3 @@ func TestNewFrozenRelationBulkLoad(t *testing.T) {
 		t.Fatal("shared value interned to distinct IDs")
 	}
 }
-
-func TestDistinctAtCountsAndMemoizes(t *testing.T) {
-	s := schema.MustParse("R(a:T1, b:T1)")
-	d := NewDatabase(s)
-	// Three distinct sources, two distinct sinks, six rows.
-	for a := int64(1); a <= 3; a++ {
-		for b := int64(10); b <= 11; b++ {
-			d.MustInsert("R", value.Value{Type: 1, N: a}, value.Value{Type: 1, N: b})
-		}
-	}
-	fr := d.Frozen().Relations[0]
-	if got := fr.DistinctAt(0); got != 3 {
-		t.Fatalf("DistinctAt(0) = %d, want 3", got)
-	}
-	if got := fr.DistinctAt(1); got != 2 {
-		t.Fatalf("DistinctAt(1) = %d, want 2", got)
-	}
-	// Memoized: asking again returns the same counts.
-	if got := fr.DistinctAt(0); got != 3 {
-		t.Fatalf("memoized DistinctAt(0) = %d, want 3", got)
-	}
-	// Out-of-range positions and empty relations report zero.
-	if got := fr.DistinctAt(-1); got != 0 {
-		t.Fatalf("DistinctAt(-1) = %d, want 0", got)
-	}
-	if got := fr.DistinctAt(2); got != 0 {
-		t.Fatalf("DistinctAt(2) = %d, want 0", got)
-	}
-	empty := NewDatabase(schema.MustParse("R(a:T1, b:T1)"))
-	if got := empty.Frozen().Relations[0].DistinctAt(0); got != 0 {
-		t.Fatalf("empty DistinctAt(0) = %d, want 0", got)
-	}
-}
-
-func TestDistinctAtConcurrentCallsAgree(t *testing.T) {
-	s := schema.MustParse("R(a:T1, b:T1)")
-	d := NewDatabase(s)
-	for i := int64(0); i < 64; i++ {
-		d.MustInsert("R", value.Value{Type: 1, N: i % 7}, value.Value{Type: 1, N: i})
-	}
-	fr := d.Frozen().Relations[0]
-	done := make(chan int, 8)
-	for w := 0; w < 8; w++ {
-		go func() { done <- fr.DistinctAt(0) }()
-	}
-	for w := 0; w < 8; w++ {
-		if got := <-done; got != 7 {
-			t.Fatalf("concurrent DistinctAt(0) = %d, want 7", got)
-		}
-	}
-}

@@ -64,7 +64,7 @@ const (
 	frameHeaderLen = 8
 	// maxRecordLen bounds a single payload; longer lengths in a header
 	// mean corruption, not a giant record.
-	maxRecordLen = 1 << 24
+	maxRecordLen     = 1 << 24
 	defaultSyncEvery = 64
 )
 
