@@ -99,11 +99,14 @@ bench-alloc-verify:
 # search-verify gates the homomorphism search under the race detector:
 # the adaptive-vs-naive differential wall over every corpus family
 # (verdicts, witnesses, and the arm each family takes), the in-package
-# arm-vs-oracle parity suites, and the cancellation contracts; then the
-# chase freeze tests and the allocation record.
+# arm-vs-oracle parity suites, and the cancellation contracts; the
+# parity of the decision paths (Engine.Decide against the containment
+# procedures on the E1 corpus, the theory procedures against them with
+# no TGDs); then the chase freeze tests and the allocation record.
 search-verify:
 	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved' -count=1
-	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive' -count=1
+	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive|TestTheoryStatsMatchContainment' -count=1
+	$(GO) test -race ./internal/engine -run 'TestDecideMatchesContainment' -count=1
 	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 

@@ -124,6 +124,7 @@ func (t *Tableau) RunWithTGDs(egds []fd.FD, tgds []TGD, maxRounds int) (Stats, e
 		st, err := t.Run(egds)
 		total.Iterations += st.Iterations
 		total.Merges += st.Merges
+		total.Revisited += st.Revisited
 		if err != nil || t.Failed() {
 			return total, err
 		}

@@ -1,0 +1,154 @@
+package containment
+
+import (
+	"context"
+
+	"keyedeq/internal/chase"
+	"keyedeq/internal/cq"
+	"keyedeq/internal/fd"
+	"keyedeq/internal/instance"
+	"keyedeq/internal/obs"
+	"keyedeq/internal/schema"
+	"keyedeq/internal/value"
+)
+
+// CanonicalDB is the left half of the containment test q ⊑ q2: q frozen
+// into its canonical database, chased with the dependencies, plus q's
+// frozen head.  q ⊑ q2 holds iff q2 returns the frozen head on this
+// database, or the chase failed (q is then empty on every database
+// satisfying the dependencies).  One CanonicalDB answers any number of
+// right-hand queries; the engine builds one per distinct query of a
+// batch and searches it from several workers at once, which is safe
+// because nothing mutates it after the build.
+type CanonicalDB struct {
+	db     *instance.Database
+	head   instance.Tuple
+	failed bool
+	chase  chase.Stats
+	err    error
+}
+
+// NewCanonicalDB freezes q into its canonical database over s, chases it
+// with deps under ctx, and decodes the result over an allocator that
+// reserves every value of reserve.  The fresh values standing for q's
+// variables therefore differ from every reserved constant, so reserve
+// must hold the constants of q and of every query the result will be
+// searched with.  With deps, the chase is timed as a freeze_chase span.
+//
+// The build keeps its error rather than returning it: a chase cut short
+// by ctx still reports its work through ChaseStats, and ContainedIn
+// returns the error.
+//
+//keyedeq:hot -- freeze-chase-decode is the left half of every verdict the engine computes
+func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []fd.FD, reserve []value.Value) *CanonicalDB {
+	c, _, _ := buildCanonicalDB(q, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+		return keyChase(ctx, tb, deps)
+	})
+	return c
+}
+
+// buildCanonicalDB is the one freeze → chase → decode sequence; run is
+// the chase step.  Beside the result it returns q's variable terms and
+// their decoding (nil when the build stopped early), which only
+// FindHomomorphism reads, to map a witness back to q's variables.
+func buildCanonicalDB(q *cq.Query, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, map[cq.Var]chase.Term, map[chase.Term]value.Value) {
+	c := &CanonicalDB{}
+	tb := chase.NewTableau(s)
+	vars, err := chase.Freeze(tb, q)
+	if err != nil {
+		c.err = err
+		return c, nil, nil
+	}
+	head, err := chase.HeadTerms(tb, q, vars)
+	if err != nil {
+		c.err = err
+		return c, nil, nil
+	}
+	c.chase, c.err = run(tb)
+	// Freezing alone can fail the tableau (query equalities forcing
+	// distinct constants), so read the flag after the chase step even
+	// when there was nothing to chase.
+	c.failed = tb.Failed()
+	if c.err != nil || c.failed {
+		return c, nil, nil
+	}
+	var alloc value.Allocator
+	alloc.ReserveAll(reserve)
+	db, valOf, err := tb.ToDatabase(&alloc)
+	if err != nil {
+		c.err = err
+		return c, nil, nil
+	}
+	c.db = db
+	c.head = make(instance.Tuple, len(head))
+	for i, h := range head {
+		c.head[i] = valOf[h]
+	}
+	return c, vars, valOf
+}
+
+// keyChase is NewCanonicalDB's chase step: the EGDs deps run over tb
+// under ctx, timed as one freeze_chase span.  With no deps nothing runs
+// and no span is emitted.
+func keyChase(ctx context.Context, tb *chase.Tableau, deps []fd.FD) (chase.Stats, error) {
+	if len(deps) == 0 {
+		return chase.Stats{}, nil
+	}
+	o := obs.FromContext(ctx)
+	start := o.Time()
+	cs, err := tb.RunCtx(ctx, deps)
+	if o.SpansOn() {
+		o.EmitSpan(ctx, obs.StageFreezeChase, start, err,
+			obs.I("iterations", int64(cs.Iterations)),
+			obs.I("merges", int64(cs.Merges)),
+			obs.I("revisited", int64(cs.Revisited)),
+			obs.B("failed", tb.Failed()))
+	}
+	return cs, err
+}
+
+// Err returns the error that stopped the build, if any.
+func (c *CanonicalDB) Err() error { return c.err }
+
+// Database returns the chased canonical database and the frozen head in
+// it; both are nil when the chase failed or the build stopped early.
+func (c *CanonicalDB) Database() (*instance.Database, instance.Tuple) { return c.db, c.head }
+
+// ChaseStats returns the chase's work, ChaseFailed included, as Stats.
+// It is recorded even when the build stopped early, so summed Stats
+// reconcile with the counters the chase exported before it stopped.
+func (c *CanonicalDB) ChaseStats() Stats {
+	st := ChaseStats(c.chase)
+	st.ChaseFailed = c.failed
+	return st
+}
+
+// ContainedIn decides q ⊑ q2 by searching q2 for the frozen head with
+// the given search mode, and returns the search's Stats.  A failed chase
+// makes the containment hold vacuously with no search; a build error is
+// returned as is.  q2's constants must lie in the build's reserve.
+func (c *CanonicalDB) ContainedIn(ctx context.Context, q2 *cq.Query, mode cq.SearchMode) (bool, Stats, error) {
+	switch {
+	case c.err != nil:
+		return false, Stats{}, c.err
+	case c.failed:
+		return true, FailedChaseStats(), nil
+	}
+	ok, _, es, err := cq.FindAnswerBindingCtxMode(ctx, q2, c.db, c.head, mode)
+	return ok, SearchStats(es.Nodes), err
+}
+
+// decide is ContainedIn with the chase's work merged into the Stats: the
+// books of one containment test that built c for itself alone.
+func (c *CanonicalDB) decide(ctx context.Context, q2 *cq.Query, mode cq.SearchMode) (bool, Stats, error) {
+	st := c.ChaseStats()
+	ok, search, err := c.ContainedIn(ctx, q2, mode)
+	st.Merge(search)
+	return ok, st, err
+}
+
+// pairConstants returns the constants of q1 and q2, the reserve of a
+// canonical database searched only with the other query of the pair.
+func pairConstants(q1, q2 *cq.Query) []value.Value {
+	return append(q1.Constants(), q2.Constants()...)
+}

@@ -1,10 +1,11 @@
 package containment
 
 import (
+	"context"
+
 	"keyedeq/internal/chase"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
-	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
 )
@@ -20,64 +21,42 @@ import (
 const DefaultTGDRounds = 64
 
 // ContainedUnderTheory reports whether q1 ⊑ q2 over every instance of s
-// satisfying both the egds and the tgds.
+// satisfying both the egds and the tgds.  With no tgds it returns what
+// ContainedUnder returns under the egds, Stats included.
 func ContainedUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, maxRounds int) (bool, Stats, error) {
-	var stats Stats
-	if maxRounds <= 0 {
-		maxRounds = DefaultTGDRounds
-	}
 	if err := CheckComparable(q1, q2, s); err != nil {
-		return false, stats, err
+		return false, Stats{}, err
 	}
-	tb := chase.NewTableau(s)
-	vars, err := chase.Freeze(tb, q1)
-	if err != nil {
-		return false, stats, err
-	}
-	head, err := chase.HeadTerms(tb, q1, vars)
-	if err != nil {
-		return false, stats, err
-	}
-	cs, err := tb.RunWithTGDs(egds, tgds, maxRounds)
-	if err != nil {
-		return false, stats, err
-	}
-	stats.ChaseIterations = cs.Iterations
-	if tb.Failed() {
-		stats.ChaseFailed = true
-		return true, stats, nil
-	}
-	var alloc value.Allocator
-	for _, c := range q1.Constants() {
-		alloc.Reserve(c)
-	}
-	for _, c := range q2.Constants() {
-		alloc.Reserve(c)
-	}
-	db, valOf, err := tb.ToDatabase(&alloc)
-	if err != nil {
-		return false, stats, err
-	}
-	want := make(instance.Tuple, len(head))
-	for i, h := range head {
-		want[i] = valOf[h]
-	}
-	ok, es, err := cq.HasAnswer(q2, db, want)
-	stats.Nodes = es.Nodes
-	return ok, stats, err
+	return theoryDB(q1, s, egds, tgds, maxRounds, pairConstants(q1, q2)).decide(context.Background(), q2, cq.SearchAdaptive)
 }
 
 // EquivalentUnderTheory reports mutual containment under the theory.
 func EquivalentUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, maxRounds int) (bool, Stats, error) {
-	ok, st1, err := ContainedUnderTheory(q1, q2, s, egds, tgds, maxRounds)
+	if err := CheckComparable(q1, q2, s); err != nil {
+		return false, Stats{}, err
+	}
+	reserve := pairConstants(q1, q2)
+	ok, st, err := theoryDB(q1, s, egds, tgds, maxRounds, reserve).decide(context.Background(), q2, cq.SearchAdaptive)
 	if err != nil || !ok {
-		return false, st1, err
+		return false, st, err
 	}
-	ok, st2, err := ContainedUnderTheory(q2, q1, s, egds, tgds, maxRounds)
-	st := Stats{
-		Nodes:           st1.Nodes + st2.Nodes,
-		ChaseIterations: st1.ChaseIterations + st2.ChaseIterations,
-		ChaseFailed:     st1.ChaseFailed || st2.ChaseFailed,
-	}
+	ok, st2, err := theoryDB(q2, s, egds, tgds, maxRounds, reserve).decide(context.Background(), q1, cq.SearchAdaptive)
+	st.Merge(st2)
 	return ok, st, err
+}
+
+// theoryDB builds q's canonical database chased with the whole theory.
+// maxRounds ≤ 0 means DefaultTGDRounds.  A theory with no dependencies
+// chases nothing, as NewCanonicalDB does with no deps.
+func theoryDB(q *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, maxRounds int, reserve []value.Value) *CanonicalDB {
+	if maxRounds <= 0 {
+		maxRounds = DefaultTGDRounds
+	}
+	c, _, _ := buildCanonicalDB(q, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+		if len(egds) == 0 && len(tgds) == 0 {
+			return chase.Stats{}, nil
+		}
+		return tb.RunWithTGDs(egds, tgds, maxRounds)
+	})
+	return c
 }

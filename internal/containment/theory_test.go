@@ -105,3 +105,47 @@ func TestContainedUnderTheoryErrors(t *testing.T) {
 		t.Error("non-terminating chase should surface an error")
 	}
 }
+
+// TestTheoryStatsMatchContainment requires the theory procedures, given
+// no TGDs, to return what ContainedUnder and EquivalentUnder return —
+// verdict and every Stats field — with the keys and with no
+// dependencies at all.  The first pair holds only through a chase
+// merge; the third fails the chase.
+func TestTheoryStatsMatchContainment(t *testing.T) {
+	s := schema.MustParse("R(k*:T1, a:T1)")
+	keyed := cq.MustParse("V(A) :- R(K, A), R(K2, B), K = K2.")
+	plain := cq.MustParse("V(A) :- R(K, A).")
+	vacuous := cq.MustParse("V(A) :- R(K, A), R(K2, B), K = K2, A = T1:1, B = T1:2.")
+	chain := cq.MustParse("V(A) :- R(K, A), R(K2, B), B = K.")
+	pairs := [][2]*cq.Query{{keyed, plain}, {plain, keyed}, {vacuous, plain}, {plain, chain}, {chain, keyed}}
+	for _, deps := range [][]fd.FD{fd.KeyFDs(s), nil} {
+		for i, p := range pairs {
+			ok, st, err := ContainedUnder(p[0], p[1], s, deps)
+			tok, tst, terr := ContainedUnderTheory(p[0], p[1], s, deps, nil, 0)
+			if err != nil || terr != nil {
+				t.Fatalf("pair %d, %d deps: %v / %v", i, len(deps), err, terr)
+			}
+			if tok != ok || tst != st {
+				t.Errorf("pair %d, %d deps: ContainedUnderTheory = %v %+v, ContainedUnder = %v %+v",
+					i, len(deps), tok, tst, ok, st)
+			}
+			ok, st, err = EquivalentUnder(p[0], p[1], s, deps)
+			tok, tst, terr = EquivalentUnderTheory(p[0], p[1], s, deps, nil, 0)
+			if err != nil || terr != nil {
+				t.Fatalf("pair %d, %d deps: %v / %v", i, len(deps), err, terr)
+			}
+			if tok != ok || tst != st {
+				t.Errorf("pair %d, %d deps: EquivalentUnderTheory = %v %+v, EquivalentUnder = %v %+v",
+					i, len(deps), tok, tst, ok, st)
+			}
+		}
+	}
+	// The pairs must exercise what the fields count.
+	ok, st, err := EquivalentUnder(keyed, plain, s, fd.KeyFDs(s))
+	if err != nil || !ok || st.Searches != 2 || st.ChaseMerges == 0 || st.ChaseRevisited == 0 {
+		t.Fatalf("keyed pair: holds=%v %+v, %v; want an equivalence with 2 searches and chase merges", ok, st, err)
+	}
+	if _, st, _ := ContainedUnder(vacuous, plain, s, fd.KeyFDs(s)); !st.ChaseFailed {
+		t.Fatalf("vacuous pair: %+v, want a failed chase", st)
+	}
+}

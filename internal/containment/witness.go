@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,7 +9,6 @@ import (
 	"keyedeq/internal/chase"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
-	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
 )
@@ -48,39 +48,16 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return nil, false, err
 	}
-	tb := chase.NewTableau(s)
-	vars, err := chase.Freeze(tb, q1)
-	if err != nil {
-		return nil, false, err
-	}
-	head, err := chase.HeadTerms(tb, q1, vars)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(deps) > 0 {
-		if _, err := tb.Run(deps); err != nil {
-			return nil, false, err
-		}
-	}
-	if tb.Failed() {
+	c, vars, valOf := buildCanonicalDB(q1, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
+		return keyChase(context.Background(), tb, deps)
+	})
+	switch {
+	case c.err != nil:
+		return nil, false, c.err
+	case c.failed:
 		return nil, true, nil
 	}
-	var alloc value.Allocator
-	for _, c := range q1.Constants() {
-		alloc.Reserve(c)
-	}
-	for _, c := range q2.Constants() {
-		alloc.Reserve(c)
-	}
-	db, valOf, err := tb.ToDatabase(&alloc)
-	if err != nil {
-		return nil, false, err
-	}
-	want := make(instance.Tuple, len(head))
-	for i, h := range head {
-		want[i] = valOf[h]
-	}
-	ok, binding, _, err := cq.FindAnswerBindingMode(q2, db, want, mode)
+	ok, binding, _, err := cq.FindAnswerBindingMode(q2, c.db, c.head, mode)
 	if err != nil || !ok {
 		return nil, ok, err
 	}

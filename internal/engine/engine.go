@@ -10,11 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"keyedeq/internal/chase"
 	"keyedeq/internal/containment"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
-	"keyedeq/internal/instance"
 	"keyedeq/internal/obs"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
@@ -49,7 +47,9 @@ type Options struct {
 	// DisableCache turns verdict caching off entirely.
 	DisableCache bool
 	// JobTimeout bounds each pair's homomorphism searches; 0 means no
-	// per-job timeout.  Freeze and chase run under the batch context.
+	// per-job timeout.  In Run, freeze and chase run under the batch
+	// context, because their artifacts are shared; Decide's one-pair
+	// batch runs them under the job timeout too.
 	JobTimeout time.Duration
 	// Now, when set, timestamps batch runs so Report.Wall is filled.
 	// It is injected (rather than calling time.Now here) because
@@ -272,7 +272,8 @@ func emitVerify(ctx context.Context, o *obs.Obs, start, end time.Time, r *Result
 
 // Decide answers a single pair, consulting and filling the cache.  It
 // is the single-query entry point behind EquivFunc; batches should use
-// Run, which additionally memoizes chase results and parallelizes.
+// Run, which additionally memoizes chase results and parallelizes.  A
+// miss runs as a one-pair batch through Run's pair decider, runLeader.
 func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Result) {
 	ctx, o := e.withObs(ctx)
 	start := o.Time()
@@ -300,40 +301,34 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		}
 	}
 	// Isomorphic queries (equal canonical keys) are interchangeable, so
-	// the verdict is immediate for both ops.
+	// the verdict is immediate for both ops, before any job timer starts.
 	if k1 == k2 {
 		if e.cache != nil {
 			e.cachePut(o, key, Verdict{Holds: true})
 		}
 		return Result{Holds: true, PairKey: key}
 	}
+	// A miss is a one-pair batch.  Its context is the pair's own, job
+	// timeout included, so JobTimeout bounds Decide's chase as well as
+	// its searches: no other pair shares the chase artifacts.
 	if e.opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	var (
-		ok  bool
-		st  containment.Stats
-		err error
-	)
-	if op == OpContained {
-		ok, st, err = containment.ContainedUnderCtx(ctx, q1, q2, e.s, e.deps)
-	} else {
-		ok, st, err = containment.EquivalentUnderCtx(ctx, q1, q2, e.s, e.deps)
+	jobs := []Job{{Left: q1, Right: q2, Op: op}}
+	bs := &batchState{
+		ctx:    ctx,
+		consts: batchConstants(jobs),
+		first:  map[string]*cq.Query{k1: q1, k2: q2},
+		frozen: make(map[string]*frozen, 2),
 	}
-	if err != nil {
-		// Cancellation and timeout never reach the cache: the partial
-		// verdict would otherwise shadow a real decision on retry.
-		return Result{Err: err, Stats: st, PairKey: key}
+	res, read := e.runLeader(bs, jobs[0], k1, k2)
+	res = e.settle(o, key, res, read)
+	if res.Err == nil && e.cache != nil && o != nil {
+		o.G(obs.GCacheEntries).Set(int64(e.cache.stats().Entries))
 	}
-	if e.cache != nil {
-		e.cachePut(o, key, Verdict{Holds: ok, Stats: st})
-		if o != nil {
-			o.G(obs.GCacheEntries).Set(int64(e.cache.stats().Entries))
-		}
-	}
-	return Result{Holds: ok, Stats: st, PairKey: key}
+	return res
 }
 
 // EquivalentUnder adapts Decide to the containment.EquivalentUnder
@@ -348,44 +343,40 @@ func (e *Engine) EquivalentUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.F
 }
 
 // frozen is the memoized chase artifact of one canonical query: its
-// canonical database (after chasing with the engine's dependencies)
-// and frozen head tuple.  Computing it once per distinct query is the
-// chase-memoization half of the engine's caching.
+// canonical database, chased with the engine's dependencies.  Computing
+// it once per distinct query is the chase-memoization half of the
+// engine's caching.
 type frozen struct {
-	once   sync.Once
-	db     *instance.Database
-	want   instance.Tuple
-	failed bool
-	// cs is the chase's work, recorded even when the run was cut short
-	// by cancellation so partial work is never lost from the books.
-	cs  chase.Stats
-	err error
+	once sync.Once
+	db   *containment.CanonicalDB
 	// claimed hands the chase stats to exactly one pair.  The artifact
 	// is shared by every pair mentioning the query, but the chase ran
-	// once; attributing cs to each sharer would overcount, attributing
-	// to none would lose it.  Run claims in dispatch order after the
-	// pool has finished, so the first leader in that order to read the
-	// artifact books it, whichever worker computed it.
+	// once; attributing its work to each sharer would overcount,
+	// attributing it to none would lose it.  The booking pass claims in
+	// dispatch order after the pool has finished, so the first leader in
+	// that order to read the artifact books it, whichever worker
+	// computed it.
 	claimed bool
 }
 
 // claim returns the artifact's chase stats exactly once; later calls
 // (other pairs sharing the artifact) get zero.  Summing claimed stats
 // over a batch therefore equals the chase work actually performed,
-// which is what the obs reconciliation check enforces.  Only Run's
-// serial booking pass calls it.
+// which is what the obs reconciliation check enforces.  Only the serial
+// booking pass calls it.
 func (f *frozen) claim() containment.Stats {
 	if f == nil || f.claimed {
 		return containment.Stats{}
 	}
 	f.claimed = true
-	return containment.ChaseStats(f.cs)
+	return f.db.ChaseStats()
 }
 
-// batchState carries the per-Run shared structures.
+// batchState carries the structures shared by the pairs of one batch:
+// a Run, or the single pair of a Decide miss.
 type batchState struct {
-	ctx    context.Context
-	consts []value.Value // every constant of the batch, reserved in every freeze
+	ctx    context.Context // the chases' context
+	consts []value.Value   // every constant of the batch, reserved in every freeze
 	// first maps each canonical query key to the first query carrying it,
 	// in job order.  Freezing that query, not whichever sharer a worker
 	// reaches first, keeps the artifact's value numbering — and so every
@@ -399,7 +390,9 @@ type batchState struct {
 // k, computing it at most once per batch.  The freeze reserves every
 // constant of the whole batch so fresh nulls never collide with any
 // query's constants — the invariant that makes sharing the database
-// across pairs sound.
+// across pairs sound.  A chase cut short by the batch context keeps
+// its partial work for claim, and every search of the artifact reports
+// the error.
 func (e *Engine) frozenOf(b *batchState, k string) *frozen {
 	b.mu.Lock()
 	f, ok := b.frozen[k]
@@ -409,74 +402,9 @@ func (e *Engine) frozenOf(b *batchState, k string) *frozen {
 	}
 	b.mu.Unlock()
 	f.once.Do(func() {
-		q := b.first[k]
-		o := obs.FromContext(b.ctx)
-		tb := chase.NewTableau(e.s)
-		vars, err := chase.Freeze(tb, q)
-		if err != nil {
-			f.err = err
-			return
-		}
-		head, err := chase.HeadTerms(tb, q, vars)
-		if err != nil {
-			f.err = err
-			return
-		}
-		if len(e.deps) > 0 {
-			// Keep the partial stats on cancellation: the chase layer
-			// already counted them, and claim() must hand the same
-			// numbers to the claiming pair or the books diverge.  The
-			// span begins here, just before the chase: the early-error
-			// and no-deps paths emit no freeze_chase span, so a start
-			// captured at function entry would be begun and never ended.
-			start := o.Time()
-			cs, cerr := tb.RunCtx(b.ctx, e.deps)
-			f.cs = cs
-			if o.SpansOn() {
-				o.EmitSpan(b.ctx, obs.StageFreezeChase, start, cerr,
-					obs.I("iterations", int64(cs.Iterations)),
-					obs.I("merges", int64(cs.Merges)),
-					obs.I("revisited", int64(cs.Revisited)),
-					obs.B("failed", tb.Failed()))
-			}
-			if cerr != nil {
-				f.err = cerr
-				return
-			}
-		}
-		if tb.Failed() {
-			f.failed = true
-			return
-		}
-		var alloc value.Allocator
-		alloc.ReserveAll(b.consts)
-		db, valOf, err := tb.ToDatabase(&alloc)
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.db = db
-		f.want = make(instance.Tuple, len(head))
-		for i, h := range head {
-			f.want[i] = valOf[h]
-		}
+		f.db = containment.NewCanonicalDB(b.ctx, b.first[k], e.s, e.deps, b.consts)
 	})
 	return f
-}
-
-// containedFrom decides frozenLeft ⊑ right using the memoized canonical
-// database.  A failed chase means the left query is empty under the
-// dependencies, so containment holds vacuously.
-func containedFrom(ctx context.Context, f *frozen, right *cq.Query) (bool, containment.Stats, error) {
-	var st containment.Stats
-	if f.err != nil {
-		return false, st, f.err
-	}
-	if f.failed {
-		return true, containment.FailedChaseStats(), nil
-	}
-	ok, _, es, err := cq.FindAnswerBindingCtx(ctx, right, f.db, f.want)
-	return ok, containment.SearchStats(es.Nodes), err
 }
 
 // fanOut calls f(i) for every i in [0, n) on at most workers
@@ -654,16 +582,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	for w, pk := range work {
 		r := &runs[w]
 		g := groups[pk]
-		res := r.res
-		res.Stats.Merge(r.read[0].claim())
-		res.Stats.Merge(r.read[1].claim())
-		res.PairKey = pk
+		res := e.settle(o, pk, r.res, r.read)
 		rep.Results[g.leader] = res
-		// Cancellation and timeout never reach the cache: the partial
-		// verdict would shadow a real decision on retry.
-		if res.Err == nil && e.cache != nil {
-			e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
-		}
 		emitVerify(ctx, o, r.start, r.end, &res)
 		for _, i := range g.indexes[1:] {
 			dup := res
@@ -709,8 +629,10 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 }
 
 // runLeader decides one deduplicated pair using the batch's memoized
-// chase artifacts.  It returns the artifacts it read, whose chase work
-// Run books; the Result's Stats hold the searches only.
+// chase artifacts.  It is the engine's one pair decider: Run calls it
+// for every group leader, Decide for a cache miss.  It returns the
+// artifacts it read, whose chase work the caller books through settle;
+// the Result's Stats hold the searches only.
 func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*frozen) {
 	var read [2]*frozen
 	jctx := bs.ctx
@@ -729,14 +651,28 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*fr
 		defer cancel()
 	}
 	read[0] = e.frozenOf(bs, lk)
-	ok, st, err := containedFrom(jctx, read[0], j.Right)
+	ok, st, err := read[0].db.ContainedIn(jctx, j.Right, cq.SearchAdaptive)
 	if err != nil || !ok || j.Op == OpContained {
 		return Result{Holds: ok, Stats: st, Err: err}, read
 	}
 	read[1] = e.frozenOf(bs, rk)
-	ok2, st2, err := containedFrom(jctx, read[1], j.Left)
+	ok2, st2, err := read[1].db.ContainedIn(jctx, j.Left, cq.SearchAdaptive)
 	st.Merge(st2)
 	return Result{Holds: ok2, Stats: st, Err: err}, read
+}
+
+// settle books a leader's Result under pair key pk: it merges in the
+// chase work the leader claims from the artifacts it read and enters a
+// verdict into the cache.  Cancellation and timeout never reach the
+// cache: the partial verdict would shadow a real decision on retry.
+func (e *Engine) settle(o *obs.Obs, pk string, res Result, read [2]*frozen) Result {
+	res.Stats.Merge(read[0].claim())
+	res.Stats.Merge(read[1].claim())
+	res.PairKey = pk
+	if res.Err == nil && e.cache != nil {
+		e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
+	}
+	return res
 }
 
 // batchConstants collects every constant mentioned by any query of the

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"time"
 
-	"keyedeq/internal/chase"
+	"keyedeq/internal/containment"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/gen"
 	"keyedeq/internal/instance"
 	"keyedeq/internal/obs"
-	"keyedeq/internal/value"
 )
 
 // HomFamilyResult is one corpus family's planned-vs-naive comparison,
@@ -65,38 +64,14 @@ type HomCase struct {
 func PrepareHomCases(f *gen.Family) ([]HomCase, error) {
 	var cases []HomCase
 	add := func(q1, q2 *cq.Query) error {
-		tb := chase.NewTableau(f.Schema)
-		vars, err := chase.Freeze(tb, q1)
-		if err != nil {
+		c := containment.NewCanonicalDB(context.Background(), q1, f.Schema, f.Deps, append(q1.Constants(), q2.Constants()...))
+		if err := c.Err(); err != nil {
 			return err
 		}
-		head, err := chase.HeadTerms(tb, q1, vars)
-		if err != nil {
-			return err
-		}
-		if len(f.Deps) > 0 {
-			if _, err := tb.Run(f.Deps); err != nil {
-				return err
-			}
-		}
-		if tb.Failed() {
+		db, want := c.Database()
+		if db == nil {
 			// Vacuous containment: no search happens in either mode.
 			return nil
-		}
-		var alloc value.Allocator
-		for _, c := range q1.Constants() {
-			alloc.Reserve(c)
-		}
-		for _, c := range q2.Constants() {
-			alloc.Reserve(c)
-		}
-		db, valOf, err := tb.ToDatabase(&alloc)
-		if err != nil {
-			return err
-		}
-		want := make(instance.Tuple, len(head))
-		for i, h := range head {
-			want[i] = valOf[h]
 		}
 		cases = append(cases, HomCase{Q: q2, DB: db, Want: want})
 		return nil

@@ -207,17 +207,15 @@ func checkCol(i, n int) error {
 }
 
 // Eval evaluates the expression over d, returning the result with a
-// synthesized scheme.  It runs the streaming iterator evaluator
-// (stream.go): selections and projections pass rows through without
-// materializing, and joins hash their build side into a pre-sized
-// table.  evalMaterialize is the recursive reference it is tested
-// against.
+// synthesized scheme.  The evaluator is the plain recursive one: every
+// operator materializes its input before producing output.  No decision
+// procedure runs on it, so it favours obviousness over speed.
 func Eval(e Expr, d *instance.Database) (*instance.Relation, error) {
 	ts, err := e.Type(d.Schema)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := drain(e, d)
+	rows, err := evalRows(e, d)
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +232,8 @@ func Eval(e Expr, d *instance.Database) (*instance.Relation, error) {
 	return out, nil
 }
 
-// evalMaterialize is the original recursive evaluator: every operator
-// materializes its full input before producing output.  It is kept as
-// the semantics reference — the streaming evaluator must produce the
-// same rows in the same order on every expression.
-func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
+// evalRows evaluates e over d into rows, recursively.
+func evalRows(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 	switch e := e.(type) {
 	case *Rel:
 		r := d.Relation(e.Name)
@@ -247,7 +242,7 @@ func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 		}
 		return r.Tuples(), nil
 	case *SelectEq:
-		in, err := evalMaterialize(e.E, d)
+		in, err := evalRows(e.E, d)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +254,7 @@ func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 		}
 		return out, nil
 	case *SelectConst:
-		in, err := evalMaterialize(e.E, d)
+		in, err := evalRows(e.E, d)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +266,11 @@ func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 		}
 		return out, nil
 	case *Product:
-		lt, err := evalMaterialize(e.L, d)
+		lt, err := evalRows(e.L, d)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := evalMaterialize(e.R, d)
+		rt, err := evalRows(e.R, d)
 		if err != nil {
 			return nil, err
 		}
@@ -287,11 +282,11 @@ func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 		}
 		return out, nil
 	case *Join:
-		lt, err := evalMaterialize(e.L, d)
+		lt, err := evalRows(e.L, d)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := evalMaterialize(e.R, d)
+		rt, err := evalRows(e.R, d)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +300,7 @@ func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 		}
 		return out, nil
 	case *Project:
-		in, err := evalMaterialize(e.E, d)
+		in, err := evalRows(e.E, d)
 		if err != nil {
 			return nil, err
 		}

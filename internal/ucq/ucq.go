@@ -9,10 +9,10 @@
 package ucq
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"keyedeq/internal/chase"
 	"keyedeq/internal/containment"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
@@ -164,42 +164,14 @@ func Contained(u1, u2 *Query, s *schema.Schema, deps []fd.FD) (bool, error) {
 
 // disjunctContainedInUnion decides p ⊑ ∪qⱼ on p's canonical database.
 func disjunctContainedInUnion(p *cq.Query, u *Query, s *schema.Schema, deps []fd.FD) (bool, error) {
-	tb := chase.NewTableau(s)
-	vars, err := chase.Freeze(tb, p)
-	if err != nil {
-		return false, err
-	}
-	head, err := chase.HeadTerms(tb, p, vars)
-	if err != nil {
-		return false, err
-	}
-	if len(deps) > 0 {
-		if _, err := tb.Run(deps); err != nil {
-			return false, err
-		}
-	}
-	if tb.Failed() {
-		return true, nil
-	}
-	var alloc value.Allocator
-	for _, c := range p.Constants() {
-		alloc.Reserve(c)
-	}
+	reserve := p.Constants()
 	for _, q := range u.Disjuncts {
-		for _, c := range q.Constants() {
-			alloc.Reserve(c)
-		}
+		reserve = append(reserve, q.Constants()...)
 	}
-	db, valOf, err := tb.ToDatabase(&alloc)
-	if err != nil {
-		return false, err
-	}
-	want := make(instance.Tuple, len(head))
-	for i, h := range head {
-		want[i] = valOf[h]
-	}
+	ctx := context.Background()
+	c := containment.NewCanonicalDB(ctx, p, s, deps, reserve)
 	for _, q := range u.Disjuncts {
-		ok, _, err := cq.HasAnswer(q, db, want)
+		ok, _, err := c.ContainedIn(ctx, q, cq.SearchAdaptive)
 		if err != nil {
 			return false, err
 		}
