@@ -102,6 +102,33 @@ func TestVerifyBenchRejectsSlowEngine(t *testing.T) {
 	}
 }
 
+// TestVerifyBenchRequiresCanonicalizeCost checks that the gate rejects
+// an otherwise sound record in which one family lacks a positive
+// canonicalization cost.
+func TestVerifyBenchRequiresCanonicalizeCost(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "nocanon.json")
+	sweep := `[{"workers":1,"wall_ns":100,"ns_per_op":10,"nodes":5,"holding":2},` +
+		`{"workers":4,"wall_ns":90,"ns_per_op":9,"nodes":5,"holding":2},` +
+		`{"workers":8,"wall_ns":80,"ns_per_op":8,"nodes":5,"holding":2}]`
+	record := `{"families":["graph-chain","wide"],"canonicalize_ns_per_query":{"graph-chain":4800,"wide":0},` +
+		`"sequential":{"pairs":10},"engine":{"pairs":10},"speedup":1.5,"second_pass_hit_rate":1,` +
+		`"gomaxprocs":2,"num_cpu":2,"worker_sweep":` + sweep + `}`
+	if err := os.WriteFile(path, []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-verify-bench", path}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "family wide has no canonicalize_ns_per_query") {
+		t.Errorf("stderr: %s", errb.String())
+	}
+	if strings.Contains(errb.String(), "graph-chain") {
+		t.Errorf("measured family flagged: %s", errb.String())
+	}
+}
+
 func TestVerifyBenchRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "garbage.json")
@@ -164,8 +191,8 @@ func TestVerifyBenchSingleCoreWarning(t *testing.T) {
 		sweep := `[{"workers":1,"wall_ns":100,"ns_per_op":10,"nodes":5,"holding":2},` +
 			`{"workers":4,"wall_ns":90,"ns_per_op":9,"nodes":5,"holding":2},` +
 			`{"workers":8,"wall_ns":80,"ns_per_op":8,"nodes":5,"holding":2}]`
-		return `{"families":["graph-chain"],"sequential":{"pairs":10},"engine":{"pairs":10},` +
-			`"speedup":1.5,"second_pass_hit_rate":1,` +
+		return `{"families":["graph-chain"],"canonicalize_ns_per_query":{"graph-chain":4800},` +
+			`"sequential":{"pairs":10},"engine":{"pairs":10},"speedup":1.5,"second_pass_hit_rate":1,` +
 			`"gomaxprocs":` + itoa(gmp) + `,"num_cpu":` + itoa(ncpu) + `,"worker_sweep":` + sweep + `}`
 	}
 
