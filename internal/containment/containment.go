@@ -29,6 +29,7 @@ import (
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/schema"
+	"keyedeq/internal/value"
 )
 
 // Stats describes the work a containment check did.
@@ -162,7 +163,9 @@ var ErrNilQuery = errors.New("nil query")
 // CheckComparable validates both queries against s and requires equal
 // head types — the precondition every containment test shares.  A nil
 // query is an error wrapping ErrNilQuery, never a panic.  The batch
-// engine calls it once per pair, on its worker pool, before grouping.
+// engine, which meets one query in many pairs, runs Validate and
+// HeadType once per query and CheckHeadTypes per pair, and calls
+// CheckComparable only to build a failing pair's error.
 func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
 	if q1 == nil {
 		return fmt.Errorf("containment: left query: %w", ErrNilQuery)
@@ -184,6 +187,13 @@ func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
 	if err != nil {
 		return err
 	}
+	return CheckHeadTypes(t1, t2)
+}
+
+// CheckHeadTypes requires t1, the left query's head type, to equal t2,
+// the right one's: CheckComparable's test of the pair once each query
+// has passed on its own.
+func CheckHeadTypes(t1, t2 []value.Type) error {
 	if len(t1) != len(t2) {
 		return fmt.Errorf("containment: arity %d vs %d", len(t1), len(t2))
 	}
