@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzAllowDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzHotDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzInternRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
 
 # bench writes the batch engine's machine-readable regression record
 # (engine-vs-sequential wall time, node counts, cache hit rates).
@@ -132,10 +133,11 @@ serve-smoke:
 	$(GO) test ./cmd/keyedeqd -run 'TestServeSmoke|TestDrainSmoke' -count=1 -v
 
 # cover enforces the decision-path coverage floor (engine, containment,
-# chase, the obs layer, the interning/encoding layers, and the relational
-# algebra must each stay at or above 75% statement coverage).
+# chase, the obs layer, the interning/encoding layers, the relational
+# algebra, the verdict store and the daemon's handler must each stay at
+# or above 75% statement coverage).
 COVER_FLOOR ?= 75
-COVER_PKGS = ./internal/engine ./internal/containment ./internal/chase ./internal/obs ./internal/value ./internal/instance ./internal/ra
+COVER_PKGS = ./internal/engine ./internal/containment ./internal/chase ./internal/obs ./internal/value ./internal/instance ./internal/ra ./internal/store ./internal/serve
 
 cover:
 	@for pkg in $(COVER_PKGS); do \

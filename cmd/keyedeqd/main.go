@@ -13,10 +13,12 @@
 // /v1/schema/equiv, /v1/schema/dominance; GET /v1/stats, /healthz,
 // /readyz, /metrics, /debug/vars, /debug/pprof/...
 //
-// With -store, every computed verdict is appended to a CRC-framed log
-// and replayed into the cache on the next boot; a crash (even kill -9)
-// loses at most the unsynced tail.  -sync-every 1 makes every verdict
-// durable immediately at an fsync-per-decision cost.
+// With -store, every computed verdict is appended to a log of
+// CRC-framed binary records and replayed into the cache on the next
+// boot; a crash (even kill -9) loses at most the unsynced tail.  A log
+// in the earlier JSON format is rewritten in the binary one at boot.
+// -sync-every 1 makes every verdict durable immediately at an
+// fsync-per-decision cost.
 //
 // On SIGTERM or SIGINT the daemon stops admitting work (readyz flips to
 // 503, new requests get 429), lets in-flight requests finish within

@@ -88,6 +88,19 @@ func FailedChaseStats() Stats {
 	return Stats{ChaseFailed: true}
 }
 
+// StoredStats rebuilds the Stats a verdict log recorded field by field,
+// one argument per field in declaration order.
+func StoredStats(nodes int64, searches, chaseIterations, chaseMerges, chaseRevisited int, chaseFailed bool) Stats {
+	return Stats{
+		Nodes:           nodes,
+		Searches:        searches,
+		ChaseIterations: chaseIterations,
+		ChaseMerges:     chaseMerges,
+		ChaseRevisited:  chaseRevisited,
+		ChaseFailed:     chaseFailed,
+	}
+}
+
 // Contained reports whether q1 ⊑ q2 over all instances of s.
 func Contained(q1, q2 *cq.Query, s *schema.Schema) (bool, error) {
 	ok, _, err := ContainedUnder(q1, q2, s, nil)

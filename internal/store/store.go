@@ -1,16 +1,25 @@
 // Package store persists equivalence verdicts across daemon restarts.
 //
-// The format is a single append-only log file: an 8-byte magic header
-// followed by CRC-framed JSON records, one per (canonical pair key,
-// verdict).  Appends are the only write path during serving, so a crash
-// — including kill -9 mid-write — can damage at most the unsynced tail;
-// Open detects a torn tail (short frame, checksum mismatch, or
-// undecodable payload) and truncates it rather than failing, losing
-// only the records that were never durable anyway.
+// The format is a single append-only log file: the 8-byte magic
+// "KEQVLOG2" followed by CRC-framed binary records, one per (canonical
+// pair key, verdict).  A frame is a u32 LE payload length, a u32 LE
+// CRC32 (IEEE) of the payload, then the payload: a uvarint key length,
+// the key bytes, a flags byte (bit 0 Holds, bit 1 ChaseFailed, no other
+// bit set), and zigzag varints for Nodes, Searches, ChaseIterations,
+// ChaseMerges and ChaseRevisited, with nothing after them.
+//
+// Appends are the only write path during serving, so a crash —
+// including kill -9 mid-write — can damage at most the unsynced tail;
+// Open detects a torn tail (short frame, checksum mismatch, or a
+// payload that does not decode exactly) and truncates it rather than
+// failing, losing only the records that were never durable anyway.
+// Open upgrades a "KEQVLOG1" log, whose payloads are JSON, by
+// rewriting its intact records in the current format.
 //
 // Compaction rewrites the log from a caller-supplied live set (write
-// temp file, fsync, rename), bounding replay time for long-lived
-// daemons whose working set is much smaller than their append history.
+// temp file, fsync, rename, fsync the directory), bounding replay time
+// for long-lived daemons whose working set is much smaller than their
+// append history.
 //
 // The package is deliberately dependency-light: no clocks, no metrics.
 // Callers own observability (the daemon counts appends, replayed
@@ -18,6 +27,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -33,7 +43,8 @@ import (
 
 // Record is one persisted verdict: the engine-canonical pair key
 // (fingerprint-qualified by the daemon) and the decision with the work
-// stats the original computation spent.
+// stats the original computation spent.  The JSON names are those of
+// the KEQVLOG1 payloads that Open upgrades.
 type Record struct {
 	Key   string            `json:"k"`
 	Holds bool              `json:"h"`
@@ -58,7 +69,10 @@ type ReplayStats struct {
 }
 
 const (
-	logMagic = "KEQVLOG1"
+	logMagic = "KEQVLOG2"
+	// logMagicV1 heads a log of JSON payloads, which Open upgrades.
+	logMagicV1 = "KEQVLOG1"
+	magicLen   = len(logMagic) // both magics
 	// frameHeaderLen is the per-record prefix: u32 LE payload length +
 	// u32 LE CRC32 (IEEE) of the payload.
 	frameHeaderLen = 8
@@ -66,6 +80,12 @@ const (
 	// mean corruption, not a giant record.
 	maxRecordLen     = 1 << 24
 	defaultSyncEvery = 64
+	// ioBufLen sizes the buffers that read a whole log and write a
+	// rewritten one.
+	ioBufLen = 64 << 10
+
+	flagHolds       = 1 << 0
+	flagChaseFailed = 1 << 1
 )
 
 // Log is an append-only verdict log bound to one file.  All methods are
@@ -77,15 +97,17 @@ type Log struct {
 	opts     Options
 	size     int64 // valid bytes (append offset)
 	records  int
-	pending  int // appends since the last sync
+	pending  int    // appends since the last sync
+	buf      []byte // Append's frame scratch
 	recovery ReplayStats
 	closed   bool
 }
 
 // Open opens or creates the log at path, scans it for intact records,
 // and truncates any torn tail so subsequent appends extend a valid log.
-// A corrupt header (wrong magic) is fatal — that is not a torn tail but
-// the wrong file.
+// A KEQVLOG1 log is upgraded to the current format first.  A corrupt
+// header (wrong magic) is fatal — that is not a torn tail but the
+// wrong file.
 func Open(path string, opts Options) (*Log, error) {
 	if opts.SyncEvery == 0 {
 		opts.SyncEvery = defaultSyncEvery
@@ -96,64 +118,54 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	l := &Log{f: f, path: path, opts: opts}
 	if err := l.recover(); err != nil {
-		f.Close()
+		l.f.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-// recover validates the magic (writing it into an empty file), scans
-// every frame, and truncates the file at the first damaged one.
+// recover validates the magic (writing it into an empty file), checks
+// every frame, and truncates the file at the first damaged one; a
+// KEQVLOG1 log goes to upgrade instead.
 func (l *Log) recover() error {
 	st, err := l.f.Stat()
 	if err != nil {
 		return err
 	}
-	if st.Size() == 0 {
-		if _, err := l.f.Write([]byte(logMagic)); err != nil {
+	size := st.Size()
+	if size == 0 {
+		if _, err := l.f.WriteAt([]byte(logMagic), 0); err != nil {
 			return err
 		}
 		if err := l.f.Sync(); err != nil {
 			return err
 		}
-		l.size = int64(len(logMagic))
+		l.size = int64(magicLen)
 		return nil
 	}
-	header := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(l.f, header); err != nil || string(header) != logMagic {
+	header := make([]byte, magicLen)
+	if _, err := l.f.ReadAt(header, 0); err != nil || string(header) != logMagic {
+		if err == nil && string(header) == logMagicV1 {
+			return l.upgrade(size)
+		}
 		return fmt.Errorf("store: %s: not a verdict log (bad magic)", l.path)
 	}
-	off := int64(len(logMagic))
-	var hdr [frameHeaderLen]byte
-	payload := make([]byte, 0, 4096)
-	for off < st.Size() {
-		if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
-			break // short header: torn tail
+	fr := newFrameReader(l.f, size)
+	off := int64(magicLen)
+	var rec Record
+	for {
+		p, err := fr.next()
+		if err != nil {
+			break // io.EOF, or damage: a torn tail
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecordLen || off+frameHeaderLen+int64(length) > st.Size() {
-			break // nonsense length or frame runs past EOF: torn tail
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(l.f, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // bit rot or interleaved partial write: torn tail
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if _, ok := decodeRecord(p, &rec); !ok {
 			break // checksum matched garbage (e.g. foreign format): torn tail
 		}
-		off += frameHeaderLen + int64(length)
+		off += frameHeaderLen + int64(len(p))
 		l.recovery.Records++
 	}
-	if off < st.Size() {
-		l.recovery.TruncatedBytes = st.Size() - off
+	if off < size {
+		l.recovery.TruncatedBytes = size - off
 		if err := l.f.Truncate(off); err != nil {
 			return err
 		}
@@ -161,11 +173,40 @@ func (l *Log) recover() error {
 			return err
 		}
 	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
 	l.size = off
 	l.records = l.recovery.Records
+	return nil
+}
+
+// upgrade replaces a KEQVLOG1 log of the given size, whose payloads are
+// JSON, with a log in the current format holding its intact records.
+// The rest of the old file, from its first damaged frame on, is a torn
+// tail: it is dropped and counted as recover counts one.
+func (l *Log) upgrade(size int64) error {
+	fr := newFrameReader(l.f, size)
+	off := int64(magicLen)
+	f, newSize, records, err := rewrite(l.path, func(put func(Record) error) error {
+		for {
+			p, err := fr.next()
+			if err != nil {
+				return nil // io.EOF, or damage: a torn tail
+			}
+			var rec Record
+			if json.Unmarshal(p, &rec) != nil {
+				return nil // checksum matched garbage: a torn tail
+			}
+			if err := put(rec); err != nil {
+				return err
+			}
+			off += frameHeaderLen + int64(len(p))
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("store: upgrading %s: %w", l.path, err)
+	}
+	l.f.Close()
+	l.f, l.size, l.records = f, newSize, records
+	l.recovery = ReplayStats{Records: records, TruncatedBytes: size - off}
 	return nil
 }
 
@@ -201,35 +242,23 @@ func (l *Log) Replay(fn func(Record) error) error {
 		return err
 	}
 	defer f.Close()
-	r := io.NewSectionReader(f, int64(len(logMagic)), size-int64(len(logMagic)))
-	var hdr [frameHeaderLen]byte
-	payload := make([]byte, 0, 4096)
+	fr := newFrameReader(f, size)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
+		p, err := fr.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("store: replay %s: %v", path, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecordLen {
-			return fmt.Errorf("store: replay %s: frame length %d out of range", path, length)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("store: replay %s: %v", path, err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("store: replay %s: checksum mismatch", path)
 		}
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("store: replay %s: %v", path, err)
+		key, ok := decodeRecord(p, &rec)
+		if !ok {
+			return fmt.Errorf("store: replay %s: undecodable record", path)
 		}
+		// A copy, so that a record the caller keeps does not pin the
+		// read buffer.
+		rec.Key = string(key)
 		if err := fn(rec); err != nil {
 			return err
 		}
@@ -239,24 +268,22 @@ func (l *Log) Replay(fn func(Record) error) error {
 // Append durably queues one record at the log tail, syncing every
 // Options.SyncEvery appends.
 func (l *Log) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if len(payload) > maxRecordLen {
-		return fmt.Errorf("store: record for key %.64q exceeds %d bytes", rec.Key, maxRecordLen)
-	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("store: append on closed log %s", l.path)
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	frame, err := appendFrame(l.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	l.buf = frame
+	if _, err := l.f.WriteAt(frame, l.size); err != nil {
+		// Part of the frame may be in the file.  Cut it off, so that
+		// the next append lands where Open looks for it.
+		if terr := l.f.Truncate(l.size); terr != nil {
+			return errors.Join(err, terr)
+		}
 		return err
 	}
 	l.size += int64(len(frame))
@@ -281,70 +308,28 @@ func (l *Log) Sync() error {
 }
 
 // Compact atomically replaces the log's contents with exactly the live
-// records: write a temp file in the same directory, fsync it, and
-// rename it over the log.  On success the open handle switches to the
-// new file; on failure the original log is untouched.
+// records (see rewrite).  On success the open handle switches to the
+// new file; a failure before the rename leaves the original log
+// untouched.
 func (l *Log) Compact(live []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("store: compact on closed log %s", l.path)
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".compact-*")
+	f, size, records, err := rewrite(l.path, func(put func(Record) error) error {
+		for _, rec := range live {
+			if err := put(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	size := int64(len(logMagic))
-	records := 0
-	if _, err := tmp.Write([]byte(logMagic)); err != nil {
-		tmp.Close()
-		return err
-	}
-	var hdr [frameHeaderLen]byte
-	for _, rec := range live {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		size += frameHeaderLen + int64(len(payload))
-		records++
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
 		return err
 	}
 	l.f.Close()
-	l.f = f
-	l.size = size
-	l.records = records
-	l.pending = 0
+	l.f, l.size, l.records, l.pending = f, size, records, 0
 	return nil
 }
 
@@ -362,4 +347,185 @@ func (l *Log) Close() error {
 		return serr
 	}
 	return cerr
+}
+
+// rewrite replaces the log at path with a log of the records that fill
+// passes to put: it writes them to a temp file in the same directory,
+// fsyncs it, renames it over path, and fsyncs the directory, so that
+// the new name is durable before any append lands in the file.  It
+// returns the new file open for appending, with its size and record
+// count.  An error before the rename leaves the log at path untouched.
+func rewrite(path string, fill func(put func(Record) error) error) (*os.File, int64, int, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".compact-*")
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	w := bufio.NewWriterSize(tmp, ioBufLen)
+	size := int64(magicLen)
+	records := 0
+	var frame []byte
+	_, err = w.WriteString(logMagic)
+	if err == nil {
+		err = fill(func(rec Record) error {
+			var err error
+			if frame, err = appendFrame(frame[:0], rec); err != nil {
+				return err
+			}
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+			size += int64(len(frame))
+			records++
+			return nil
+		})
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return nil, 0, 0, err
+	}
+	if err := syncDir(dir); err != nil {
+		return nil, 0, 0, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return f, size, records, nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// frameReader reads the frames of one log file in order, through one
+// buffer, checking each frame's length and checksum.  It serves Open's
+// scan, Replay and the KEQVLOG1 upgrade; framing is the same in every
+// format.
+type frameReader struct {
+	r       *bufio.Reader
+	left    int64 // bytes after the last frame read
+	hdr     [frameHeaderLen]byte
+	payload []byte
+}
+
+// newFrameReader reads the frames of f that follow the magic and end by
+// size.
+func newFrameReader(f *os.File, size int64) *frameReader {
+	left := size - int64(magicLen)
+	return &frameReader{
+		r:    bufio.NewReaderSize(io.NewSectionReader(f, int64(magicLen), left), ioBufLen),
+		left: left,
+	}
+}
+
+// next returns the payload of the next frame, valid until the next
+// call, or io.EOF after the last one.  Any other error is damage: a
+// short frame, a length out of range, or a checksum mismatch.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.left == 0 {
+		return nil, io.EOF
+	}
+	if fr.left < frameHeaderLen {
+		return nil, errors.New("short frame header")
+	}
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, err
+	}
+	length := binary.LittleEndian.Uint32(fr.hdr[0:4])
+	sum := binary.LittleEndian.Uint32(fr.hdr[4:8])
+	if length == 0 || length > maxRecordLen || int64(length) > fr.left-frameHeaderLen {
+		return nil, fmt.Errorf("frame length %d out of range", length)
+	}
+	if cap(fr.payload) < int(length) {
+		fr.payload = make([]byte, length)
+	}
+	fr.payload = fr.payload[:length]
+	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(fr.payload) != sum {
+		return nil, errors.New("checksum mismatch")
+	}
+	fr.left -= frameHeaderLen + int64(length)
+	return fr.payload, nil
+}
+
+// appendFrame appends rec to b as one frame: length, checksum, then the
+// payload.
+func appendFrame(b []byte, rec Record) ([]byte, error) {
+	start := len(b)
+	b = append(b, make([]byte, frameHeaderLen)...)
+	b = binary.AppendUvarint(b, uint64(len(rec.Key)))
+	b = append(b, rec.Key...)
+	var flags byte
+	if rec.Holds {
+		flags |= flagHolds
+	}
+	if rec.Stats.ChaseFailed {
+		flags |= flagChaseFailed
+	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, rec.Stats.Nodes)
+	b = binary.AppendVarint(b, int64(rec.Stats.Searches))
+	b = binary.AppendVarint(b, int64(rec.Stats.ChaseIterations))
+	b = binary.AppendVarint(b, int64(rec.Stats.ChaseMerges))
+	b = binary.AppendVarint(b, int64(rec.Stats.ChaseRevisited))
+	payload := b[start+frameHeaderLen:]
+	if len(payload) > maxRecordLen {
+		return b[:start], fmt.Errorf("store: record for key %.64q exceeds %d bytes", rec.Key, maxRecordLen)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
+}
+
+// decodeRecord decodes payload p into every field of rec but Key, and
+// returns the key's bytes, which alias p.  ok is false unless p is
+// exactly one record.
+func decodeRecord(p []byte, rec *Record) (key []byte, ok bool) {
+	n, w := binary.Uvarint(p)
+	if w <= 0 || n >= uint64(len(p)-w) {
+		return nil, false // the flags byte must follow the key
+	}
+	key, p = p[w:w+int(n)], p[w+int(n):]
+	flags := p[0]
+	if flags&^(flagHolds|flagChaseFailed) != 0 {
+		return nil, false
+	}
+	p = p[1:]
+	var v [5]int64
+	for i := range v {
+		if v[i], w = binary.Varint(p); w <= 0 || int64(int(v[i])) != v[i] {
+			return nil, false
+		}
+		p = p[w:]
+	}
+	if len(p) != 0 {
+		return nil, false
+	}
+	rec.Holds = flags&flagHolds != 0
+	rec.Stats = containment.StoredStats(v[0], int(v[1]), int(v[2]), int(v[3]), int(v[4]), flags&flagChaseFailed != 0)
+	return key, true
 }
