@@ -1,7 +1,7 @@
 // Command keyedeqd serves conjunctive query equivalence decisions over
 // HTTP: the batch engine behind a JSON API, with per-request timeouts,
 // admission control, graceful drain on SIGTERM/SIGINT, and an optional
-// persistent verdict store that warm-starts the caches across restarts.
+// persistent verdict store that warm-starts the cache across restarts.
 //
 // Usage:
 //
@@ -13,9 +13,14 @@
 // /v1/schema/equiv, /v1/schema/dominance; GET /v1/stats, /healthz,
 // /readyz, /metrics, /debug/vars, /debug/pprof/...
 //
+// -cache bounds the daemon's one verdict cache, in entries, shared by
+// every schema the requests name; memory does not grow with the number
+// of schemas.
+//
 // With -store, every computed verdict is appended to a log of
-// CRC-framed binary records and replayed into the cache on the next
-// boot; a crash (even kill -9) loses at most the unsynced tail.  A log
+// CRC-framed binary records, and the next boot warms the cache with the
+// newest verdicts it can hold; a crash (even kill -9) loses at most the
+// unsynced tail.  A log
 // in the earlier JSON format is rewritten in the binary one at boot.
 // -sync-every 1 makes every verdict durable immediately at an
 // fsync-per-decision cost.
@@ -54,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storePath := fs.String("store", "", "verdict log `file`; empty disables persistence")
 	syncEvery := fs.Int("sync-every", 64, "fsync the verdict log every `N` appends (negative: only on drain)")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache", 0, "verdict cache entries per engine (0 = default)")
+	cacheSize := fs.Int("cache", 0, "verdict cache entries, shared by every schema (0 = default 4096)")
 	maxInFlight := fs.Int("max-inflight", 64, "global concurrent request bound")
 	perClient := fs.Int("per-client", 8, "per-client (API key or remote address) concurrent request bound")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-decision timeout (requests may set timeout_ms)")

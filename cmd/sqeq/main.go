@@ -9,8 +9,8 @@
 //	sqeq -search -parallel 4 -cache 8192 schema1.txt schema2.txt
 //
 // With -search, -parallel sizes the worker pool of the bounded mapping
-// search and -cache bounds the batch engine's verdict cache (0 picks
-// the defaults; -cache -1 disables caching).
+// search and -cache bounds the engine pool's one verdict cache, shared
+// by both schemas (0 picks the defaults; -cache -1 disables caching).
 //
 // Observability (most useful with -search, whose decisions run the
 // instrumented batch engine): -metrics prints Prometheus-text counters
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	alphaFile := fs.String("alpha", "", "file with a candidate mapping schema1 → schema2 to verify")
 	betaFile := fs.String("beta", "", "file with a candidate mapping schema2 → schema1 to verify")
 	parallel := fs.Int("parallel", 0, "worker pool size for -search (0 = GOMAXPROCS, 1 = sequential)")
-	cacheSize := fs.Int("cache", 0, "verdict cache entries for -search (0 = default, <0 = disable)")
+	cacheSize := fs.Int("cache", 0, "verdict cache entries for -search, shared by both schemas (0 = default, <0 = disable)")
 	var of cli.ObsFlags
 	of.Register(fs)
 	if err := fs.Parse(args); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,7 @@ func (s CacheStats) HitRate() float64 {
 // Verdict.  Sharding by key hash keeps lock contention off the worker
 // pool's hot path; each shard holds an intrusive LRU list.
 type verdictCache struct {
+	seed      maphash.Seed // drawn per cache: shard placement varies between processes
 	shards    []cacheShard
 	capacity  int
 	hits      atomic.Int64
@@ -74,6 +76,7 @@ func newVerdictCache(capacity int) *verdictCache {
 		capacity = cacheShardCount
 	}
 	c := &verdictCache{
+		seed:     maphash.MakeSeed(),
 		shards:   make([]cacheShard, cacheShardCount),
 		capacity: capacity,
 	}
@@ -93,24 +96,11 @@ func newVerdictCache(capacity int) *verdictCache {
 	return c
 }
 
-// fnv-1a parameters (hash/fnv's 64-bit variant, inlined).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// shard selects the shard for key by an inlined FNV-1a fold: a
-// fnv.New64a() hasher here would allocate and box through hash.Hash64
-// on every get/put — the hottest cache path in the engine.
+// shard selects the shard for key.
 //
-//keyedeq:hot -- shard selection runs on every verdict cache get and put; the inlined fold keeps it zero-alloc
+//keyedeq:hot -- shard selection runs on every verdict cache get and put, warm puts at boot included; maphash.String hashes the key in place without allocating
 func (c *verdictCache) shard(key string) *cacheShard {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return &c.shards[h&(cacheShardCount-1)]
+	return &c.shards[maphash.String(c.seed, key)&(cacheShardCount-1)]
 }
 
 // get returns the cached verdict for key, updating recency and hit

@@ -44,7 +44,8 @@ type Options struct {
 	// 1 means strictly sequential execution.
 	Workers int
 	// CacheSize bounds the verdict cache (entries); 0 means the
-	// default of 4096.
+	// default of 4096.  A Pool has one cache of this size, shared by
+	// every engine it hands out.
 	CacheSize int
 	// DisableCache turns verdict caching off entirely.
 	DisableCache bool
@@ -67,8 +68,10 @@ type Options struct {
 	// computed verdict at the moment it enters the cache — never cache
 	// hits, batch dedups, warm loads, or errored pairs — so a daemon
 	// can persist decisions and replay them into the cache on restart.
-	// Append failures are counted (CStoreAppendErrors) and otherwise
-	// ignored: persistence is best-effort relative to serving.
+	// It receives the verdict under its cache key: the pair key for an
+	// engine of its own, the record key for a Pool's engine.  Append
+	// failures are counted (CStoreAppendErrors) and otherwise ignored:
+	// persistence is best-effort relative to serving.
 	Store VerdictStore
 }
 
@@ -138,8 +141,13 @@ type Engine struct {
 	s    *schema.Schema
 	deps []fd.FD
 	opts Options
-	// cache maps canonical pair keys to verdicts; nil when disabled.
+	// cache maps cache keys to verdicts; nil when disabled.  A Pool's
+	// engines all share the Pool's cache.
 	cache *verdictCache
+	// prefix opens every cache and store key: empty for an engine of its
+	// own, Fingerprint and recordSep for a Pool's engine, whose cache
+	// other schemas share.
+	prefix string
 }
 
 // New builds an engine for deciding queries over s under deps (pass
@@ -170,16 +178,6 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }
 
-// Warm preloads the cache with a previously computed verdict — a store
-// replay at boot — without touching the store or the hit/miss
-// accounting.  A no-op when caching is disabled.
-func (e *Engine) Warm(key string, v Verdict) {
-	if e.cache == nil {
-		return
-	}
-	e.cache.put(key, v)
-}
-
 // cachePut enters a freshly computed verdict into the cache and
 // forwards it to the persistence store, counting appends and append
 // failures.  Call sites guard on e.cache != nil, so a disabled cache
@@ -196,16 +194,19 @@ func (e *Engine) cachePut(o *obs.Obs, key string, v Verdict) {
 	o.C(obs.CStoreAppends).Add(1)
 }
 
-// pairKey builds the cache key for a pair.  Equivalence is symmetric,
-// so its two canonical keys are sorted to double the hit rate; the
-// schema/dependency fingerprint is not included because the cache is
-// private to this engine.
-func pairKey(op Op, k1, k2 string) string {
+// cacheKey builds the cache and store key for a pair: the engine's
+// prefix, then the pair key that Result.PairKey reports (see pairKeyOf).
+// Equivalence is symmetric, so its two canonical keys are sorted to
+// double the hit rate.
+func (e *Engine) cacheKey(op Op, k1, k2 string) string {
 	if op == OpEquivalent && k2 < k1 {
 		k1, k2 = k2, k1
 	}
-	return op.String() + "\x1e" + k1 + "\x1f" + k2
+	return e.prefix + op.String() + "\x1e" + k1 + "\x1f" + k2
 }
+
+// pairKeyOf strips the engine's prefix from a cache key.
+func (e *Engine) pairKeyOf(key string) string { return key[len(e.prefix):] }
 
 // withObs resolves the observability handle for a call: the engine's
 // configured Obs is installed into ctx (so the chase and search layers
@@ -295,11 +296,12 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 	}
 	k1 := e.canonicalize(ctx, o, q1)
 	k2 := e.canonicalize(ctx, o, q2)
-	key := pairKey(op, k1, k2)
-	ctx = obs.WithPair(ctx, key)
+	key := e.cacheKey(op, k1, k2)
+	pk := e.pairKeyOf(key)
+	ctx = obs.WithPair(ctx, pk)
 	if e.cache != nil {
 		if v, ok := e.cache.get(key); ok {
-			return Result{Holds: v.Holds, CacheHit: true, PairKey: key, Stats: v.Stats}
+			return Result{Holds: v.Holds, CacheHit: true, PairKey: pk, Stats: v.Stats}
 		}
 	}
 	// Isomorphic queries (equal canonical keys) are interchangeable, so
@@ -308,7 +310,7 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		if e.cache != nil {
 			e.cachePut(o, key, Verdict{Holds: true})
 		}
-		return Result{Holds: true, PairKey: key}
+		return Result{Holds: true, PairKey: pk}
 	}
 	// A miss is a one-pair batch.  Its context is the pair's own, job
 	// timeout included, so JobTimeout bounds Decide's chase as well as
@@ -601,26 +603,26 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		if _, ok := firstOf[rightKey[i]]; !ok {
 			firstOf[rightKey[i]] = j.Right
 		}
-		pk := pairKey(j.Op, leftKey[i], rightKey[i])
-		rep.Results[i].PairKey = pk
-		g, ok := groups[pk]
+		key := e.cacheKey(j.Op, leftKey[i], rightKey[i])
+		rep.Results[i].PairKey = e.pairKeyOf(key)
+		g, ok := groups[key]
 		if !ok {
 			g = &group{leader: i}
-			groups[pk] = g
-			order = append(order, pk)
+			groups[key] = g
+			order = append(order, key)
 		}
 		g.indexes = append(g.indexes, i)
 	}
 
 	// Cache probe per group.
 	var work []string
-	for _, pk := range order {
+	for _, key := range order {
 		if e.cache == nil {
-			work = append(work, pk)
+			work = append(work, key)
 			continue
 		}
-		if v, ok := e.cache.get(pk); ok {
-			for _, i := range groups[pk].indexes {
+		if v, ok := e.cache.get(key); ok {
+			for _, i := range groups[key].indexes {
 				rep.Results[i].Holds = v.Holds
 				rep.Results[i].CacheHit = true
 				rep.Results[i].Stats = v.Stats
@@ -629,7 +631,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 			}
 			continue
 		}
-		work = append(work, pk)
+		work = append(work, key)
 	}
 
 	// Compute the remaining groups on the pool.
@@ -653,10 +655,10 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	// here rather than on the pool gives each artifact's chase work to
 	// the first leader in that order that read it, so per-pair Stats do
 	// not depend on which worker got where.
-	for w, pk := range work {
+	for w, key := range work {
 		r := &runs[w]
-		g := groups[pk]
-		res := e.settle(o, pk, r.res, r.read)
+		g := groups[key]
+		res := e.settle(o, key, r.res, r.read)
 		rep.Results[g.leader] = res
 		emitVerify(ctx, o, r.start, r.end, &res)
 		for _, i := range g.indexes[1:] {
@@ -735,16 +737,16 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*fr
 	return Result{Holds: ok2, Stats: st, Err: err}, read
 }
 
-// settle books a leader's Result under pair key pk: it merges in the
+// settle books a leader's Result under cache key key: it merges in the
 // chase work the leader claims from the artifacts it read and enters a
 // verdict into the cache.  Cancellation and timeout never reach the
 // cache: the partial verdict would shadow a real decision on retry.
-func (e *Engine) settle(o *obs.Obs, pk string, res Result, read [2]*frozen) Result {
+func (e *Engine) settle(o *obs.Obs, key string, res Result, read [2]*frozen) Result {
 	res.Stats.Merge(read[0].claim())
 	res.Stats.Merge(read[1].claim())
-	res.PairKey = pk
+	res.PairKey = e.pairKeyOf(key)
 	if res.Err == nil && e.cache != nil {
-		e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
+		e.cachePut(o, key, Verdict{Holds: res.Holds, Stats: res.Stats})
 	}
 	return res
 }
@@ -769,7 +771,7 @@ func batchConstants(jobs []Job) []value.Value {
 }
 
 // Fingerprint renders the (schema, dependencies) pair an engine is
-// bound to; Pool uses it to route decisions.
+// bound to; a Pool's engines open their cache and store keys with it.
 func Fingerprint(s *schema.Schema, deps []fd.FD) string {
 	parts := make([]string, 0, len(deps)+1)
 	parts = append(parts, s.String())

@@ -243,12 +243,16 @@ func TestPoolRoutesAndCaches(t *testing.T) {
 	p := NewPool(Options{})
 	s1 := gen.GraphSchema()
 	s2 := gen.GraphSchema() // distinct pointer, same fingerprint
-	if p.For(s1, nil) != p.For(s2, nil) {
-		t.Fatal("structurally equal schemas should share an engine")
+	q1, q2 := gen.ChainQuery(2), gen.ChainQuery(3)
+	if r := p.For(s1, nil).Decide(context.Background(), q1, q2, OpEquivalent); r.Err != nil || r.CacheHit {
+		t.Fatalf("first decision: %+v", r)
 	}
-	keyed := schema.MustParse("R(k*:T1, a:T2)")
-	if p.For(s1, nil) == p.For(keyed, fd.KeyFDs(keyed)) {
-		t.Fatal("different schemas must not share an engine")
+	if r := p.For(s2, nil).Decide(context.Background(), q1, q2, OpEquivalent); !r.CacheHit {
+		t.Fatalf("structurally equal schemas should share verdicts: %+v", r)
+	}
+	keyed := schema.MustParse("E(src*:T1, dst:T1)")
+	if r := p.For(keyed, fd.KeyFDs(keyed)).Decide(context.Background(), q1, q2, OpEquivalent); r.Err != nil || r.CacheHit {
+		t.Fatalf("different schemas must not share verdicts: %+v", r)
 	}
 	ok, _, err := p.Equiv(gen.ChainQuery(2), gen.ChainQuery(2), s1, nil)
 	if err != nil || !ok {

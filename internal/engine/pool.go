@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"keyedeq/internal/containment"
 	"keyedeq/internal/cq"
@@ -10,56 +9,65 @@ import (
 	"keyedeq/internal/schema"
 )
 
-// Pool routes decisions to per-(schema, dependencies) engines so callers
-// that range over many schemas — the dominance search, the sqeq CLI —
-// get canonical caching without managing engine lifetimes themselves.
-// A Pool is safe for concurrent use.
+// recordSep joins a Fingerprint to a pair key in a Pool's cache and
+// store keys (the records of keyedeqd's verdict log).  The fingerprint
+// uses "\x00" internally and pair keys use "\x1e"/"\x1f", so "\x1d"
+// collides with neither side.
+const recordSep = "\x1d"
+
+// Pool routes decisions over many (schema, dependencies) pairs — the
+// dominance search, the sqeq CLI, the keyedeqd daemon — through one
+// verdict cache of Options.CacheSize entries in total and one
+// Options.Store, so memory stays bounded however many schemas the
+// callers name.  A Pool is safe for concurrent use.
 type Pool struct {
-	opts    Options
-	mu      sync.Mutex
-	engines map[string]*Engine
+	base *Engine // the options and the cache every engine of the pool shares
 }
 
-// NewPool builds a pool whose engines all share opts.
+// NewPool builds a pool whose engines all share opts and one cache.
 func NewPool(opts Options) *Pool {
-	return &Pool{opts: opts, engines: make(map[string]*Engine)}
+	return &Pool{base: New(nil, nil, opts)}
 }
 
-// For returns the pool's engine for (s, deps), creating it on first use.
-// Engines are keyed by Fingerprint, so structurally equal schema and
-// dependency sets share one engine (and one cache) even across distinct
-// pointers.
+// For returns an engine for (s, deps).  It is a cheap handle, new on
+// every call: it keys the pool's cache and store by Fingerprint,
+// recordSep and the pair key, so structurally equal schema and
+// dependency sets share verdicts even across distinct pointers, while
+// Result.PairKey stays the bare pair key.
 func (p *Pool) For(s *schema.Schema, deps []fd.FD) *Engine {
-	fp := Fingerprint(s, deps)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.engines[fp]
-	if !ok {
-		e = New(s, deps, p.opts)
-		p.engines[fp] = e
-	}
-	return e
+	e := *p.base
+	e.s, e.deps, e.prefix = s, deps, Fingerprint(s, deps)+recordSep
+	return &e
 }
 
-// EquivCtx decides q1 ≡ q2 over s under deps through the pool's cached
-// engines, honoring ctx cancellation and deadlines.  Its signature
-// matches mapping.EquivCtxFunc, so callers that serve requests — the
-// keyedeqd daemon, the dominance search — keep per-request timeouts all
-// the way into the homomorphism searches.
+// Warm preloads the pool's cache with a verdict the store replayed,
+// under its record key, without touching the store or the hit and miss
+// counts.  A no-op when caching is disabled.
+func (p *Pool) Warm(key string, v Verdict) {
+	if p.base.cache != nil {
+		p.base.cache.put(key, v)
+	}
+}
+
+// EquivCtx decides q1 ≡ q2 over s under deps through the pool's cache,
+// honoring ctx cancellation and deadlines.  Its signature matches
+// mapping.EquivCtxFunc, so callers that serve requests — the keyedeqd
+// daemon, the dominance search — keep per-request timeouts all the way
+// into the homomorphism searches.
 func (p *Pool) EquivCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
 	r := p.For(s, deps).Decide(ctx, q1, q2, OpEquivalent)
 	return r.Holds, r.Stats, r.Err
 }
 
-// ContainsCtx decides q1 ⊑ q2 through the pool's cached engines,
-// honoring ctx cancellation and deadlines.
+// ContainsCtx decides q1 ⊑ q2 through the pool's cache, honoring ctx
+// cancellation and deadlines.
 func (p *Pool) ContainsCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
 	r := p.For(s, deps).Decide(ctx, q1, q2, OpContained)
 	return r.Holds, r.Stats, r.Err
 }
 
-// Equiv decides q1 ≡ q2 over s under deps through the pool's cached
-// engines.  Its signature matches containment.EquivalentUnder (and hence
+// Equiv decides q1 ≡ q2 over s under deps through the pool's cache.
+// Its signature matches containment.EquivalentUnder (and hence
 // mapping.EquivFunc), so it is a drop-in accelerated replacement;
 // callers with a context should prefer EquivCtx, which this delegates
 // to with a background context.
@@ -67,24 +75,11 @@ func (p *Pool) Equiv(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, co
 	return p.EquivCtx(context.Background(), q1, q2, s, deps)
 }
 
-// Contains decides q1 ⊑ q2 through the pool's cached engines; callers
-// with a context should prefer ContainsCtx.
+// Contains decides q1 ⊑ q2 through the pool's cache; callers with a
+// context should prefer ContainsCtx.
 func (p *Pool) Contains(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
 	return p.ContainsCtx(context.Background(), q1, q2, s, deps)
 }
 
-// Stats sums cache statistics over every engine the pool created.
-func (p *Pool) Stats() CacheStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out CacheStats
-	for _, e := range p.engines {
-		s := e.CacheStats()
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-		out.Entries += s.Entries
-		out.Capacity += s.Capacity
-	}
-	return out
-}
+// Stats snapshots the pool's cache (zero when caching is off).
+func (p *Pool) Stats() CacheStats { return p.base.CacheStats() }

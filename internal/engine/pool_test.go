@@ -3,9 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
+	"keyedeq/internal/fd"
 	"keyedeq/internal/gen"
+	"keyedeq/internal/schema"
 )
 
 // TestPoolEquivCtxCancelled pins the ctx plumbing: a cancelled context
@@ -43,5 +46,35 @@ func TestPoolEquivDelegates(t *testing.T) {
 	ok2, _, err2 := p.EquivCtx(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
 	if err1 != nil || err2 != nil || ok1 != ok2 {
 		t.Fatalf("Equiv/EquivCtx disagree: %v/%v err %v/%v", ok1, ok2, err1, err2)
+	}
+}
+
+// TestPoolConcurrentSchemas decides over two schemas from several
+// goroutines at once: every handle shares the pool's one cache, so each
+// schema's pair is computed at least once and the cache ends holding
+// exactly the two verdicts.
+func TestPoolConcurrentSchemas(t *testing.T) {
+	p := NewPool(Options{Workers: 1})
+	plain := gen.GraphSchema()
+	keyed := schema.MustParse("E(src*:T1, dst:T1)")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s, deps := plain, []fd.FD(nil)
+				if (w+i)%2 == 1 {
+					s, deps = keyed, fd.KeyFDs(keyed)
+				}
+				if r := p.For(s, deps).Decide(context.Background(), gen.ChainQuery(2), gen.ChainQuery(3), OpEquivalent); r.Err != nil {
+					t.Error(r.Err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := p.Stats(); st.Entries != 2 || st.Hits+st.Misses != 160 {
+		t.Fatalf("pool cache after 160 decisions over 2 schemas: %+v", st)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"keyedeq/internal/containment"
+	"keyedeq/internal/fd"
 	"keyedeq/internal/gen"
 	"keyedeq/internal/obs"
+	"keyedeq/internal/schema"
 )
 
 type memStore struct {
@@ -96,23 +98,24 @@ func TestStoreBatchAndDedup(t *testing.T) {
 
 func TestWarmLoadsCacheWithoutStore(t *testing.T) {
 	st := &memStore{}
-	e := New(gen.GraphSchema(), nil, Options{Store: st})
+	p := NewPool(Options{Store: st})
+	s := gen.GraphSchema()
 	q1, q2 := gen.ChainQuery(2), gen.ChainQuery(3)
 
 	// Compute the canonical pair key on a throwaway engine so the warm
 	// target's own counters stay clean.
-	scout := New(gen.GraphSchema(), nil, Options{DisableCache: true})
+	scout := New(s, nil, Options{DisableCache: true})
 	key := scout.Decide(context.Background(), q1, q2, OpEquivalent).PairKey
 	if key == "" {
 		t.Fatal("no pair key from scout")
 	}
 
 	frozen := containment.SearchStats(123)
-	e.Warm(key, Verdict{Holds: false, Stats: frozen})
+	p.Warm(Fingerprint(s, nil)+recordSep+key, Verdict{Holds: false, Stats: frozen})
 	if st.count() != 0 {
 		t.Fatalf("Warm wrote %d records to the store", st.count())
 	}
-	r := e.Decide(context.Background(), q1, q2, OpEquivalent)
+	r := p.For(s, nil).Decide(context.Background(), q1, q2, OpEquivalent)
 	if !r.CacheHit {
 		t.Fatal("warm-loaded verdict was not a cache hit")
 	}
@@ -125,10 +128,33 @@ func TestWarmLoadsCacheWithoutStore(t *testing.T) {
 }
 
 func TestWarmDisabledCacheIsNoop(t *testing.T) {
-	e := New(gen.GraphSchema(), nil, Options{DisableCache: true, Store: &memStore{}})
-	e.Warm("anything", Verdict{Holds: true})
-	if st := e.CacheStats(); st.Entries != 0 {
+	p := NewPool(Options{DisableCache: true, Store: &memStore{}})
+	p.Warm("anything", Verdict{Holds: true})
+	if st := p.Stats(); st.Entries != 0 {
 		t.Fatalf("warm on disabled cache: %+v", st)
+	}
+}
+
+// TestPoolRecordKeys pins the key formats a verdict log depends on: a
+// Pool's engine reports the same PairKey as an engine of its own, and
+// stores the verdict under Fingerprint, "\x1d" and that pair key.
+func TestPoolRecordKeys(t *testing.T) {
+	st := &memStore{}
+	p := NewPool(Options{Store: st})
+	s := schema.MustParse("E(src*:T1, dst:T1)")
+	deps := fd.KeyFDs(s)
+	q1, q2 := gen.ChainQuery(2), gen.ChainQuery(3)
+	want := New(s, deps, Options{}).Decide(context.Background(), q1, q2, OpEquivalent).PairKey
+	r := p.For(s, deps).Decide(context.Background(), q1, q2, OpEquivalent)
+	if r.Err != nil || r.PairKey != want {
+		t.Fatalf("pool PairKey %q (err %v), want %q", r.PairKey, r.Err, want)
+	}
+	if st.count() != 1 || st.puts[0].Key != Fingerprint(s, deps)+"\x1d"+want {
+		t.Fatalf("store puts %+v, want one under the fingerprinted pair key", st.puts)
+	}
+	rep := p.For(s, deps).Run(context.Background(), []Job{{Left: q2, Right: q1, Op: OpEquivalent}})
+	if got := rep.Results[0]; !got.CacheHit || got.PairKey != want {
+		t.Fatalf("Run through the pool: %+v, want a cache hit on %q", got, want)
 	}
 }
 

@@ -45,10 +45,11 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Engine is the base options every per-schema engine is created
-	// with (Store and Obs are overwritten by the server).
+	// Engine configures the server's engine pool: CacheSize bounds its
+	// one verdict cache, shared by every schema the requests name (Store
+	// and Obs are overwritten by the server).
 	Engine engine.Options
-	// Log, when set, persists verdicts and warm-starts the caches at
+	// Log, when set, persists verdicts and warm-starts the cache at
 	// boot.  The server syncs it on drain; the caller closes it.
 	Log *store.Log
 	// Obs, when set, receives serve/store metrics and mounts /metrics,
@@ -76,7 +77,7 @@ const (
 type Server struct {
 	cfg     Config
 	o       *obs.Obs
-	engines *engineSet
+	pool    *engine.Pool
 	mux     *http.ServeMux
 	httpSrv *http.Server
 
@@ -92,9 +93,9 @@ type Server struct {
 	decideHook func()
 }
 
-// New builds a server: replays the verdict log into the warm-start set,
-// compacts the log when the append history has outgrown the live set,
-// and mounts all endpoints.
+// New builds a server: replays the verdict log, compacts it when the
+// append history has outgrown the live set, warms the cache, and mounts
+// all endpoints.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
@@ -105,26 +106,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
+	opts := cfg.Engine
+	opts.Obs = cfg.Obs
+	if cfg.Log != nil {
+		opts.Store = logStore{cfg.Log}
+	}
 	s := &Server{
 		cfg:     cfg,
 		o:       cfg.Obs,
-		engines: newEngineSet(cfg.Engine, cfg.Log, cfg.Obs),
+		pool:    engine.NewPool(opts),
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		clients: make(map[string]int),
 	}
-	total, live, err := s.engines.replay()
-	if err != nil {
-		return nil, fmt.Errorf("serve: replaying verdict log: %v", err)
-	}
-	s.o.C(obs.CStoreReplayed).Add(int64(total))
 	if cfg.Log != nil {
-		s.o.C(obs.CStoreTruncatedBytes).Add(cfg.Log.RecoveryStats().TruncatedBytes)
-		if total >= compactMinRecords && total > compactFactor*live {
-			if err := cfg.Log.Compact(s.engines.liveRecords()); err != nil {
-				return nil, fmt.Errorf("serve: compacting verdict log: %v", err)
-			}
-			s.o.C(obs.CStoreCompactions).Add(1)
+		if err := s.warmStart(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -142,6 +139,59 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
 	return s, nil
+}
+
+// logStore persists the pool's fresh verdicts, which arrive under their
+// record keys, to the verdict log.
+type logStore struct{ log *store.Log }
+
+func (l logStore) Put(key string, v engine.Verdict) error {
+	return l.log.Append(store.Record{Key: key, Holds: v.Holds, Stats: v.Stats})
+}
+
+// warmStart replays the verdict log once.  A record supersedes every
+// earlier record of its key.  The log is compacted to the live records,
+// in log order, when the append history holds more than twice as many;
+// then the newest live records the cache can hold are warmed into it,
+// oldest first, so the newest survive any shard that overflows.
+func (s *Server) warmStart() error {
+	log := s.cfg.Log
+	var recs []store.Record
+	last := make(map[string]int) // record key -> index of its newest record
+	if err := log.Replay(func(r store.Record) error {
+		last[r.Key] = len(recs)
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("serve: replaying verdict log: %v", err)
+	}
+	s.o.C(obs.CStoreReplayed).Add(int64(len(recs)))
+	s.o.C(obs.CStoreTruncatedBytes).Add(log.RecoveryStats().TruncatedBytes)
+	if len(recs) >= compactMinRecords && len(recs) > compactFactor*len(last) {
+		live := make([]store.Record, 0, len(last))
+		for i, r := range recs {
+			if last[r.Key] == i {
+				live = append(live, r)
+			}
+		}
+		if err := log.Compact(live); err != nil {
+			return fmt.Errorf("serve: compacting verdict log: %v", err)
+		}
+		s.o.C(obs.CStoreCompactions).Add(1)
+	}
+	capacity := s.pool.Stats().Capacity
+	var newest []int // indexes of the newest live records, newest first
+	for i := len(recs) - 1; i >= 0 && len(newest) < capacity; i-- {
+		if last[recs[i].Key] == i {
+			newest = append(newest, i)
+		}
+	}
+	for j := len(newest) - 1; j >= 0; j-- {
+		r := &recs[newest[j]]
+		s.pool.Warm(r.Key, engine.Verdict{Holds: r.Holds, Stats: r.Stats})
+	}
+	s.o.G(obs.GCacheEntries).Set(int64(s.pool.Stats().Entries))
+	return nil
 }
 
 // Handler exposes the server's mux (for tests via httptest).
@@ -399,7 +449,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	s.o.C(obs.CServeRequests).Add(1)
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutOf(req.TimeoutMS))
 	defer cancel()
-	res := s.engines.engine(sch, deps).Decide(ctx, left, right, op)
+	res := s.pool.For(sch, deps).Decide(ctx, left, right, op)
 	if res.Err != nil {
 		if errors.Is(res.Err, context.DeadlineExceeded) || errors.Is(res.Err, context.Canceled) {
 			writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("decision timed out: %v", res.Err))
@@ -442,12 +492,13 @@ type batchResult struct {
 }
 
 type batchSummary struct {
-	Summary   bool  `json:"summary"`
-	Pairs     int   `json:"pairs"`
-	Holding   int   `json:"holding"`
-	Errors    int   `json:"errors"`
-	CacheHits int   `json:"cache_hits"`
-	Nodes     int64 `json:"nodes"`
+	Summary   bool   `json:"summary"`
+	Pairs     int    `json:"pairs"`
+	Holding   int    `json:"holding"`
+	Errors    int    `json:"errors"`
+	CacheHits int    `json:"cache_hits"`
+	Nodes     int64  `json:"nodes"`
+	Error     string `json:"error,omitempty"` // why the stream stopped early
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +526,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("schema: %v", err))
 		return
 	}
-	eng := s.engines.engine(sch, deps)
+	eng := s.pool.For(sch, deps)
 	timeout := s.timeoutOf(hdr.TimeoutMS)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -483,7 +534,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var sum batchSummary
 	sum.Summary = true
-	for i := 0; sc.Scan(); i++ {
+	i := 0
+	for ; sc.Scan(); i++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
@@ -540,9 +592,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		// The stream is already committed; report the read failure as a
-		// summary-level error line.
+		// The stream is already committed; report the read failure, line
+		// i, in the summary.  No line after it is read.
 		sum.Errors++
+		sum.Error = fmt.Sprintf("line %d: reading the stream: %v", i, err)
+		if errors.Is(err, bufio.ErrTooLong) {
+			sum.Error = fmt.Sprintf("line %d exceeds the %d-byte line cap; the stream stopped there", i, maxBodyBytes)
+		}
 	}
 	enc.Encode(sum)
 }
@@ -616,7 +672,7 @@ type schemaDominanceResponse struct {
 
 // handleSchemaDominance verifies a user-supplied (α, β) pair: validity
 // of both mappings plus β∘α = id, with the per-relation equivalences
-// routed through the engine set — so repeated dominance checks hit the
+// routed through the engine pool — so repeated dominance checks hit the
 // verdict cache and the persistent store like any other decision.
 func (s *Server) handleSchemaDominance(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.acquire(w, r)
@@ -669,7 +725,7 @@ func (s *Server) handleSchemaDominance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp.AlphaValid && resp.BetaValid {
-		resp.RoundTripIdentity, err = mapping.RoundTripIsIdentityCtx(ctx, alpha, beta, s.engines.EquivCtx)
+		resp.RoundTripIdentity, err = mapping.RoundTripIsIdentityCtx(ctx, alpha, beta, s.pool.EquivCtx)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("round trip timed out: %v", err))
@@ -701,7 +757,7 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var resp statsResponse
-	cs := s.engines.cacheStats()
+	cs := s.pool.Stats()
 	resp.Cache.Hits = cs.Hits
 	resp.Cache.Misses = cs.Misses
 	resp.Cache.Evictions = cs.Evictions

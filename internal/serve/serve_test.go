@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"keyedeq/internal/containment"
+	"keyedeq/internal/engine"
 	"keyedeq/internal/obs"
 	"keyedeq/internal/store"
 )
@@ -245,7 +247,7 @@ func TestSchemaDominanceEndpoint(t *testing.T) {
 		Alpha:   "p(X, X) :- r(X).",
 		Beta:    "r(X) :- p(X, Y).",
 	}, &resp)
-	if cs := s.engines.cacheStats(); cs.Hits == 0 {
+	if cs := s.pool.Stats(); cs.Hits == 0 {
 		t.Fatalf("dominance decisions bypassed the cache: %+v", cs)
 	}
 }
@@ -506,7 +508,7 @@ func TestBootCompaction(t *testing.T) {
 	}
 	// 2048 appends over 4 distinct keys: total ≫ 2·live.
 	for i := 0; i < 2048; i++ {
-		rec := store.Record{Key: fmt.Sprintf("fp%s%d", fpSep, i%4), Holds: i%2 == 0}
+		rec := store.Record{Key: fmt.Sprintf("fp\x1d%d", i%4), Holds: i%2 == 0}
 		if err := log.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -657,5 +659,194 @@ func TestHugeQueryRefusedQuickly(t *testing.T) {
 	}
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "left query has 50000 atoms") {
 		t.Fatalf("status %d body %q, want a 413 for the left query", rec.Code, rec.Body.String())
+	}
+}
+
+// getStats reads GET /v1/stats.
+func getStats(t *testing.T, s *Server) statsResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("decoding /v1/stats %q: %v", rec.Body.String(), err)
+	}
+	return st
+}
+
+// renamedDecide is a decide request over the graph schema with its
+// second attribute renamed to name: the same pair under a new schema.
+func renamedDecide(name string) decideRequest {
+	r := decideBody("V(X) :- edge(X, Y), edge(W, Z), Y = W.", "V(A) :- edge(A, B).")
+	r.Schema = "edge(src:T1, " + name + ":T1)"
+	return r
+}
+
+// TestCacheEntriesGaugeMatchesStats decides over two schemas: the
+// keyedeq_cache_entries gauge must read what /v1/stats reports, not the
+// count of whichever schema decided last.
+func TestCacheEntriesGaugeMatchesStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{Obs: &obs.Obs{Reg: reg}})
+	for _, req := range []decideRequest{
+		decideBody("V(X) :- edge(X, Y).", "V(A) :- edge(A, B), edge(C, D), B = C."),
+		decideBody("V(X) :- edge(X, Y).", "V(A) :- edge(A, B), edge(C, D), A = C."),
+		renamedDecide("dst2"),
+	} {
+		if rec := postJSON(t, s, "/v1/decide", req, nil); rec.Code != http.StatusOK {
+			t.Fatalf("decide: status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	st := getStats(t, s)
+	if st.Cache.Entries != 3 {
+		t.Fatalf("/v1/stats entries = %d, want 3", st.Cache.Entries)
+	}
+	if got := reg.G(obs.GCacheEntries).Value(); got != int64(st.Cache.Entries) {
+		t.Fatalf("keyedeq_cache_entries = %d, /v1/stats entries = %d", got, st.Cache.Entries)
+	}
+}
+
+// TestCacheBoundedAcrossSchemas sends thousands of decisions that
+// differ only in an attribute name, so each names a new schema: the
+// daemon's one cache must keep the capacity it was given.
+func TestCacheBoundedAcrossSchemas(t *testing.T) {
+	const capacity = 64
+	s := newTestServer(t, Config{Engine: engine.Options{CacheSize: capacity}})
+	for i := 0; i < 2000; i++ {
+		if rec := postJSON(t, s, "/v1/decide", renamedDecide(fmt.Sprintf("d%d", i)), nil); rec.Code != http.StatusOK {
+			t.Fatalf("decide %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	st := getStats(t, s)
+	if st.Cache.Capacity != capacity || st.Cache.Entries > capacity {
+		t.Fatalf("cache after 2000 schemas: %+v, want capacity %d and at most %d entries", st.Cache, capacity, capacity)
+	}
+	if st.Cache.Evictions == 0 {
+		t.Fatalf("no evictions after 2000 distinct verdicts: %+v", st.Cache)
+	}
+}
+
+// TestWarmStartLogOutgrowsCache boots a daemon whose cache holds a
+// quarter of the log's verdicts: the newest verdict must come back
+// warm, the oldest must not, and the cache must stay within its bound.
+func TestWarmStartLogOutgrowsCache(t *testing.T) {
+	const capacity = 32
+	logPath := filepath.Join(t.TempDir(), "verdicts.log")
+	log, err := store.Open(logPath, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := newTestServer(t, Config{Log: log})
+	for i := 0; i < 4*capacity; i++ {
+		if rec := postJSON(t, s1, "/v1/decide", renamedDecide(fmt.Sprintf("d%d", i)), nil); rec.Code != http.StatusOK {
+			t.Fatalf("decide %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log2, err := store.Open(logPath, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	reg := obs.NewRegistry()
+	s2 := newTestServer(t, Config{Log: log2, Obs: &obs.Obs{Reg: reg}, Engine: engine.Options{CacheSize: capacity}})
+	st := getStats(t, s2)
+	if st.Cache.Entries == 0 || st.Cache.Entries > capacity {
+		t.Fatalf("cache after boot: %+v, want between 1 and %d entries", st.Cache, capacity)
+	}
+	if got := reg.G(obs.GCacheEntries).Value(); got != int64(st.Cache.Entries) {
+		t.Fatalf("keyedeq_cache_entries after boot = %d, /v1/stats entries = %d", got, st.Cache.Entries)
+	}
+	var newest, oldest decideResponse
+	postJSON(t, s2, "/v1/decide", renamedDecide(fmt.Sprintf("d%d", 4*capacity-1)), &newest)
+	if !newest.CacheHit {
+		t.Fatalf("newest verdict after boot: %+v, want a cache hit", newest)
+	}
+	postJSON(t, s2, "/v1/decide", renamedDecide("d0"), &oldest)
+	if oldest.CacheHit {
+		t.Fatalf("oldest verdict after boot: %+v, want a miss", oldest)
+	}
+	if st := getStats(t, s2); st.Cache.Entries > capacity {
+		t.Fatalf("cache after boot: %+v, want at most %d entries", st.Cache, capacity)
+	}
+}
+
+// TestBootCompactionKeepsLogOrder compacts a log whose keys were last
+// written in an order no map iteration reproduces reliably: the
+// compacted log must hold each key's newest record, in log order.
+func TestBootCompactionKeepsLogOrder(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "verdicts.log")
+	log, err := store.Open(logPath, store.Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 16
+	var want []string
+	for i := 0; i < 2048; i++ {
+		// The last pass writes the keys in reverse.
+		k := i % keys
+		if i >= 2048-keys {
+			k = keys - 1 - k
+		}
+		rec := store.Record{Key: fmt.Sprintf("fp\x1dk%02d", k), Stats: containment.Stats{Nodes: int64(i)}}
+		if err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 2048-keys {
+			want = append(want, fmt.Sprintf("%s@%d", rec.Key, i))
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log2, err := store.Open(logPath, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	newTestServer(t, Config{Log: log2})
+	var got []string
+	if err := log2.Replay(func(r store.Record) error {
+		got = append(got, fmt.Sprintf("%s@%d", r.Key, r.Stats.Nodes))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("compacted log:\n%v\nwant:\n%v", got, want)
+	}
+}
+
+// TestBatchOversizedLine sends a batch line one byte over the cap
+// between two good lines: the first is decided, and the summary must
+// say which line stopped the stream and why.
+func TestBatchOversizedLine(t *testing.T) {
+	s := newTestServer(t, Config{})
+	good := `{"left":"V(X) :- edge(X, Y).","right":"V(A) :- edge(A, B)."}` + "\n"
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"schema":%q,"unkeyed":true}`+"\n", graphSchema)
+	b.WriteString(good)
+	b.WriteString(strings.Repeat("x", maxBodyBytes+1) + "\n")
+	b.WriteString(good)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(b.String())))
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	if rec.Code != http.StatusOK || len(lines) != 2 {
+		t.Fatalf("status %d, %d lines: %s", rec.Code, len(lines), rec.Body.String())
+	}
+	var first batchResult
+	var sum batchSummary
+	if json.Unmarshal([]byte(lines[0]), &first) != nil || json.Unmarshal([]byte(lines[1]), &sum) != nil {
+		t.Fatalf("undecodable lines: %s", rec.Body.String())
+	}
+	if first.Index != 0 || !first.Holds || first.Error != "" {
+		t.Fatalf("line 0: %+v", first)
+	}
+	if !sum.Summary || sum.Pairs != 1 || sum.Errors != 1 ||
+		!strings.Contains(sum.Error, "line 1 ") || !strings.Contains(sum.Error, fmt.Sprint(maxBodyBytes)) {
+		t.Fatalf("summary %+v, want an error naming line 1 and the %d-byte cap", sum, maxBodyBytes)
 	}
 }

@@ -156,7 +156,8 @@ type (
 	EngineJob = engine.Job
 	// EngineReport aggregates an engine batch run.
 	EngineReport = engine.Report
-	// EnginePool routes decisions to per-(schema, deps) engines.
+	// EnginePool decides over many (schema, deps) pairs through one
+	// bounded verdict cache.
 	EnginePool = engine.Pool
 	// EngineCacheStats snapshots an engine's verdict cache.
 	EngineCacheStats = engine.CacheStats
@@ -457,8 +458,9 @@ func NewEngine(s *Schema, deps []FD, opts EngineOptions) *Engine {
 	return engine.New(s, deps, opts)
 }
 
-// NewEnginePool builds an engine pool whose engines share opts; its
-// Equiv method is a drop-in cached replacement for
+// NewEnginePool builds an engine pool whose engines share opts and one
+// verdict cache of opts.CacheSize entries, however many schemas they
+// decide over; its Equiv method is a drop-in cached replacement for
 // EquivalentQueriesUnder (and a valid SearchOptions.Equiv).
 func NewEnginePool(opts EngineOptions) *EnginePool { return engine.NewPool(opts) }
 
