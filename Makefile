@@ -58,6 +58,7 @@ FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzParseCQ$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instance -run '^$$' -fuzz '^FuzzParseInstance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qvet -run '^$$' -fuzz '^FuzzQVet$$' -fuzztime $(FUZZTIME)
@@ -101,14 +102,15 @@ bench-alloc-verify:
 # search-verify gates the homomorphism search under the race detector:
 # the adaptive-vs-naive differential wall over every corpus family
 # (verdicts, witnesses, and the arm each family takes), the in-package
-# arm-vs-oracle parity suites, and the cancellation contracts; the
+# arm-vs-oracle parity suites, the compiled query form against the
+# oracle's equality classes, and the cancellation contracts; the
 # parity of the decision paths (Engine.Decide against the containment
 # procedures on the E1 corpus, Engine.Run against Engine.Decide on the
 # same corpus with poisoned jobs, the theory procedures against the
 # containment procedures with no TGDs); then the chase freeze tests and
 # the allocation record.
 search-verify:
-	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved' -count=1
+	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved|TestCompiledMatchesEqClasses' -count=1
 	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive|TestTheoryStatsMatchContainment' -count=1
 	$(GO) test -race ./internal/engine -run 'TestDecideMatchesContainment|TestRunMatchesDecide' -count=1
 	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1

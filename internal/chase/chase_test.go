@@ -268,6 +268,17 @@ func TestFreezeUnsatisfiable(t *testing.T) {
 	}
 }
 
+// TestFreezeArityMismatch: an atom with more placeholders than its
+// relation has columns is an error, not an index panic.
+func TestFreezeArityMismatch(t *testing.T) {
+	s := schema.MustParse("R(a:T1)")
+	for _, text := range []string{"V(X) :- R(X, Y).", "V(X) :- R(X), R(Y, Z)."} {
+		if _, err := Freeze(NewTableau(s), cq.MustParse(text)); err == nil {
+			t.Errorf("%s: arity mismatch accepted", text)
+		}
+	}
+}
+
 func TestFreezeUnknownRelation(t *testing.T) {
 	s := schema.MustParse("R(a:T1)")
 	q := cq.MustParse("V(X) :- Z(X).")

@@ -8,51 +8,63 @@ import (
 	"keyedeq/internal/schema"
 )
 
-// Freeze loads a conjunctive query's body into the tableau: one term per
-// equality class (bound classes become constants), one row per body atom.
-// It returns the term for each variable.  A query whose equality list
-// equates distinct constants marks the tableau failed.
-func Freeze(t *Tableau, q *cq.Query) (map[cq.Var]Term, error) {
-	eq := cq.NewEqClasses(q)
-	if eq.Unsatisfiable() {
+// FreezeCompiled loads q's body into the tableau through q's compiled
+// form c: one term per body class (a class bound to a constant becomes
+// that constant's term), one row per body atom.  It returns the term of
+// each body class, terms[k] for class k < c.BodyClasses.  A query whose
+// equality list equates distinct constants marks the tableau failed.
+func FreezeCompiled(t *Tableau, q *cq.Query, c *cq.Compiled) ([]Term, error) {
+	if c.Unsat {
 		t.failed = true
 	}
-	terms := make(map[cq.Var]Term)
-	termOf := func(v cq.Var, typ int) (Term, error) {
-		root := eq.Find(v)
-		if tm, ok := terms[root]; ok {
-			terms[v] = tm
-			return tm, nil
-		}
-		var tm Term
-		if c, ok := eq.Const(v); ok {
-			tm = t.NewConst(c)
-		} else {
-			r := t.Schema.Relations[typ>>16]
-			tm = t.NewNull(r.Attrs[typ&0xffff].Type)
-		}
-		terms[root] = tm
-		terms[v] = tm
-		return tm, nil
+	terms := make([]Term, c.BodyClasses)
+	for k := range terms {
+		terms[k] = -1
 	}
-	for _, a := range q.Body {
+	var cells []Term
+	for i, a := range q.Body {
 		ri := t.Schema.RelationIndex(a.Rel)
 		if ri < 0 {
 			return nil, fmt.Errorf("chase: query uses unknown relation %q", a.Rel)
 		}
-		cells := make([]Term, len(a.Vars))
-		for i, v := range a.Vars {
-			tm, err := termOf(v, ri<<16|i)
-			if err != nil {
-				return nil, err
+		r := t.Schema.Relations[ri]
+		if len(a.Vars) != r.Arity() {
+			return nil, fmt.Errorf("chase: %s has %d placeholders, scheme wants %d", a.Rel, len(a.Vars), r.Arity())
+		}
+		cells = cells[:0]
+		for p, k := range c.Args[i] {
+			if terms[k] < 0 {
+				if c.HasConst[k] {
+					terms[k] = t.NewConst(c.Const[k])
+				} else {
+					terms[k] = t.NewNull(r.Attrs[p].Type)
+				}
 			}
-			cells[i] = tm
+			cells = append(cells, terms[k])
 		}
 		if err := t.AddRow(a.Rel, cells); err != nil {
 			return nil, err
 		}
 	}
 	return terms, nil
+}
+
+// Freeze is FreezeCompiled seen by variable name: it returns the term
+// of every body placeholder of q.
+func Freeze(t *Tableau, q *cq.Query) (map[cq.Var]Term, error) {
+	c := cq.Compile(q)
+	defer c.Release()
+	terms, err := FreezeCompiled(t, q, c)
+	if err != nil {
+		return nil, err
+	}
+	vars := make(map[cq.Var]Term, c.Slots())
+	for i, a := range q.Body {
+		for p, v := range a.Vars {
+			vars[v] = terms[c.Args[i][p]]
+		}
+	}
+	return vars, nil
 }
 
 // HeadTerms resolves q's head through the variable terms returned by

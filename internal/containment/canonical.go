@@ -2,6 +2,7 @@ package containment
 
 import (
 	"context"
+	"fmt"
 
 	"keyedeq/internal/chase"
 	"keyedeq/internal/cq"
@@ -41,28 +42,38 @@ type CanonicalDB struct {
 //
 //keyedeq:hot -- freeze-chase-decode is the left half of every verdict the engine computes
 func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []fd.FD, reserve []value.Value) *CanonicalDB {
-	c, _, _ := buildCanonicalDB(q, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+	comp := cq.Compile(q)
+	defer comp.Release()
+	c, _, _ := buildCanonicalDB(q, comp, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(ctx, tb, deps)
 	})
 	return c
 }
 
-// buildCanonicalDB is the one freeze → chase → decode sequence; run is
-// the chase step.  Beside the result it returns q's variable terms and
-// their decoding (nil when the build stopped early), which only
-// FindHomomorphism reads, to map a witness back to q's variables.
-func buildCanonicalDB(q *cq.Query, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, map[cq.Var]chase.Term, map[chase.Term]value.Value) {
+// buildCanonicalDB is the one freeze → chase → decode sequence over q's
+// compiled form comp; run is the chase step.  Beside the result it
+// returns the term of each body class and the terms' decoding (nil when
+// the build stopped early), which only FindHomomorphism reads, to map a
+// witness back to q's variables.
+func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, []chase.Term, map[chase.Term]value.Value) {
 	c := &CanonicalDB{}
 	tb := chase.NewTableau(s)
-	vars, err := chase.Freeze(tb, q)
+	terms, err := chase.FreezeCompiled(tb, q, comp)
 	if err != nil {
 		c.err = err
 		return c, nil, nil
 	}
-	head, err := chase.HeadTerms(tb, q, vars)
-	if err != nil {
-		c.err = err
-		return c, nil, nil
+	head := make([]chase.Term, len(q.Head))
+	for i, k := range comp.Head {
+		switch {
+		case k < 0:
+			head[i] = tb.NewConst(q.Head[i].Const)
+		case int(k) < comp.BodyClasses:
+			head[i] = terms[k]
+		default:
+			c.err = fmt.Errorf("containment: head variable %s occurs in no atom", q.Head[i].Var)
+			return c, nil, nil
+		}
 	}
 	c.chase, c.err = run(tb)
 	// Freezing alone can fail the tableau (query equalities forcing
@@ -84,7 +95,7 @@ func buildCanonicalDB(q *cq.Query, s *schema.Schema, reserve []value.Value, run 
 	for i, h := range head {
 		c.head[i] = valOf[h]
 	}
-	return c, vars, valOf
+	return c, terms, valOf
 }
 
 // keyChase is NewCanonicalDB's chase step: the EGDs deps run over tb

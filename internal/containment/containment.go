@@ -284,12 +284,17 @@ func removeAtom(q *cq.Query, i int) (*cq.Query, bool) {
 			remaining[v] = true
 		}
 	}
-	// Group remaining variables by class.
+	// Group remaining variables by class; roots lists the classes in
+	// first-appearance order, so the equalities print the same every run.
 	classes := make(map[cq.Var][]cq.Var)
+	var roots []cq.Var
 	for _, a := range q.Body {
 		for _, v := range a.Vars {
 			if remaining[v] {
 				root := eq.Find(v)
+				if classes[root] == nil {
+					roots = append(roots, root)
+				}
 				classes[root] = append(classes[root], v)
 			}
 		}
@@ -308,7 +313,8 @@ func removeAtom(q *cq.Query, i int) (*cq.Query, bool) {
 	}
 	// Equalities: chain the remaining members of each class, and re-bind
 	// class constants.
-	for root, members := range classes {
+	for _, root := range roots {
+		members := classes[root]
 		for k := 1; k < len(members); k++ {
 			out.Eqs = append(out.Eqs, cq.Equality{Left: members[0], Right: cq.Term{Var: members[k]}})
 		}

@@ -296,6 +296,24 @@ func TestMinimizePaperStyle(t *testing.T) {
 	}
 }
 
+// TestMinimizePrintsDeterministically minimizes one query 200 times:
+// the surviving classes' equality chains must come out in one order,
+// the classes' first appearance in the body.
+func TestMinimizePrintsDeterministically(t *testing.T) {
+	s := schema.MustParse("R(a:T1, b:T1, c:T1)")
+	q := cq.MustParse("V(A) :- R(A, B, C), R(D, E, F), R(G, H, I), B = D, C = E, G = A, H = B, I = C.")
+	const want = "V(G) :- R(D, E, F), R(G, H, I), D = H, E = I."
+	for i := 0; i < 200; i++ {
+		m, err := Minimize(q, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.String(); got != want {
+			t.Fatalf("run %d: Minimize printed %s, want %s", i, got, want)
+		}
+	}
+}
+
 func TestMinimizeKeepsCore(t *testing.T) {
 	// 2-path query is already minimal.
 	q := cq.MustParse("V(X) :- E(X, Y), E(Y2, Z), Y = Y2.")

@@ -52,7 +52,9 @@ func theoryDB(q *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, max
 	if maxRounds <= 0 {
 		maxRounds = DefaultTGDRounds
 	}
-	c, _, _ := buildCanonicalDB(q, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+	comp := cq.Compile(q)
+	defer comp.Release()
+	c, _, _ := buildCanonicalDB(q, comp, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
 		if len(egds) == 0 && len(tgds) == 0 {
 			return chase.Stats{}, nil
 		}

@@ -48,7 +48,9 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return nil, false, err
 	}
-	c, vars, valOf := buildCanonicalDB(q1, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
+	comp := cq.Compile(q1)
+	defer comp.Release()
+	c, terms, valOf := buildCanonicalDB(q1, comp, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(context.Background(), tb, deps)
 	})
 	switch {
@@ -65,10 +67,12 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	// maps to a representative q1 variable of its chased class; reserved
 	// constants map to themselves.
 	valToVar := make(map[value.Value]cq.Var)
-	for _, v := range q1.BodyVars() {
-		val := valOf[vars[v]]
-		if _, seen := valToVar[val]; !seen {
-			valToVar[val] = v
+	for i, a := range q1.Body {
+		for p, v := range a.Vars {
+			val := valOf[terms[comp.Args[i][p]]]
+			if _, seen := valToVar[val]; !seen {
+				valToVar[val] = v
+			}
 		}
 	}
 	hom := make(Homomorphism, len(binding))

@@ -41,40 +41,47 @@ func allSmall(q *Query, d *instance.Database) bool {
 // findAnswerScan is the no-plan arm: the dense scan over the resolved
 // relations.
 func findAnswerScan(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
+	comp := Compile(q)
+	defer comp.Release()
+	if comp.Unsat {
 		return false, nil, EvalStats{}, nil
 	}
 	rels, _, err := resolveRelations(q, d)
 	if err != nil {
 		return false, nil, EvalStats{}, err
 	}
-	return scanIDCore(ctx, q, want, eq, rels)
+	return scanIDCore(ctx, q, want, comp, rels)
 }
 
-// findAnswerPipeline is the planned arm: compile the plan, then stream
-// each connected component through the pipeline over the database's
-// frozen view.
+// findAnswerPipeline is the planned arm: pin the known classes, compile
+// the plan, then stream each connected component through the pipeline
+// over the database's frozen view.  The pins are checked on surface
+// values, before any interning, so an impossible want misses before a
+// plan is built.
 func findAnswerPipeline(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
 	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
+	comp := Compile(q)
+	defer comp.Release()
+	if comp.Unsat {
 		return false, nil, stats, nil
 	}
 	rels, relIdxs, err := resolveRelations(q, d)
 	if err != nil {
 		return false, nil, stats, err
 	}
-	pres, earlyMiss := streamPrebindings(q, eq, want)
-	if earlyMiss {
+	vals := make([]value.Value, comp.NumClasses())
+	pinned := make([]bool, len(vals))
+	if !comp.pin(q, want, vals, pinned) {
 		return false, nil, stats, nil
 	}
-	plan := buildStreamPlan(ctx, q, rels, relIdxs, eq, pres)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats)
-	s.prebind(pres)
+	plan := buildStreamPlan(ctx, comp, rels, relIdxs, pinned)
+	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats, pinned, vals)
 	ok, err := runComponentsSequential(s, plan)
 	if err != nil || !ok {
 		return false, nil, stats, err
 	}
-	return true, decodeWitness(&s.idSearchCore, plan, q, eq), stats, nil
+	for k, id := range s.binding {
+		vals[k] = s.decodeID(id)
+	}
+	return true, comp.witness(q, vals), stats, nil
 }

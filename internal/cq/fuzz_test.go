@@ -11,21 +11,24 @@ import (
 // the parser's offset-to-position conversion against the reference
 // scan at every offset of the input.
 
+// parseSeeds is FuzzParseCQ's seed list; FuzzCompile and the compiled
+// form's wall start from it too.
+var parseSeeds = []string{
+	"Q(X, Y) :- P(X, Y).",
+	"Q(X) :- R(X, Y), S(Z, W), Y = Z, W = T1:3.",
+	"Q(T1:7, Y) :- P(X, Y).",
+	"V(X, X) :- P(X, Y), X = Y.",
+	"",
+	"Q(X)",
+	"Q(X) :- .",
+	"Q((((",
+	"Q(X) :- P(X, T1:1).",
+	"名前(X) :- P(X, Y).",
+	"Q(X) :- P(X, Y), T1:1 = T1:2.",
+}
+
 func FuzzParseCQ(f *testing.F) {
-	seeds := []string{
-		"Q(X, Y) :- P(X, Y).",
-		"Q(X) :- R(X, Y), S(Z, W), Y = Z, W = T1:3.",
-		"Q(T1:7, Y) :- P(X, Y).",
-		"V(X, X) :- P(X, Y), X = Y.",
-		"",
-		"Q(X)",
-		"Q(X) :- .",
-		"Q((((",
-		"Q(X) :- P(X, T1:1).",
-		"名前(X) :- P(X, Y).",
-		"Q(X) :- P(X, Y), T1:1 = T1:2.",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

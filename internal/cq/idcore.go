@@ -33,7 +33,7 @@ type idSearchCore struct {
 
 // internID resolves a surface value to its frozen ID, or to a ghost ID
 // when the frozen view never saw it.  Ghosts are deduplicated per
-// distinct value so two prebindings of the same absent constant agree,
+// distinct value so two pins of the same absent constant agree,
 // exactly as surface-value comparisons would.
 func (s *idSearchCore) internID(v value.Value) value.ID {
 	if id, ok := s.fz.Interner.Lookup(v); ok {

@@ -70,24 +70,12 @@ func FuzzInternRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		// The same values interned as labeled nulls land in the tagged
-		// namespace and never collide with their constant IDs.
+		// Every value of the database is in the frozen view.
 		for ri, r := range d.Relations {
 			for _, tup := range r.Tuples() {
 				for _, v := range tup {
-					cid, ok := f1.Interner.Lookup(v)
-					if !ok {
+					if _, ok := f1.Interner.Lookup(v); !ok {
 						t.Fatalf("relation %d: frozen view missing value %v", ri, v)
-					}
-					nid := f1.Interner.InternNull(v)
-					if !nid.IsNull() || cid.IsNull() {
-						t.Fatalf("null tagging broken: const %d null %d for %v", cid, nid, v)
-					}
-					if nid == cid {
-						t.Fatalf("null ID collides with constant ID %d for %v", cid, v)
-					}
-					if got, ok := f1.Interner.Decode(nid); !ok || got != v {
-						t.Fatalf("null decode(%d) = %v (%v), want %v", nid, got, ok, v)
 					}
 				}
 			}

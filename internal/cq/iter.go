@@ -83,19 +83,24 @@ type streamSearcher struct {
 	marks   []int
 }
 
-func newStreamSearcher(ctx context.Context, plan *searchPlan, fz *instance.Frozen, stats *EvalStats) *streamSearcher {
+// newStreamSearcher sets up the search of plan over fz.  pinned and
+// vals are the compiled form's pins (Compiled.pin): each pinned body
+// class starts bound to its value, interned (or given a ghost ID when
+// the frozen view never saw it).  The searcher takes pinned's body
+// prefix as its bound set.
+func newStreamSearcher(ctx context.Context, plan *searchPlan, fz *instance.Frozen, stats *EvalStats, pinned []bool, vals []value.Value) *streamSearcher {
 	maxSteps := 0
 	for ci := range plan.comps {
 		if n := len(plan.comps[ci].steps); n > maxSteps {
 			maxSteps = n
 		}
 	}
-	return &streamSearcher{
+	s := &streamSearcher{
 		idSearchCore: idSearchCore{
 			ctx:     ctx,
 			fz:      fz,
 			binding: make([]value.ID, plan.numClasses),
-			bound:   make([]bool, plan.numClasses),
+			bound:   pinned[:plan.numClasses:plan.numClasses],
 			stats:   stats,
 		},
 		plan:    plan,
@@ -103,6 +108,12 @@ func newStreamSearcher(ctx context.Context, plan *searchPlan, fz *instance.Froze
 		cursors: make([]stepCursor, maxSteps),
 		marks:   make([]int, maxSteps),
 	}
+	for k, ok := range s.bound {
+		if ok {
+			s.binding[k] = s.internID(vals[k])
+		}
+	}
+	return s
 }
 
 // appendIDKey encodes one ID into the wide-key scratch buffer.
@@ -284,36 +295,11 @@ func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 	}
 }
 
-// streamPrebindings collects the constant prebindings plus the head
-// classes pinned to want.  The checks run at the surface-value level,
-// before any interning, so impossible wants short-circuit before a
-// plan is built; earlyMiss reports such a contradiction.
-func streamPrebindings(q *Query, eq *EqClasses, want instance.Tuple) (pres []prebinding, earlyMiss bool) {
-	pres = collectConstPrebindings(q, eq, make([]prebinding, 0, len(q.Head)+2))
-	for i, term := range q.Head {
-		if term.IsConst {
-			if term.Const != want[i] {
-				return nil, true
-			}
-			continue
-		}
-		root := eq.Find(term.Var)
-		if bv, ok := lookupPre(pres, root); ok {
-			if bv != want[i] {
-				return nil, true
-			}
-			continue
-		}
-		pres = append(pres, prebinding{root: root, val: want[i]})
-	}
-	return pres, false
-}
-
 // buildStreamPlan compiles the plan and emits the plan-stage span.
-func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses, pres []prebinding) *searchPlan {
+func buildStreamPlan(ctx context.Context, comp *Compiled, rels []*instance.Relation, relIdxs []int, pinned []bool) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
-	plan := buildPlan(q, rels, relIdxs, eq, pres)
+	plan := buildPlan(comp, rels, relIdxs, pinned)
 	if o.SpansOn() {
 		steps := 0
 		for ci := range plan.comps {
@@ -324,18 +310,6 @@ func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, r
 			obs.I("steps", int64(steps)))
 	}
 	return plan
-}
-
-// prebind seeds the searcher's bindings with the prebound values,
-// interning each (or minting a ghost ID for values the frozen view
-// never saw).
-func (s *streamSearcher) prebind(pres []prebinding) {
-	for _, pb := range pres {
-		if id, ok := s.plan.classOf[pb.root]; ok {
-			s.binding[id] = s.internID(pb.val)
-			s.bound[id] = true
-		}
-	}
 }
 
 // runComponentsSequential searches the plan's components in order over
@@ -354,19 +328,6 @@ func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) 
 	return true, nil
 }
 
-// decodeWitness projects the successful bindings back to surface
-// values, per body variable through its class representative — the
-// boundary past which no interned ID may escape.
-func decodeWitness(core *idSearchCore, plan *searchPlan, q *Query, eq *EqClasses) map[Var]value.Value {
-	witness := make(map[Var]value.Value)
-	for _, a := range q.Body {
-		for _, v := range a.Vars {
-			witness[v] = core.decodeID(core.binding[plan.classOf[eq.Find(v)]])
-		}
-	}
-	return witness
-}
-
 // evalPipeline is the enumeration behind EvalWithStats: every
 // component's distinct head projections are enumerated once through
 // the pipeline, head-free components are checked for a single match,
@@ -379,18 +340,20 @@ func decodeWitness(core *idSearchCore, plan *searchPlan, q *Query, eq *EqClasses
 //keyedeq:hot -- full-enumeration evaluation visits every match of every component
 func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *instance.Relation) (EvalStats, error) {
 	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
+	comp := Compile(q)
+	defer comp.Release()
+	if comp.Unsat {
 		return stats, nil
 	}
 	rels, relIdxs, err := resolveRelations(q, d)
 	if err != nil {
 		return stats, err
 	}
-	pres := collectConstPrebindings(q, eq, nil)
-	plan := buildPlan(q, rels, relIdxs, eq, pres)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats)
-	s.prebind(pres)
+	vals := make([]value.Value, comp.NumClasses())
+	pinned := make([]bool, len(vals))
+	comp.pin(q, nil, vals, pinned)
+	plan := buildPlan(comp, rels, relIdxs, pinned)
+	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats, pinned, vals)
 
 	// solutions[ci] holds component ci's distinct head-class projections
 	// as one flat ID slice of stride len(headRoots) (nil for head-free
@@ -456,12 +419,12 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 				}
 			}
 			t := make(instance.Tuple, len(q.Head))
-			for i, term := range q.Head {
-				if term.IsConst {
-					t[i] = term.Const
+			for i, k := range comp.Head {
+				if k < 0 {
+					t[i] = q.Head[i].Const
 					continue
 				}
-				t[i] = s.decodeID(s.binding[plan.classOf[eq.Find(term.Var)]])
+				t[i] = s.decodeID(s.binding[k])
 			}
 			out.MustInsert(t)
 			return true

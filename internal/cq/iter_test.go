@@ -326,6 +326,34 @@ func TestScanIDMatchesNaiveRandomized(t *testing.T) {
 	}
 }
 
+// TestScanIDMatchesNaiveOnInvalidQueries pins both arms to the naive
+// oracle on queries Validate rejects: the scan bit for bit, the
+// pipeline on verdicts.  The naive search pins the constant of a class
+// only when some atom mentions it, so a head variable that no atom
+// mentions takes its wanted value whatever constant its class binds.
+func TestScanIDMatchesNaiveOnInvalidQueries(t *testing.T) {
+	d := randomGraphDB(rand.New(rand.NewSource(75)), 3, 6)
+	for _, text := range []string{
+		"V(X) :- E(A, B), X = T1:2.",
+		"V(X, X) :- E(A, B).",
+		"V(X, Y) :- E(A, B), X = Y, Y = T1:1.",
+		"V(X) :- E(A, B), X = A, X = T1:1.",
+		"V(X) :- E(X, X), E(X, Y).",
+	} {
+		q := MustParse(text)
+		for w := 0; w < 9; w++ {
+			want := instance.Tuple{val(1, int64(w%3))}
+			if len(q.Head) == 2 {
+				want = append(want, val(1, int64(w/3)))
+			}
+			tag := fmt.Sprintf("%s want %v", text, want)
+			naive := searchNaive(q, d, want)
+			sameSearch(t, tag, naive, searchArm(findAnswerScan, q, d, want))
+			sameVerdict(t, tag, naive, searchArm(findAnswerPipeline, q, d, want))
+		}
+	}
+}
+
 // TestAdaptiveSmallInstancesMatchNaive pins the size rule's scan side:
 // on databases whose every relation fits under the scan threshold, the
 // adaptive search runs the dense scan and therefore reports exactly

@@ -14,9 +14,10 @@ import (
 // become the key of a per-relation hash index, so matching an atom costs
 // one bucket lookup instead of a scan over the whole relation.
 //
-// Equality classes are numbered densely at plan time: the search binds
-// values in flat slices indexed by class id, so the hot path does no
-// string hashing at all.
+// The plan reads the query's compiled form (compiled.go): atoms refer to
+// their body classes by number, and the search binds values in flat
+// slices indexed by class, so the hot path does no string hashing at
+// all.
 
 // smallRelScanThreshold is the relation cardinality at or below which a
 // step scans instead of probing a hash index: building the bucket map
@@ -36,7 +37,7 @@ type planStep struct {
 	// also its index among the frozen (interned) relation views — the
 	// pipeline addresses relations by it.
 	relIdx int
-	// roots holds the class id of each position's placeholder variable.
+	// roots holds the class of each position (the compiled form's Args).
 	roots []int32
 	// keyPos lists the positions whose class is bound before this step
 	// runs (by a constant, a pre-bound head class, or an earlier step).
@@ -66,9 +67,8 @@ type planComponent struct {
 // fixed query and database.
 type searchPlan struct {
 	comps []planComponent
-	// classOf numbers the equality-class representatives appearing in
-	// the body, densely from 0.
-	classOf    map[Var]int32
+	// numClasses is the compiled form's BodyClasses: classes [0,
+	// numClasses) are the ones some atom mentions.
 	numClasses int
 	// numSlots is the number of distinct (relation, key positions)
 	// hash indexes the plan's steps probe.
@@ -118,61 +118,42 @@ func equalPos(a, b []int) bool {
 	return true
 }
 
-// buildPlan compiles the plan for q over the resolved relations.  eq must
-// be q's equality classes; pres holds the class representatives whose
-// value is fixed before the search starts (constant-bound classes, plus
-// the head classes when searching for a specific answer tuple).
+// buildPlan compiles the plan for the compiled query comp over the
+// resolved relations.  prebound marks the body classes whose value is
+// fixed before the search starts (constant-bound classes, plus the head
+// classes when searching for a specific answer tuple); entries past
+// comp.BodyClasses are ignored.
 //
 // Plan compilation is the pipeline's setup cost, paid on every
 // pipeline search, so the compile stays lean: two arenas (one int, one
 // bool) back every scratch table and every step's key-position list,
 // and index-slot sharing compares position lists directly instead of
 // building signature strings.
-func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses, pres []prebinding) *searchPlan {
-	n := len(q.Body)
-	plan := &searchPlan{classOf: make(map[Var]int32, 2*n)}
+func buildPlan(comp *Compiled, rels []*instance.Relation, relIdxs []int, prebound []bool) *searchPlan {
+	roots := comp.Args
+	n, nc := len(roots), comp.BodyClasses
+	plan := &searchPlan{numClasses: nc}
 	total := 0
-	for _, a := range q.Body {
-		total += len(a.Vars)
+	for _, args := range roots {
+		total += len(args)
 	}
-	backing := make([]int32, 2*total)
-	roots := make([][]int32, n)
-	for i, a := range q.Body {
-		roots[i], backing = backing[:len(a.Vars):len(a.Vars)], backing[len(a.Vars):]
-		for p, v := range a.Vars {
-			root := eq.Find(v)
-			id, ok := plan.classOf[root]
-			if !ok {
-				id = int32(plan.numClasses)
-				plan.classOf[root] = id
-				plan.numClasses++
-			}
-			roots[i][p] = id
-		}
-	}
-	nc := plan.numClasses
-	// Bool arena: the prebound set, the head-dedup set, the ordering
-	// bound scratch (rewritten whole per component by a copy), and one
-	// placed flag per atom (carved disjointly per component).
-	bools := make([]bool, 3*nc+n)
-	preboundID := bools[:nc:nc]
-	seen := bools[nc : 2*nc : 2*nc]
-	boundScratch := bools[2*nc : 3*nc : 3*nc]
-	placedArena := bools[3*nc:]
-	for _, pb := range pres {
-		if id, ok := plan.classOf[pb.root]; ok {
-			preboundID[id] = true
-		}
-	}
+	preboundID := prebound[:nc:nc]
+	// Bool arena: the head-dedup set, the ordering bound scratch
+	// (rewritten whole per component by a copy), and one placed flag per
+	// atom (carved disjointly per component).
+	bools := make([]bool, 2*nc+n)
+	seen := bools[:nc:nc]
+	boundScratch := bools[nc : 2*nc : 2*nc]
+	placedArena := bools[2*nc:]
 
 	// Union-find over atoms: two atoms connect when they share an
 	// unbound class.  Classes fixed before the search carry no join
 	// constraint between atoms — each atom filters against the fixed
 	// value independently.  The int arena backs the union-find, the
 	// component grouping (CSR: comp ci's atoms are atomList
-	// [compStart[ci]:compStart[ci+1]], in body order), and the steps'
-	// key-position lists.
-	ints := make([]int, 5*n+nc+total+1)
+	// [compStart[ci]:compStart[ci+1]], in body order), each class's
+	// component, and the steps' key-position lists.
+	ints := make([]int, 5*n+2*nc+total+1)
 	parent, ints := ints[:n:n], ints[n:]
 	for i := range parent {
 		parent[i] = i
@@ -181,7 +162,7 @@ func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses
 	for i := range firstAtomOf {
 		firstAtomOf[i] = -1
 	}
-	for i := range q.Body {
+	for i := range roots {
 		for _, id := range roots[i] {
 			if preboundID[id] {
 				continue
@@ -225,14 +206,13 @@ func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses
 		atomList[next[ci]] = i
 		next[ci]++
 	}
-	keyArena := ints
-
-	plan.comps = make([]planComponent, ncomps)
-	stepsArena := make([]planStep, n)
-	rootComp := backing[:nc]
+	rootComp, keyArena := ints[:nc:nc], ints[nc:]
 	for i := range rootComp {
 		rootComp[i] = -1
 	}
+
+	plan.comps = make([]planComponent, ncomps)
+	stepsArena := make([]planStep, n)
 	for ci := 0; ci < ncomps; ci++ {
 		atoms := atomList[compStart[ci]:compStart[ci+1]]
 		plan.comps[ci], keyArena = orderComponent(atoms, rels, relIdxs, roots, preboundID,
@@ -241,7 +221,7 @@ func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses
 		for _, ai := range atoms {
 			for _, id := range roots[ai] {
 				if !preboundID[id] {
-					rootComp[id] = int32(ci)
+					rootComp[id] = ci
 				}
 			}
 		}
@@ -276,15 +256,12 @@ func buildPlan(q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses
 	plan.numSlots = len(slotSteps)
 
 	// Assign head classes to the component that determines them.
-	for _, t := range q.Head {
-		if t.IsConst {
-			continue
-		}
-		id, ok := plan.classOf[eq.Find(t.Var)]
-		if !ok || preboundID[id] || seen[id] {
-			// A head variable always occurs in the body, so its class is
-			// either numbered or prebound; be defensive and skip rather
-			// than panic on unvalidated queries.
+	for _, id := range comp.Head {
+		if id < 0 || int(id) >= nc || preboundID[id] || seen[id] {
+			// Skip constants and prebound classes.  A head variable of a
+			// valid query occurs in the body, so its class is a body
+			// class; be defensive and skip rather than panic on
+			// unvalidated queries.
 			continue
 		}
 		seen[id] = true

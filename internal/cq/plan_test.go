@@ -7,6 +7,7 @@ import (
 
 	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
+	"keyedeq/internal/value"
 )
 
 // chainDB builds E(a,b) holding a path 0 -> 1 -> ... -> n, which is
@@ -23,13 +24,15 @@ func chainDB(t *testing.T, n int) *instance.Database {
 
 func mustPlan(t *testing.T, q *Query, d *instance.Database) *searchPlan {
 	t.Helper()
-	eq := NewEqClasses(q)
+	comp := Compile(q)
 	rels, relIdxs, err := resolveRelations(q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres := collectConstPrebindings(q, eq, nil)
-	return buildPlan(q, rels, relIdxs, eq, pres)
+	vals := make([]value.Value, comp.NumClasses())
+	pinned := make([]bool, len(vals))
+	comp.pin(q, nil, vals, pinned)
+	return buildPlan(comp, rels, relIdxs, pinned)
 }
 
 func TestPlanMostConstrainedFirst(t *testing.T) {

@@ -12,19 +12,15 @@ import (
 // mirrors findAnswerNaive (eval.go) operation for operation — dynamic
 // most-bound-first atom picking over full relation scans, the same
 // node accounting and masked cancellation polling — but binds values
-// into flat slices indexed by densely numbered equality classes
+// into flat slices indexed by the query's compiled classes (Compiled)
 // instead of a map keyed by variable names.  It deliberately does NOT
 // freeze the database: on workloads where every relation fits under
 // the plan's scan threshold the interning pass would cost more than
 // the whole search, and a surface value compares in one struct
 // comparison anyway.  A wanted value absent from the database simply
 // never matches any scanned tuple, exactly as in the naive search —
-// no ghost-ID machinery needed.  The prologue is kept map-free (class
-// numbering and prebinding run over small linear-scanned slices)
-// because on tiny canonical databases the whole search is a handful
-// of nodes and setup cost is the race.  Differential tests pin this
-// scan to the naive oracle bit-for-bit: verdicts, EvalStats, and
-// witnesses.
+// no ghost-ID machinery needed.  Differential tests pin this scan to
+// the naive oracle bit-for-bit: verdicts, EvalStats, and witnesses.
 
 // scanSearcher carries the state of one dense scan: flat
 // class-indexed bindings plus the per-atom class layout of the
@@ -34,7 +30,7 @@ import (
 type scanSearcher struct {
 	ctx     context.Context
 	q       *Query
-	eq      *EqClasses
+	comp    *Compiled
 	binding []value.Value
 	bound   []bool
 	stats   EvalStats
@@ -43,46 +39,31 @@ type scanSearcher struct {
 	// addedStack records newly bound class ids in binding order,
 	// unwound by truncation to a caller's mark.
 	addedStack []int32
-	// roots holds the dense class id of each atom position; used marks
-	// atoms already placed on the current search path.
+	// roots holds the class of each atom position (the compiled form's
+	// Args); used marks atoms already placed on the current search path.
 	roots [][]int32
 	used  []bool
 	// rows holds each atom's candidate tuples, in the relation's
 	// canonical order — the same order the naive search scans.
-	rows [][]instance.Tuple
-	// classRoots maps dense class id back to the class representative;
-	// classIndex linear-scans it, which beats a map at body-atom scale.
-	classRoots []Var
-	found      bool
-	witness    map[Var]value.Value
-	// ints and bools back the int32 and bool slices above across
-	// reuses; they only ever grow.
-	ints  []int32
+	rows    [][]instance.Tuple
+	found   bool
+	witness map[Var]value.Value
+	// bools backs bound and used across reuses.
 	bools []bool
 }
 
 // scanPool recycles searcher state across searches.  Only the buffer
-// capacity survives a round trip: acquire re-slices and zeroes what
+// capacity survives a round trip: scanIDCore re-slices and zeroes what
 // the next search reads, and release drops every reference to caller
 // data so the pool cannot retain a database or query.
 var scanPool = sync.Pool{New: func() any { return new(scanSearcher) }}
 
 // release returns the searcher to the pool, dropping data references.
 func (s *scanSearcher) release() {
-	s.ctx, s.q, s.eq = nil, nil, nil
+	s.ctx, s.q, s.comp, s.roots = nil, nil, nil, nil
 	s.canceled, s.witness = nil, nil
 	clear(s.rows)
 	scanPool.Put(s)
-}
-
-// classIndex resolves a class representative to its dense id, or -1.
-func (s *scanSearcher) classIndex(root Var) int {
-	for ci, cr := range s.classRoots {
-		if cr == root {
-			return ci
-		}
-	}
-	return -1
 }
 
 // pickNext chooses the unused atom with the most already-bound
@@ -141,15 +122,9 @@ func (s *scanSearcher) countNode() bool {
 func (s *scanSearcher) run(remaining int) {
 	if remaining == 0 {
 		s.found = true
-		// Capture the successful binding at the leaf, per body variable
-		// through its class representative, exactly as the naive search
-		// does — the unwind below erases it.
-		s.witness = make(map[Var]value.Value)
-		for _, a := range s.q.Body {
-			for _, v := range a.Vars {
-				s.witness[v] = s.binding[s.classIndex(s.eq.Find(v))]
-			}
-		}
+		// Capture the successful binding at the leaf, exactly as the
+		// naive search does — the unwind below erases it.
+		s.witness = s.comp.witness(s.q, s.binding)
 		return
 	}
 	ai := s.pickNext()
@@ -184,124 +159,32 @@ func (s *scanSearcher) run(remaining int) {
 	s.used[ai] = false
 }
 
-// scanIDCore runs the dense scan over pre-resolved relations.
+// scanIDCore runs the dense scan over pre-resolved relations.  comp
+// is q's compiled form; the atoms read its classes directly, and every
+// buffer comes from the pooled searcher, growing only when a query
+// outsizes what a prior search left behind.
 //
 //keyedeq:hot -- the adaptive default's small-instance arm: every containment check on tiny canonical databases lands here
-func scanIDCore(ctx context.Context, q *Query, want instance.Tuple, eq *EqClasses, rels []*instance.Relation) (bool, map[Var]value.Value, EvalStats, error) {
-	// Number the body's equality classes densely, exactly as buildPlan
-	// does, so bindings live in flat slices.  One int32 block backs the
-	// per-atom layouts and the unwind stack; all buffers come from the
-	// pooled searcher and only grow when a query outsizes what a prior
-	// search left behind.
-	total := 0
-	for _, a := range q.Body {
-		total += len(a.Vars)
-	}
+func scanIDCore(ctx context.Context, q *Query, want instance.Tuple, comp *Compiled, rels []*instance.Relation) (bool, map[Var]value.Value, EvalStats, error) {
+	nc, n := comp.NumClasses(), len(q.Body)
 	s := scanPool.Get().(*scanSearcher)
 	defer s.release()
-	s.ctx, s.q, s.eq = ctx, q, eq
+	s.ctx, s.q, s.comp = ctx, q, comp
 	s.stats = EvalStats{}
 	s.found = false
-	if cap(s.ints) < 2*total {
-		s.ints = make([]int32, 2*total)
-	}
-	ints := s.ints[:2*total]
-	backing := ints[:total]
-	if cap(s.roots) < len(q.Body) {
-		s.roots = make([][]int32, len(q.Body))
-		s.rows = make([][]instance.Tuple, len(q.Body))
-	}
-	roots := s.roots[:len(q.Body)]
-	classRoots := s.classRoots[:0]
-	for i, a := range q.Body {
-		roots[i], backing = backing[:len(a.Vars):len(a.Vars)], backing[len(a.Vars):]
-		for p, v := range a.Vars {
-			root := eq.Find(v)
-			id := -1
-			for ci, cr := range classRoots {
-				if cr == root {
-					id = ci
-					break
-				}
-			}
-			if id < 0 {
-				id = len(classRoots)
-				classRoots = append(classRoots, root)
-			}
-			roots[i][p] = int32(id)
-		}
-	}
-	numClasses := len(classRoots)
-	if cap(s.bools) < numClasses+len(q.Body) {
-		s.bools = make([]bool, numClasses+len(q.Body))
-	}
-	bools := s.bools[:numClasses+len(q.Body)]
-	for i := range bools {
-		bools[i] = false
-	}
-	if cap(s.binding) < numClasses {
-		s.binding = make([]value.Value, numClasses)
-	}
-	s.binding = s.binding[:numClasses]
-	s.bound = bools[:numClasses:numClasses]
-	s.addedStack = ints[total : total : 2*total]
-	s.roots = roots
-	s.used = bools[numClasses:]
-	s.rows = s.rows[:len(q.Body)]
-	s.classRoots = classRoots
-	// Prebind constant-bound classes, then the wanted head values, in
-	// the naive search's order: a constant conflicting with its head
-	// slot, or two head slots disagreeing on one class, is an early
-	// miss before any node is counted.
-	for ci, root := range classRoots {
-		if c, ok := eq.Const(root); ok {
-			s.binding[ci] = c
-			s.bound[ci] = true
-		}
-	}
-	// Head classes with no body occurrence still need conflict checks
-	// across head slots; they are tracked off to the side (almost
-	// always empty) since no atom will ever read them.
-	var exRoots []Var
-	var exVals []value.Value
-	for i, term := range q.Head {
-		if term.IsConst {
-			if term.Const != want[i] {
-				return false, nil, s.stats, nil
-			}
-			continue
-		}
-		root := eq.Find(term.Var)
-		if ci := s.classIndex(root); ci >= 0 {
-			if s.bound[ci] {
-				if s.binding[ci] != want[i] {
-					return false, nil, s.stats, nil
-				}
-				continue
-			}
-			s.binding[ci] = want[i]
-			s.bound[ci] = true
-			continue
-		}
-		matched := false
-		for xi, xr := range exRoots {
-			if xr == root {
-				if exVals[xi] != want[i] {
-					return false, nil, s.stats, nil
-				}
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			exRoots = append(exRoots, root)
-			exVals = append(exVals, want[i])
-		}
+	s.binding = resize(s.binding, nc)
+	s.bools = resize(s.bools, nc+n)
+	s.bound, s.used = s.bools[:nc:nc], s.bools[nc:]
+	s.addedStack = s.addedStack[:0]
+	s.roots = comp.Args
+	s.rows = resize(s.rows, n)
+	if !comp.pin(q, want, s.binding, s.bound) {
+		return false, nil, s.stats, nil
 	}
 	for i, r := range rels {
 		s.rows[i] = r.Tuples()
 	}
-	s.run(len(q.Body))
+	s.run(n)
 	if s.canceled != nil {
 		return false, nil, s.stats, s.canceled
 	}

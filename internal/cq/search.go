@@ -1,9 +1,5 @@
 package cq
 
-import (
-	"keyedeq/internal/value"
-)
-
 // SearchMode selects the homomorphism search implementation.
 type SearchMode int
 
@@ -28,38 +24,4 @@ func (m SearchMode) String() string {
 		return "naive"
 	}
 	return "adaptive"
-}
-
-// prebinding fixes one equality class's value before the search starts
-// (a constant from the equality list, or a wanted head value).  The
-// slice stays tiny, so lookups are linear scans rather than map probes.
-type prebinding struct {
-	root Var
-	val  value.Value
-}
-
-// lookupPre returns the prebound value of root, if any.
-func lookupPre(pres []prebinding, root Var) (value.Value, bool) {
-	for _, pb := range pres {
-		if pb.root == root {
-			return pb.val, true
-		}
-	}
-	return value.Value{}, false
-}
-
-// collectConstPrebindings gathers the constant-bound classes touched by
-// the body into pres (deduplicated by representative).
-func collectConstPrebindings(q *Query, eq *EqClasses, pres []prebinding) []prebinding {
-	for _, a := range q.Body {
-		for _, v := range a.Vars {
-			if c, ok := eq.Const(v); ok {
-				root := eq.Find(v)
-				if _, seen := lookupPre(pres, root); !seen {
-					pres = append(pres, prebinding{root: root, val: c})
-				}
-			}
-		}
-	}
-	return pres
 }

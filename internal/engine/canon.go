@@ -54,9 +54,11 @@ const tieBreakBudget = 1 << 14
 func CanonicalizeQuery(q *cq.Query, s *schema.Schema) Canonical {
 	c := canonizers.Get().(*canonizer)
 	defer c.release()
-	if c.reset(q) {
+	c.comp.Reset(q)
+	if c.comp.Unsat {
 		return Canonical{Key: unsatKey(q, s), Exact: true}
 	}
+	c.reset(q)
 	c.refine()
 	key, exact := c.encode()
 	return Canonical{Key: key, Exact: exact}
@@ -87,32 +89,30 @@ type headTerm struct {
 
 // canonizer holds the normalized query during canonicalization.  All
 // state is slice-indexed by dense class and atom numbers so every loop
-// is deterministic (no map iteration anywhere on this path).
+// is deterministic (no map iteration anywhere on this path).  The
+// classes, their constants and each atom's class per position are the
+// query's compiled form (cq.Compiled), which the canonizer keeps as its
+// own scratch.
 //
 // Canonizers are pooled: reset sizes every table for the next query
 // from the capacity earlier queries left behind, and release drops
 // every reference into the query before the canonizer goes back.
 type canonizer struct {
+	comp     cq.Compiled
 	atomRel  []string // per atom: relation name
 	relColor []int    // per atom: dense rank of its relation name
-	atomArgs [][]int  // per atom: class index per position
 	head     []headTerm
 	// Per class:
-	classConst []value.Value // bound constant (zero Value when none)
-	classHasC  []bool
 	classHeadP [][]int // head positions mentioning the class
 	occAtom    [][]int // per class: atom index of each occurrence
 	occPos     [][]int // per class: position of each occurrence
 	color      []int   // current refinement color per class
 
 	// Scratch that reset, refine and encode overwrite before reading.
-	slotOf                  map[cq.Var]int
-	parent, rnk, classAt    []int // per variable slot
-	hasC                    []bool
-	cval                    []value.Value
-	argsFlat, headPFlat     []int // backings of atomArgs and classHeadP
+	total                   int   // body variable occurrences
+	headPFlat               []int // backing of classHeadP
 	occAtomFlat, occPosFlat []int // backings of occAtom and occPos
-	headClass, occCount     []int
+	occCount                []int
 	relNames                []string
 	constRank               []int
 	constStr, consts        []string
@@ -128,20 +128,17 @@ type canonizer struct {
 // canonizers recycles canonizers across queries and goroutines.
 var canonizers = sync.Pool{New: func() any { return new(canonizer) }}
 
-// maxPooledSlots bounds the variable count of a canonizer that goes
-// back to the pool, so one huge query cannot leave every later small
-// one clearing its tables.
-const maxPooledSlots = 1 << 12
-
 // release returns c to the pool, first dropping the strings that point
-// into the query text (relation names and variables).
+// into the query text (relation names and variables).  A canonizer
+// grown past cq.MaxPooledSlots variables is dropped instead, so one
+// huge query cannot leave every later small one clearing its tables.
 func (c *canonizer) release() {
-	if len(c.parent) > maxPooledSlots {
+	if c.comp.Slots() > cq.MaxPooledSlots {
 		return
 	}
 	clear(c.atomRel)
 	clear(c.relNames[:cap(c.relNames)])
-	clear(c.slotOf)
+	c.comp.DropNames()
 	canonizers.Put(c)
 }
 
@@ -156,175 +153,54 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// reset normalizes q into c: it resolves the equality list with a
-// slot-indexed union-find (one map lookup per variable occurrence, all
-// union-find state in slices), then builds the class-indexed atom and
-// occurrence tables.  It returns true when the equality list equates two
-// distinct constants, i.e. the query is unsatisfiable.
-func (c *canonizer) reset(q *cq.Query) bool {
-	// Slot per distinct variable, in order of first appearance.  Body
-	// placeholders are distinct, so their count is the variable count of
-	// any valid query (equality and head variables occur in the body).
-	total := 0
-	for _, a := range q.Body {
-		total += len(a.Vars)
-	}
-	if c.slotOf == nil {
-		c.slotOf = make(map[cq.Var]int, total)
-	}
-	slotOf := c.slotOf
-	slot := func(v cq.Var) {
-		if _, ok := slotOf[v]; !ok {
-			slotOf[v] = len(slotOf)
-		}
-	}
-	for _, a := range q.Body {
-		for _, v := range a.Vars {
-			slot(v)
-		}
-	}
-	for _, e := range q.Eqs {
-		slot(e.Left)
-		if !e.Right.IsConst {
-			slot(e.Right.Var)
-		}
-	}
-	for _, t := range q.Head {
-		if !t.IsConst {
-			slot(t.Var)
-		}
-	}
-
-	n := len(slotOf)
-	c.parent = resize(c.parent, n)
-	c.rnk = resize(c.rnk, n)
-	c.hasC = resize(c.hasC, n) // valid on roots
-	c.cval = resize(c.cval, n) // valid on roots with hasC
-	parent, rnk, hasC, cval := c.parent, c.rnk, c.hasC, c.cval
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	unsat := false
-	for _, e := range q.Eqs {
-		if e.Right.IsConst {
-			r := find(slotOf[e.Left])
-			if hasC[r] {
-				if cval[r] != e.Right.Const {
-					unsat = true
-				}
-				continue
-			}
-			hasC[r] = true
-			cval[r] = e.Right.Const
-			continue
-		}
-		ra, rb := find(slotOf[e.Left]), find(slotOf[e.Right.Var])
-		if ra == rb {
-			continue
-		}
-		if rnk[ra] < rnk[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		if rnk[ra] == rnk[rb] {
-			rnk[ra]++
-		}
-		if hasC[rb] {
-			if hasC[ra] {
-				if cval[ra] != cval[rb] {
-					unsat = true
-				}
-			} else {
-				hasC[ra] = true
-				cval[ra] = cval[rb]
-			}
-		}
-	}
-	if unsat {
-		return true
-	}
-
-	c.classAt = resize(c.classAt, n) // root slot -> dense class index + 1
-	classAt := c.classAt
-	c.classConst = c.classConst[:0]
-	c.classHasC = c.classHasC[:0]
-	classIdx := func(v cq.Var) int {
-		root := find(slotOf[v])
-		if i := classAt[root]; i > 0 {
-			return i - 1
-		}
-		i := len(c.classConst)
-		classAt[root] = i + 1
-		c.classConst = append(c.classConst, cval[root])
-		c.classHasC = append(c.classHasC, hasC[root])
-		return i
-	}
-	c.argsFlat = resize(c.argsFlat, total)
+// reset builds, from q and its compiled form c.comp, the tables
+// refinement and encoding read: the head, each class's head positions
+// and occurrences, and each atom's relation color.  The query must be
+// satisfiable.
+func (c *canonizer) reset(q *cq.Query) {
+	comp := &c.comp
 	c.atomRel = resize(c.atomRel, len(q.Body))
-	c.atomArgs = resize(c.atomArgs, len(q.Body))
-	off := 0
 	for ai, a := range q.Body {
-		args := c.argsFlat[off : off+len(a.Vars) : off+len(a.Vars)]
-		for k, v := range a.Vars {
-			args[k] = classIdx(v)
-		}
-		off += len(a.Vars)
 		c.atomRel[ai] = a.Rel
-		c.atomArgs[ai] = args
-	}
-	// Equality-only variables (invalid against any schema, but the
-	// canonizer is total): give them classes so encoding never panics.
-	for _, e := range q.Eqs {
-		classIdx(e.Left)
-		if !e.Right.IsConst {
-			classIdx(e.Right.Var)
-		}
 	}
 	c.head = c.head[:0]
-	c.headClass = resize(c.headClass, len(q.Head)) // class per head position, -1 for consts
-	for hi, t := range q.Head {
-		if t.IsConst {
-			c.head = append(c.head, headTerm{isConst: true, cnst: t.Const})
-			c.headClass[hi] = -1
+	for hi, ci := range comp.Head {
+		if ci < 0 {
+			c.head = append(c.head, headTerm{isConst: true, cnst: q.Head[hi].Const})
 			continue
 		}
-		ci := classIdx(t.Var)
-		c.head = append(c.head, headTerm{class: ci})
-		c.headClass[hi] = ci
+		c.head = append(c.head, headTerm{class: int(ci)})
 	}
 
-	// All classes exist now; carve the per-class tables from flat
-	// backings, counting first so each class's run is exactly sized.
-	nc := len(c.classConst)
+	// Carve the per-class tables from flat backings, counting first so
+	// each class's run is exactly sized.
+	nc := comp.NumClasses()
 	c.occCount = resize(c.occCount, nc)
-	for _, ci := range c.headClass {
+	for _, ci := range comp.Head {
 		if ci >= 0 {
 			c.occCount[ci]++
 		}
 	}
 	c.headPFlat = resize(c.headPFlat, len(q.Head))
 	c.classHeadP = carve(c.classHeadP, c.headPFlat, c.occCount)
-	for hi, ci := range c.headClass {
+	for hi, ci := range comp.Head {
 		if ci >= 0 {
 			c.classHeadP[ci] = append(c.classHeadP[ci], hi)
 		}
 	}
 	clear(c.occCount)
-	for _, ci := range c.argsFlat {
-		c.occCount[ci]++
+	c.total = 0
+	for _, args := range comp.Args {
+		c.total += len(args)
+		for _, ci := range args {
+			c.occCount[ci]++
+		}
 	}
-	c.occAtomFlat = resize(c.occAtomFlat, total)
-	c.occPosFlat = resize(c.occPosFlat, total)
+	c.occAtomFlat = resize(c.occAtomFlat, c.total)
+	c.occPosFlat = resize(c.occPosFlat, c.total)
 	c.occAtom = carve(c.occAtom, c.occAtomFlat, c.occCount)
 	c.occPos = carve(c.occPos, c.occPosFlat, c.occCount)
-	for ai, args := range c.atomArgs {
+	for ai, args := range comp.Args {
 		for p, ci := range args {
 			c.occAtom[ci] = append(c.occAtom[ci], ai)
 			c.occPos[ci] = append(c.occPos[ci], p)
@@ -338,7 +214,6 @@ func (c *canonizer) reset(q *cq.Query) bool {
 	for ai, r := range c.atomRel {
 		c.relColor[ai] = sort.SearchStrings(c.relNames, r)
 	}
-	return false
 }
 
 // carve resizes rows to len(counts) empty rows over backing, row i with
@@ -364,8 +239,8 @@ func (c *canonizer) refine() {
 	// posBase makes (color, position) pairs collision-free when packed
 	// into one int.
 	posBase := 1
-	total := len(c.argsFlat) // variable occurrences
-	for _, args := range c.atomArgs {
+	total := c.total
+	for _, args := range c.comp.Args {
 		if len(args) >= posBase {
 			posBase = len(args) + 1
 		}
@@ -379,8 +254,8 @@ func (c *canonizer) refine() {
 	c.constStr = resize(c.constStr, nc)
 	c.consts = c.consts[:0]
 	for ci := range c.color {
-		if c.classHasC[ci] {
-			c.constStr[ci] = c.classConst[ci].String()
+		if c.comp.HasConst[ci] {
+			c.constStr[ci] = c.comp.Const[ci].String()
 			c.consts = append(c.consts, c.constStr[ci])
 		}
 	}
@@ -388,7 +263,7 @@ func (c *canonizer) refine() {
 		sort.Strings(c.consts)
 		c.consts = uniqStrings(c.consts)
 		for ci := range c.color {
-			if c.classHasC[ci] {
+			if c.comp.HasConst[ci] {
 				c.constRank[ci] = 1 + sort.SearchStrings(c.consts, c.constStr[ci])
 			}
 		}
@@ -422,13 +297,13 @@ func (c *canonizer) refine() {
 	c.atomRows = resize(c.atomRows, len(c.atomRel))
 	c.atomBacking = resize(c.atomBacking, len(c.atomRel)+total)
 	backing = c.atomBacking
-	for ai, args := range c.atomArgs {
+	for ai, args := range c.comp.Args {
 		c.atomRows[ai], backing = backing[:0:1+len(args)], backing[1+len(args):]
 	}
 	c.atomColor = resize(c.atomColor, len(c.atomRel))
 	for round := 0; round < nc; round++ {
 		// Atom signature: relation color then argument class colors.
-		for ai, args := range c.atomArgs {
+		for ai, args := range c.comp.Args {
 			row := c.atomRows[ai][:0]
 			row = append(row, c.relColor[ai])
 			for _, ci := range args {
@@ -621,9 +496,9 @@ func (c *canonizer) writeClass(st *encState, ci int, b *strings.Builder) {
 	}
 	b.WriteByte('#')
 	b.WriteString(strconv.Itoa(st.num[ci]))
-	if first && c.classHasC[ci] {
+	if first && c.comp.HasConst[ci] {
 		b.WriteByte('=')
-		b.WriteString(c.classConst[ci].String())
+		b.WriteString(c.comp.Const[ci].String())
 	}
 }
 
@@ -696,7 +571,7 @@ const unassignedBase = 1 << 30
 // candidate order is too.
 func (c *canonizer) stepKeyRow(st *encState, ai int, row []int) []int {
 	row = append(row[:0], c.relColor[ai])
-	for _, ci := range c.atomArgs[ai] {
+	for _, ci := range c.comp.Args[ai] {
 		if st.num[ci] >= 0 {
 			row = append(row, st.num[ci])
 		} else {
@@ -779,7 +654,7 @@ func (c *canonizer) pruneInterchangeable(st *encState, cands []int) []int {
 // atomPrivate reports that every unassigned class of atom ai occurs in
 // no other atom.
 func (c *canonizer) atomPrivate(st *encState, ai int) bool {
-	for _, ci := range c.atomArgs[ai] {
+	for _, ci := range c.comp.Args[ai] {
 		if st.num[ci] >= 0 {
 			continue
 		}
@@ -795,11 +670,12 @@ func (c *canonizer) atomPrivate(st *encState, ai int) bool {
 // sameAtom reports atoms ai and aj are literally identical: same
 // relation, same classes in the same positions.
 func (c *canonizer) sameAtom(ai, aj int) bool {
-	if c.relColor[ai] != c.relColor[aj] || len(c.atomArgs[ai]) != len(c.atomArgs[aj]) {
+	args, other := c.comp.Args[ai], c.comp.Args[aj]
+	if c.relColor[ai] != c.relColor[aj] || len(args) != len(other) {
 		return false
 	}
-	for p, ci := range c.atomArgs[ai] {
-		if ci != c.atomArgs[aj][p] {
+	for p, ci := range args {
+		if ci != other[p] {
 			return false
 		}
 	}
@@ -813,11 +689,11 @@ func (c *canonizer) applyTo(st *encState, ai int) {
 	var b strings.Builder
 	b.WriteString(c.atomRel[ai])
 	b.WriteByte('(')
-	for p, ci := range c.atomArgs[ai] {
+	for p, ci := range c.comp.Args[ai] {
 		if p > 0 {
 			b.WriteByte(',')
 		}
-		c.writeClass(st, ci, &b)
+		c.writeClass(st, int(ci), &b)
 	}
 	b.WriteByte(')')
 	st.out = append(st.out, b.String())

@@ -90,7 +90,7 @@ func TestFreezeDatabaseDeterministicIDTables(t *testing.T) {
 	if f1.Interner.Len() != f2.Interner.Len() {
 		t.Fatalf("interner sizes differ: %d vs %d", f1.Interner.Len(), f2.Interner.Len())
 	}
-	for id := 0; id < f1.Interner.NumConsts(); id++ {
+	for id := 0; id < f1.Interner.Len(); id++ {
 		v1, _ := f1.Interner.Decode(value.ID(id))
 		v2, _ := f2.Interner.Decode(value.ID(id))
 		if v1 != v2 {

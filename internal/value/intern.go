@@ -9,24 +9,18 @@ import "keyedeq/internal/invariant"
 // byte strings, which makes every probe a machine-word comparison and
 // every index a flat array.
 //
-// The ID space is split by the top bit: constants occupy [0, NullTag)
-// and labeled nulls occupy [NullTag, ...).  A value interned as a
-// constant and the same value interned as a null therefore never share
-// an ID — the chase's distinction between "the constant T1:3" and "a
-// labeled null that happens to print like T1:3" survives encoding.
 // IDs are meaningful only relative to the Interner that produced them
 // and must not escape the frozen view they index (DESIGN.md §14).
 
-// ID is a dense interned value identifier.  The zero ID is a valid
-// constant ID (the first value interned), not a sentinel; absence is
-// signaled by the ok results of Lookup, never by an ID value.
+// ID is a dense interned value identifier.  The zero ID is a valid ID
+// (the first value interned), not a sentinel; absence is signaled by
+// the ok results of Lookup, never by an ID value.
 type ID uint32
 
-// NullTag is the bit distinguishing labeled-null IDs from constant IDs.
-const NullTag ID = 1 << 31
-
-// IsNull reports whether id identifies a labeled null.
-func (id ID) IsNull() bool { return id&NullTag != 0 }
+// maxInterned bounds the IDs an Interner assigns to [0, maxInterned).
+// The top half of the ID space is left to the ghost IDs a search mints
+// downward from the top for query values its frozen view never saw.
+const maxInterned ID = 1 << 31
 
 // Interner assigns dense IDs to values.  IDs are handed out in intern
 // order, so two Interners fed the same values in the same order build
@@ -36,11 +30,9 @@ func (id ID) IsNull() bool { return id&NullTag != 0 }
 type Interner struct {
 	constIDs map[Value]ID
 	consts   []Value
-	nullIDs  map[Value]ID
-	nulls    []Value
 }
 
-// NewInterner returns an Interner with capacity hints for n constants.
+// NewInterner returns an Interner with capacity hints for n values.
 func NewInterner(n int) *Interner {
 	return &Interner{
 		constIDs: make(map[Value]ID, n),
@@ -48,8 +40,8 @@ func NewInterner(n int) *Interner {
 	}
 }
 
-// Intern returns v's constant ID, assigning the next dense ID on first
-// sight.  Interning the same value again returns the same ID.
+// Intern returns v's ID, assigning the next dense ID on first sight.
+// Interning the same value again returns the same ID.
 //
 //keyedeq:hot -- every cell of every frozen instance passes through here
 func (in *Interner) Intern(v Value) ID {
@@ -62,43 +54,17 @@ func (in *Interner) Intern(v Value) ID {
 	id := ID(len(in.consts))
 	// The overflow assertion hides behind the branch so the hot path
 	// never boxes its arguments.
-	if id >= NullTag {
-		invariant.Mustf(false, "value: interner overflow: %d constants", len(in.consts))
+	if id >= maxInterned {
+		invariant.Mustf(false, "value: interner overflow: %d values", len(in.consts))
 	}
 	in.constIDs[v] = id
 	in.consts = append(in.consts, v)
 	return id
 }
 
-// InternNull returns the labeled-null ID for v, assigning the next
-// dense null ID (NullTag-tagged) on first sight.  The null namespace is
-// independent of the constant namespace: the same surface value may
-// carry both a constant ID and a null ID, and they never collide.
-func (in *Interner) InternNull(v Value) ID {
-	if id, ok := in.nullIDs[v]; ok {
-		return id
-	}
-	if in.nullIDs == nil {
-		in.nullIDs = make(map[Value]ID)
-	}
-	if ID(len(in.nulls)) >= NullTag {
-		invariant.Mustf(false, "value: interner overflow: %d nulls", len(in.nulls))
-	}
-	id := NullTag | ID(len(in.nulls))
-	in.nullIDs[v] = id
-	in.nulls = append(in.nulls, v)
-	return id
-}
-
-// Lookup returns v's constant ID without interning it.
+// Lookup returns v's ID without interning it.
 func (in *Interner) Lookup(v Value) (ID, bool) {
 	id, ok := in.constIDs[v]
-	return id, ok
-}
-
-// LookupNull returns v's labeled-null ID without interning it.
-func (in *Interner) LookupNull(v Value) (ID, bool) {
-	id, ok := in.nullIDs[v]
 	return id, ok
 }
 
@@ -107,24 +73,11 @@ func (in *Interner) LookupNull(v Value) (ID, bool) {
 // back into surface values, and a foreign ID must fail loudly there
 // rather than alias an unrelated value.
 func (in *Interner) Decode(id ID) (Value, bool) {
-	if id.IsNull() {
-		i := int(id &^ NullTag)
-		if i >= len(in.nulls) {
-			return Value{}, false
-		}
-		return in.nulls[i], true
-	}
 	if int(id) >= len(in.consts) {
 		return Value{}, false
 	}
 	return in.consts[id], true
 }
 
-// NumConsts returns the number of interned constants.
-func (in *Interner) NumConsts() int { return len(in.consts) }
-
-// NumNulls returns the number of interned labeled nulls.
-func (in *Interner) NumNulls() int { return len(in.nulls) }
-
-// Len returns the total number of interned values.
-func (in *Interner) Len() int { return len(in.consts) + len(in.nulls) }
+// Len returns the number of interned values.
+func (in *Interner) Len() int { return len(in.consts) }

@@ -15,8 +15,8 @@ func TestInternerDenseStableIDs(t *testing.T) {
 	if ids[3] != ids[0] {
 		t.Fatalf("re-interning %v gave %d, first gave %d", vs[3], ids[3], ids[0])
 	}
-	if in.NumConsts() != 3 || in.Len() != 3 {
-		t.Fatalf("NumConsts=%d Len=%d, want 3", in.NumConsts(), in.Len())
+	if in.Len() != 3 {
+		t.Fatalf("Len=%d, want 3", in.Len())
 	}
 	for i, v := range vs {
 		got, ok := in.Decode(ids[i])
@@ -26,39 +26,11 @@ func TestInternerDenseStableIDs(t *testing.T) {
 	}
 }
 
-func TestInternerNullsNeverCollideWithConstants(t *testing.T) {
-	var in Interner
-	v := Value{Type: 3, N: 9}
-	c := in.Intern(v)
-	n := in.InternNull(v)
-	if c == n {
-		t.Fatalf("constant and null ID collide: %d", c)
-	}
-	if c.IsNull() {
-		t.Fatalf("constant ID %d reports IsNull", c)
-	}
-	if !n.IsNull() {
-		t.Fatalf("null ID %d does not report IsNull", n)
-	}
-	if n2 := in.InternNull(v); n2 != n {
-		t.Fatalf("re-interning null gave %d, first gave %d", n2, n)
-	}
-	if got, ok := in.Decode(n); !ok || got != v {
-		t.Fatalf("Decode(null %d) = %v,%v, want %v", n, got, ok, v)
-	}
-	if in.NumNulls() != 1 || in.Len() != 2 {
-		t.Fatalf("NumNulls=%d Len=%d, want 1,2", in.NumNulls(), in.Len())
-	}
-}
-
 func TestInternerLookupDoesNotIntern(t *testing.T) {
 	var in Interner
 	v := Value{Type: 1, N: 1}
 	if _, ok := in.Lookup(v); ok {
 		t.Fatal("Lookup found a value in an empty interner")
-	}
-	if _, ok := in.LookupNull(v); ok {
-		t.Fatal("LookupNull found a value in an empty interner")
 	}
 	id := in.Intern(v)
 	got, ok := in.Lookup(v)
@@ -76,9 +48,6 @@ func TestInternerDecodeRejectsForeignIDs(t *testing.T) {
 	if _, ok := in.Decode(5); ok {
 		t.Fatal("decoded an unassigned constant ID")
 	}
-	if _, ok := in.Decode(NullTag | 0); ok {
-		t.Fatal("decoded an unassigned null ID")
-	}
 	if _, ok := in.Decode(^ID(0)); ok {
 		t.Fatal("decoded the top-of-space ID")
 	}
@@ -91,7 +60,6 @@ func TestInternerDeterministicAcrossRuns(t *testing.T) {
 			for n := int64(1); n <= 5; n++ {
 				in.Intern(Value{Type: ty, N: n})
 			}
-			in.InternNull(Value{Type: ty, N: 1})
 		}
 		return in
 	}
@@ -102,11 +70,6 @@ func TestInternerDeterministicAcrossRuns(t *testing.T) {
 	for i, v := range a.consts {
 		if b.consts[i] != v {
 			t.Fatalf("constant table diverges at %d: %v vs %v", i, v, b.consts[i])
-		}
-	}
-	for i, v := range a.nulls {
-		if b.nulls[i] != v {
-			t.Fatalf("null table diverges at %d: %v vs %v", i, v, b.nulls[i])
 		}
 	}
 }
