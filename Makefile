@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzHotDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzInternRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/chase -run '^$$' -fuzz '^FuzzCanonicalFrozen$$' -fuzztime $(FUZZTIME)
 
 # bench writes the batch engine's machine-readable regression record
 # (engine-vs-sequential wall time, node counts, cache hit rates).
@@ -107,13 +108,14 @@ bench-alloc-verify:
 # parity of the decision paths (Engine.Decide against the containment
 # procedures on the E1 corpus, Engine.Run against Engine.Decide on the
 # same corpus with poisoned jobs, the theory procedures against the
-# containment procedures with no TGDs); then the chase freeze tests and
-# the allocation record.
+# containment procedures with no TGDs); then the chase freeze tests
+# (the frozen canonical build against its value-level oracle over every
+# corpus family) and the allocation record.
 search-verify:
 	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved|TestCompiledMatchesEqClasses' -count=1
 	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive|TestTheoryStatsMatchContainment' -count=1
 	$(GO) test -race ./internal/engine -run 'TestDecideMatchesContainment|TestRunMatchesDecide' -count=1
-	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1
+	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze|TestCanonicalFrozen' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 
 # obs-verify gates the observability layer: the reconciliation smoke

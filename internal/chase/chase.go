@@ -19,6 +19,7 @@ package chase
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"keyedeq/internal/fd"
 	"keyedeq/internal/instance"
@@ -614,46 +615,95 @@ func appendInt(b []byte, n int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// ToDatabase converts the (chased) tableau to a concrete database
-// instance: every term class bound to a constant becomes that constant;
-// every unbound class gets a fresh distinct value from alloc.  The
-// returned map resolves each term to its value.  It fails on a failed
-// tableau.
-func (t *Tableau) ToDatabase(alloc *value.Allocator) (*instance.Database, map[Term]value.Value, error) {
+// Frozen converts the (chased) tableau to its canonical database in
+// interned form, and returns each term's value beside it: every term
+// class bound to a constant becomes that constant, and every unbound
+// class gets a fresh distinct value from alloc, which first reserves
+// the tableau's constants.  Values resolve in one pass over a slice
+// indexed by class root — rows in order, cells left to right, then
+// every term by id — and each relation's rows are sorted by value with
+// duplicates dropped, so the view is exactly what
+// instance.FreezeDatabase builds from the same database: values
+// interned with relations in schema order, rows in order, positions
+// left to right.  It fails on a failed tableau.
+func (t *Tableau) Frozen(alloc *value.Allocator) (*instance.Frozen, []value.Value, error) {
 	if t.failed {
 		return nil, nil, fmt.Errorf("chase: tableau failed; no database exists")
 	}
 	for _, v := range t.constOf {
 		alloc.Reserve(v)
 	}
-	valOf := make(map[int]value.Value)
+	// vals holds each class's value at its root until the last pass
+	// below writes every term's value.
+	vals := make([]value.Value, len(t.parent))
+	resolved := make([]bool, len(t.parent))
 	resolve := func(id int) value.Value {
 		rep := t.find(id)
-		if v, ok := valOf[rep]; ok {
-			return v
+		if !resolved[rep] {
+			v, ok := t.constOf[rep]
+			if !ok {
+				v = alloc.Fresh(t.typeOf[rep])
+			}
+			vals[rep], resolved[rep] = v, true
 		}
-		v, ok := t.constOf[rep]
-		if !ok {
-			v = alloc.Fresh(t.typeOf[rep])
-		}
-		valOf[rep] = v
-		return v
+		return vals[rep]
 	}
-	d := instance.NewDatabase(t.Schema)
-	for _, r := range t.rows {
-		tup := make(instance.Tuple, len(r.cells))
-		for i, c := range r.cells {
-			tup[i] = resolve(int(c))
-		}
-		if err := d.Relations[r.rel].Insert(tup); err != nil {
-			return nil, nil, err
+	// Resolve every row into cells, row i at [at[i], at[i+1]), then
+	// order the rows by relation and value.
+	at := make([]int, len(t.rows)+1)
+	for i, r := range t.rows {
+		at[i+1] = at[i] + len(r.cells)
+	}
+	cells := make([]value.Value, at[len(t.rows)])
+	order := make([]int32, len(t.rows))
+	for i, r := range t.rows {
+		order[i] = int32(i)
+		for p, c := range r.cells {
+			cells[at[i]+p] = resolve(int(c))
 		}
 	}
-	all := make(map[Term]value.Value, len(t.parent))
-	for id := range t.parent {
-		all[Term(id)] = resolve(id)
+	for id := range vals {
+		vals[id] = resolve(id)
 	}
-	return d, all, nil
+	row := func(i int32) instance.Tuple { return cells[at[i]:at[i+1]] }
+	slices.SortFunc(order, func(a, b int32) int {
+		if d := t.rows[a].rel - t.rows[b].rel; d != 0 {
+			return d
+		}
+		return row(a).Compare(row(b))
+	})
+
+	rels := t.Schema.Relations
+	fz := &instance.Frozen{
+		Schema:    t.Schema,
+		Interner:  value.NewInterner(len(t.rows)),
+		Relations: make([]*instance.FrozenRelation, len(rels)),
+	}
+	ids := make([]value.ID, 0, len(cells))
+	k := 0
+	for ri, rs := range rels {
+		first, from := k, len(ids)
+		for ; k < len(order) && t.rows[order[k]].rel == ri; k++ {
+			if k > first && row(order[k]).Equal(row(order[k-1])) {
+				continue
+			}
+			for _, v := range row(order[k]) {
+				ids = append(ids, fz.Interner.Intern(v))
+			}
+		}
+		fz.Relations[ri] = instance.NewFrozenRelation(rs, ids[from:len(ids):len(ids)])
+	}
+	return fz, vals, nil
+}
+
+// ToDatabase is Frozen decoded to surface values: the chased canonical
+// database and each term's value.  It fails on a failed tableau.
+func (t *Tableau) ToDatabase(alloc *value.Allocator) (*instance.Database, []value.Value, error) {
+	fz, vals, err := t.Frozen(alloc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fz.Database(), vals, nil
 }
 
 // RowCount returns the number of rows (before deduplication).

@@ -17,12 +17,14 @@ import (
 // into its canonical database, chased with the dependencies, plus q's
 // frozen head.  q ⊑ q2 holds iff q2 returns the frozen head on this
 // database, or the chase failed (q is then empty on every database
-// satisfying the dependencies).  One CanonicalDB answers any number of
+// satisfying the dependencies).  The database is held only as the
+// interned view the chase emits, which the adaptive search reads; the
+// naive oracle reads its decode.  One CanonicalDB answers any number of
 // right-hand queries; the engine builds one per distinct query of a
 // batch and searches it from several workers at once, which is safe
 // because nothing mutates it after the build.
 type CanonicalDB struct {
-	db     *instance.Database
+	fz     *instance.Frozen
 	head   instance.Tuple
 	failed bool
 	chase  chase.Stats
@@ -30,7 +32,7 @@ type CanonicalDB struct {
 }
 
 // NewCanonicalDB freezes q into its canonical database over s, chases it
-// with deps under ctx, and decodes the result over an allocator that
+// with deps under ctx, and interns the result over an allocator that
 // reserves every value of reserve.  The fresh values standing for q's
 // variables therefore differ from every reserved constant, so reserve
 // must hold the constants of q and of every query the result will be
@@ -40,7 +42,7 @@ type CanonicalDB struct {
 // by ctx still reports its work through ChaseStats, and ContainedIn
 // returns the error.
 //
-//keyedeq:hot -- freeze-chase-decode is the left half of every verdict the engine computes
+//keyedeq:hot -- freeze-chase-intern is the left half of every verdict the engine computes
 func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []fd.FD, reserve []value.Value) *CanonicalDB {
 	comp := cq.Compile(q)
 	defer comp.Release()
@@ -50,12 +52,12 @@ func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []f
 	return c
 }
 
-// buildCanonicalDB is the one freeze → chase → decode sequence over q's
+// buildCanonicalDB is the one freeze → chase → intern sequence over q's
 // compiled form comp; run is the chase step.  Beside the result it
-// returns the term of each body class and the terms' decoding (nil when
+// returns the term of each body class and each term's value (nil when
 // the build stopped early), which only FindHomomorphism reads, to map a
 // witness back to q's variables.
-func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, []chase.Term, map[chase.Term]value.Value) {
+func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, []chase.Term, []value.Value) {
 	c := &CanonicalDB{}
 	tb := chase.NewTableau(s)
 	terms, err := chase.FreezeCompiled(tb, q, comp)
@@ -85,17 +87,17 @@ func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve 
 	}
 	var alloc value.Allocator
 	alloc.ReserveAll(reserve)
-	db, valOf, err := tb.ToDatabase(&alloc)
+	fz, vals, err := tb.Frozen(&alloc)
 	if err != nil {
 		c.err = err
 		return c, nil, nil
 	}
-	c.db = db
+	c.fz = fz
 	c.head = make(instance.Tuple, len(head))
 	for i, h := range head {
-		c.head[i] = valOf[h]
+		c.head[i] = vals[h]
 	}
-	return c, terms, valOf
+	return c, terms, vals
 }
 
 // keyChase is NewCanonicalDB's chase step: the EGDs deps run over tb
@@ -121,9 +123,15 @@ func keyChase(ctx context.Context, tb *chase.Tableau, deps []fd.FD) (chase.Stats
 // Err returns the error that stopped the build, if any.
 func (c *CanonicalDB) Err() error { return c.err }
 
-// Database returns the chased canonical database and the frozen head in
-// it; both are nil when the chase failed or the build stopped early.
-func (c *CanonicalDB) Database() (*instance.Database, instance.Tuple) { return c.db, c.head }
+// Database decodes the chased canonical database afresh and returns it
+// with the frozen head; both are nil when the chase failed or the build
+// stopped early.
+func (c *CanonicalDB) Database() (*instance.Database, instance.Tuple) {
+	if c.fz == nil {
+		return nil, nil
+	}
+	return c.fz.Database(), c.head
+}
 
 // ChaseStats returns the chase's work, ChaseFailed included, as Stats.
 // It is recorded even when the build stopped early, so summed Stats
@@ -145,8 +153,23 @@ func (c *CanonicalDB) ContainedIn(ctx context.Context, q2 *cq.Query, mode cq.Sea
 	case c.failed:
 		return true, FailedChaseStats(), nil
 	}
-	ok, _, es, err := cq.FindAnswerBindingCtxMode(ctx, q2, c.db, c.head, mode)
+	ok, _, es, err := c.search(ctx, q2, mode, false)
 	return ok, SearchStats(es.Nodes), err
+}
+
+// search runs q2 over the chased database for the frozen head: the
+// adaptive search over the frozen view, decoding a witness only when
+// asked, or the naive oracle over the decode.
+func (c *CanonicalDB) search(ctx context.Context, q2 *cq.Query, mode cq.SearchMode, witness bool) (bool, map[cq.Var]value.Value, cq.EvalStats, error) {
+	switch {
+	case mode == cq.SearchNaive:
+		db, head := c.Database()
+		return cq.FindAnswerBindingCtxMode(ctx, q2, db, head, mode)
+	case witness:
+		return cq.FindAnswerBindingFrozen(ctx, q2, c.fz, c.head)
+	}
+	ok, es, err := cq.HasAnswerFrozen(ctx, q2, c.fz, c.head)
+	return ok, nil, es, err
 }
 
 // decide is ContainedIn with the chase's work merged into the Stats: the

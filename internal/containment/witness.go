@@ -50,7 +50,7 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	}
 	comp := cq.Compile(q1)
 	defer comp.Release()
-	c, terms, valOf := buildCanonicalDB(q1, comp, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
+	c, terms, vals := buildCanonicalDB(q1, comp, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(context.Background(), tb, deps)
 	})
 	switch {
@@ -59,17 +59,17 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	case c.failed:
 		return nil, true, nil
 	}
-	ok, binding, _, err := cq.FindAnswerBindingMode(q2, c.db, c.head, mode)
+	ok, binding, _, err := c.search(context.Background(), q2, mode, true)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	// Translate the value binding back to q1 terms: each frozen value
-	// maps to a representative q1 variable of its chased class; reserved
-	// constants map to themselves.
+	// Translate the value binding back to q1 terms through the per-term
+	// values: each frozen value maps to a representative q1 variable of
+	// its chased class; reserved constants map to themselves.
 	valToVar := make(map[value.Value]cq.Var)
 	for i, a := range q1.Body {
 		for p, v := range a.Vars {
-			val := valOf[terms[comp.Args[i][p]]]
+			val := vals[terms[comp.Args[i][p]]]
 			if _, seen := valToVar[val]; !seen {
 				valToVar[val] = v
 			}
@@ -120,10 +120,15 @@ func VerifyHomomorphism(q1, q2 *cq.Query, h Homomorphism, s *schema.Schema, deps
 			return ok && c == b.Const
 		}
 	}
+	// apply reads v's image, which must be a constant or a body
+	// placeholder of q1: sameTerm reads any other name as term 0.
 	apply := func(v cq.Var) (cq.Term, error) {
 		t, ok := h[v]
 		if !ok {
 			return cq.Term{}, fmt.Errorf("containment: homomorphism misses variable %s", v)
+		}
+		if _, body := vars[t.Var]; !t.IsConst && !body {
+			return cq.Term{}, fmt.Errorf("containment: homomorphism maps %s to %s, which is not a body variable of q1", v, t.Var)
 		}
 		return t, nil
 	}
@@ -187,6 +192,9 @@ func VerifyHomomorphism(q1, q2 *cq.Query, h Homomorphism, s *schema.Schema, deps
 		return fmt.Errorf("containment: head arity mismatch")
 	}
 	for i := range q2.Head {
+		if _, body := vars[q1.Head[i].Var]; !q1.Head[i].IsConst && !body {
+			return fmt.Errorf("containment: head variable %s of q1 is not a body variable", q1.Head[i].Var)
+		}
 		var img cq.Term
 		if q2.Head[i].IsConst {
 			img = q2.Head[i]

@@ -155,3 +155,30 @@ func TestHomomorphismString(t *testing.T) {
 		t.Errorf("not sorted: %q", str)
 	}
 }
+
+// TestVerifyHomomorphismRejectsUnknownVariables holds the verifier to
+// q1's body placeholders: an image, or a q1 head variable, that names
+// no body variable of q1 must fail with an error naming it, where an
+// unchecked lookup would read it as q1's first term and pass.
+func TestVerifyHomomorphismRejectsUnknownVariables(t *testing.T) {
+	s := schema.MustParse("E(src:T1, dst:T1)")
+	q1 := cq.MustParse("V(X) :- E(X, Y).")
+	q2 := cq.MustParse("V(A) :- E(A, B).")
+	for _, tc := range []struct {
+		q1   *cq.Query
+		h    Homomorphism
+		name string
+	}{
+		{q1, Homomorphism{"A": {Var: "NOPE"}, "B": {Var: "Y"}}, "NOPE"},
+		{q1, Homomorphism{"A": {Var: "X"}, "B": {Var: "NOPE"}}, "NOPE"},
+		{cq.MustParse("V(Z) :- E(X, Y)."), Homomorphism{"A": {Var: "X"}, "B": {Var: "Y"}}, "Z"},
+	} {
+		err := VerifyHomomorphism(tc.q1, q2, tc.h, s, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("h = %s over %s: got %v, want an error naming %s", tc.h, tc.q1, err, tc.name)
+		}
+	}
+	if err := VerifyHomomorphism(q1, q2, Homomorphism{"A": {Var: "X"}, "B": {Var: "Y"}}, s, nil); err != nil {
+		t.Errorf("valid certificate rejected: %v", err)
+	}
+}

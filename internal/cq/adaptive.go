@@ -7,81 +7,61 @@ import (
 	"keyedeq/internal/value"
 )
 
-// This file is the SearchAdaptive dispatcher — the production search.
-// One size rule picks the arm: when every relation the query touches
-// holds at most smallRelScanThreshold tuples, no plan step would build
-// an index, so the dense scan (scan_id.go) runs without planning;
-// otherwise the plan is compiled and the streamed pipeline (iter.go)
-// searches its connected components one at a time.  Containment checks
-// run over canonical databases with one tuple per query atom, so most
-// land on the scan.
-
-// findAnswerAdaptive is the SearchAdaptive implementation behind
-// FindAnswerBindingCtx.
-func findAnswerAdaptive(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	if allSmall(q, d) {
-		return findAnswerScan(ctx, q, d, want)
-	}
-	return findAnswerPipeline(ctx, q, d, want)
-}
+// This file is the SearchAdaptive dispatcher — the production search —
+// over a frozen view, which a canonical database is born as and a value
+// database reaches through Database.Frozen.  Both arms run on one ID
+// core (idcore.go).  One size rule picks the arm: when every relation
+// the query touches holds at most smallRelScanThreshold rows, no plan
+// step would build an index, so the dense scan (scan_id.go) runs
+// without planning; otherwise the plan is compiled and the streamed
+// pipeline (iter.go) searches its connected components one at a time.
+// Containment checks run over canonical databases with one row per
+// query atom, so most land on the scan.
 
 // allSmall reports the size rule: every relation q's body names exists
-// in d and holds at most smallRelScanThreshold tuples.  An unknown
-// relation reports false; both arms reject it with the same error.
-func allSmall(q *Query, d *instance.Database) bool {
+// in fz and holds at most smallRelScanThreshold rows.  An unknown
+// relation reports false.
+func allSmall(q *Query, fz *instance.Frozen) bool {
 	for _, a := range q.Body {
-		ri := d.Schema.RelationIndex(a.Rel)
-		if ri < 0 || d.Relations[ri].Len() > smallRelScanThreshold {
+		ri := fz.Schema.RelationIndex(a.Rel)
+		if ri < 0 || fz.Relations[ri].NumRows() > smallRelScanThreshold {
 			return false
 		}
 	}
 	return true
 }
 
-// findAnswerScan is the no-plan arm: the dense scan over the resolved
-// relations.
-func findAnswerScan(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
+// searchIDs searches q over fz for the answer want on one ID core: it
+// compiles q, resolves its relations, pins and interns what it knows,
+// runs the scan arm (useScan) or the pipeline, and decodes the full
+// match it found only when witness is set.  The pins are fixed before
+// any plan is built, so an impossible want misses without one.
+func searchIDs(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple, witness, useScan bool) (bool, map[Var]value.Value, EvalStats, error) {
 	comp := Compile(q)
 	defer comp.Release()
 	if comp.Unsat {
 		return false, nil, EvalStats{}, nil
 	}
-	rels, _, err := resolveRelations(q, d)
+	relIdxs, err := resolveRelations(q, fz.Schema)
 	if err != nil {
 		return false, nil, EvalStats{}, err
 	}
-	return scanIDCore(ctx, q, want, comp, rels)
-}
-
-// findAnswerPipeline is the planned arm: pin the known classes, compile
-// the plan, then stream each connected component through the pipeline
-// over the database's frozen view.  The pins are checked on surface
-// values, before any interning, so an impossible want misses before a
-// plan is built.
-func findAnswerPipeline(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	comp := Compile(q)
-	defer comp.Release()
-	if comp.Unsat {
-		return false, nil, stats, nil
+	s := newIDSearchCore(ctx, fz, comp.NumClasses())
+	if !s.pin(q, comp, want) {
+		return false, nil, s.stats, nil
 	}
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
+	var found bool
+	if useScan {
+		found = scan(s, comp, relIdxs)
+	} else {
+		plan := buildStreamPlan(ctx, comp, fz, relIdxs, s.bound)
+		found = runComponentsSequential(newStreamSearcher(s, plan), plan)
 	}
-	vals := make([]value.Value, comp.NumClasses())
-	pinned := make([]bool, len(vals))
-	if !comp.pin(q, want, vals, pinned) {
-		return false, nil, stats, nil
+	switch {
+	case s.canceled != nil:
+		return false, nil, s.stats, s.canceled
+	case found && witness:
+		return true, s.witness(q, comp), s.stats, nil
 	}
-	plan := buildStreamPlan(ctx, comp, rels, relIdxs, pinned)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats, pinned, vals)
-	ok, err := runComponentsSequential(s, plan)
-	if err != nil || !ok {
-		return false, nil, stats, err
-	}
-	for k, id := range s.binding {
-		vals[k] = s.decodeID(id)
-	}
-	return true, comp.witness(q, vals), stats, nil
+	return found, nil, s.stats, nil
 }

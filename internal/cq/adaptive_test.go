@@ -17,13 +17,13 @@ func TestAllSmallBoundary(t *testing.T) {
 	q := MustParse("V(X, Y) :- E(X, Y).")
 	at := chainDB(t, smallRelScanThreshold)
 	above := chainDB(t, smallRelScanThreshold+1)
-	if !allSmall(q, at) {
+	if !allSmall(q, at.Frozen()) {
 		t.Fatalf("relation with exactly %d rows must take the scan", smallRelScanThreshold)
 	}
-	if allSmall(q, above) {
+	if allSmall(q, above.Frozen()) {
 		t.Fatalf("relation with %d rows must take the pipeline", smallRelScanThreshold+1)
 	}
-	if allSmall(MustParse("V(X) :- F(X)."), at) {
+	if allSmall(MustParse("V(X) :- F(X)."), at.Frozen()) {
 		t.Fatal("a relation missing from the database must not pass the size rule")
 	}
 	// The dispatcher follows the rule: the scan reports no component

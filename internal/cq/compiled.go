@@ -3,19 +3,19 @@ package cq
 import (
 	"sync"
 
-	"keyedeq/internal/instance"
 	"keyedeq/internal/value"
 )
 
 // Compiled is a query's equality classes numbered once, the form the
 // decision path reads: the canonizer, chase.FreezeCompiled, the plan
-// compiler and both adaptive search arms.  Classes are numbered by first
-// appearance, body placeholders first, so classes [0, BodyClasses) are
-// exactly the ones some atom mentions; the variables of the equality
-// list (left side before right) and of the head follow.  The partition,
-// the constants and Unsat are those of EqClasses, which the naive
-// oracle keeps.  Reset recompiles a Compiled for another query, growing
-// its tables only when the query outsizes an earlier one.
+// compiler and the ID core of both adaptive search arms.  Classes are
+// numbered by first appearance, body placeholders first, so classes
+// [0, BodyClasses) are exactly the ones some atom mentions; the
+// variables of the equality list (left side before right) and of the
+// head follow.  The partition, the constants and Unsat are those of
+// EqClasses, which the naive oracle keeps.  Reset recompiles a Compiled
+// for another query, growing its tables only when the query outsizes an
+// earlier one.
 type Compiled struct {
 	// Args holds, per body atom, the class of each position.
 	Args [][]int32
@@ -206,49 +206,6 @@ func (c *Compiled) union(a, b int32) {
 		c.rank[ra]++
 	}
 	c.rootConst[ra], c.rootHasC[ra] = cv, hc
-}
-
-// pin fixes what a search knows before its first node, in vals and set
-// (one entry per class): the constant of every body class that binds
-// one and, when want is not nil, the class of each head variable at its
-// wanted value.  It reports false on an early miss: a head constant
-// other than its wanted value, or one class pinned to two values.  Like
-// the naive search it never reads the constant of a class no atom
-// mentions, which only a query Validate rejects can bind.
-func (c *Compiled) pin(q *Query, want instance.Tuple, vals []value.Value, set []bool) bool {
-	for k := range set {
-		vals[k], set[k] = c.Const[k], k < c.BodyClasses && c.HasConst[k]
-	}
-	if want == nil {
-		return true
-	}
-	for i, k := range c.Head {
-		switch {
-		case k < 0:
-			if q.Head[i].Const != want[i] {
-				return false
-			}
-		case set[k]:
-			if vals[k] != want[i] {
-				return false
-			}
-		default:
-			vals[k], set[k] = want[i], true
-		}
-	}
-	return true
-}
-
-// witness maps every body variable to its class's value in vals: the
-// witness decode of both search arms.
-func (c *Compiled) witness(q *Query, vals []value.Value) map[Var]value.Value {
-	w := make(map[Var]value.Value, len(c.flat))
-	for i, a := range q.Body {
-		for p, v := range a.Vars {
-			w[v] = vals[c.Args[i][p]]
-		}
-	}
-	return w
 }
 
 // resize returns s with length n and every element zero, reusing its

@@ -104,7 +104,7 @@ func evalNaive(q *Query, d *instance.Database, out *instance.Relation) (EvalStat
 	if eq.Unsatisfiable() {
 		return stats, nil
 	}
-	rels, _, err := resolveRelations(q, d)
+	relIdxs, err := resolveRelations(q, d.Schema)
 	if err != nil {
 		return stats, err
 	}
@@ -166,7 +166,7 @@ func evalNaive(q *Query, d *instance.Database, out *instance.Relation) (EvalStat
 		a := q.Body[ai]
 		used[ai] = true
 		defer func() { used[ai] = false }()
-		for _, t := range rels[ai].Tuples() {
+		for _, t := range d.Relations[relIdxs[ai]].Tuples() {
 			stats.Nodes++
 			// Check consistency and collect new bindings.
 			var added []Var
@@ -195,28 +195,12 @@ func evalNaive(q *Query, d *instance.Database, out *instance.Relation) (EvalStat
 	return stats, nil
 }
 
-// NonEmpty reports whether q has at least one answer on d.
-func NonEmpty(q *Query, d *instance.Database) (bool, error) {
-	rel, err := Eval(q, d)
-	if err != nil {
-		return false, err
-	}
-	return rel.Len() > 0, nil
-}
-
 // HasAnswer reports whether evaluating q over d produces the tuple want.
 // Unlike Eval it terminates as soon as the tuple is derived, which is the
 // homomorphism test at the heart of containment checking.  The returned
 // stats count search nodes visited.
 func HasAnswer(q *Query, d *instance.Database, want instance.Tuple) (bool, EvalStats, error) {
 	ok, _, stats, err := FindAnswerBinding(q, d, want)
-	return ok, stats, err
-}
-
-// HasAnswerCtx is HasAnswer with cancellation: the backtracking search
-// polls ctx periodically and aborts with ctx's error when it is done.
-func HasAnswerCtx(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, EvalStats, error) {
-	ok, _, stats, err := FindAnswerBindingCtx(ctx, q, d, want)
 	return ok, stats, err
 }
 
@@ -240,17 +224,35 @@ func FindAnswerBindingMode(q *Query, d *instance.Database, want instance.Tuple, 
 }
 
 // FindAnswerBindingCtxMode is FindAnswerBindingCtx with an explicit
-// search mode.
-//
-// It is also the obs reporting funnel for the homomorphism search:
-// every invocation bumps the search counters and, with a sink
-// installed, emits one search span — on success, cancellation, and
-// validation failure alike — so exported totals reconcile exactly with
-// the EvalStats callers accumulate.
+// search mode.  The adaptive search reads d's memoized frozen view.
 func FindAnswerBindingCtxMode(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple, mode SearchMode) (bool, map[Var]value.Value, EvalStats, error) {
+	return searchObserved(ctx, q, d, nil, want, mode, true)
+}
+
+// FindAnswerBindingFrozen is FindAnswerBindingCtx over a frozen view:
+// the adaptive search for want in fz, with the witness decoded.
+func FindAnswerBindingFrozen(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
+	return searchObserved(ctx, q, nil, fz, want, SearchAdaptive, true)
+}
+
+// HasAnswerFrozen is FindAnswerBindingFrozen without the witness: the
+// decision path's entry, which decodes nothing.
+func HasAnswerFrozen(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple) (bool, EvalStats, error) {
+	ok, _, es, err := searchObserved(ctx, q, nil, fz, want, SearchAdaptive, false)
+	return ok, es, err
+}
+
+// searchObserved is the obs reporting funnel for the homomorphism
+// search behind every entry point: every invocation bumps the search
+// counters and, with a sink installed, emits one search span — on
+// success, cancellation, and validation failure alike — so exported
+// totals reconcile exactly with the EvalStats callers accumulate.  The
+// naive oracle reads the value database d; the adaptive search reads
+// fz, or d's frozen view when fz is nil.
+func searchObserved(ctx context.Context, q *Query, d *instance.Database, fz *instance.Frozen, want instance.Tuple, mode SearchMode, witness bool) (bool, map[Var]value.Value, EvalStats, error) {
 	o := obs.FromContext(ctx)
 	start := o.Time()
-	ok, w, es, err := findAnswer(ctx, q, d, want, mode)
+	ok, w, es, err := findAnswer(ctx, q, d, fz, want, mode, witness)
 	if o != nil {
 		o.C(obs.CSearches).Inc()
 		o.C(obs.CSearchNodes).Add(es.Nodes)
@@ -272,7 +274,7 @@ func FindAnswerBindingCtxMode(ctx context.Context, q *Query, d *instance.Databas
 
 // findAnswer dispatches to the selected search implementation after the
 // shared validation.
-func findAnswer(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple, mode SearchMode) (bool, map[Var]value.Value, EvalStats, error) {
+func findAnswer(ctx context.Context, q *Query, d *instance.Database, fz *instance.Frozen, want instance.Tuple, mode SearchMode, witness bool) (bool, map[Var]value.Value, EvalStats, error) {
 	if len(q.Head) != len(want) {
 		return false, nil, EvalStats{}, fmt.Errorf("cq: want arity %d, head arity %d", len(want), len(q.Head))
 	}
@@ -282,7 +284,10 @@ func findAnswer(ctx context.Context, q *Query, d *instance.Database, want instan
 	if mode == SearchNaive {
 		return findAnswerNaive(ctx, q, d, want)
 	}
-	return findAnswerAdaptive(ctx, q, d, want)
+	if fz == nil {
+		fz = d.Frozen()
+	}
+	return searchIDs(ctx, q, fz, want, witness, allSmall(q, fz))
 }
 
 // findAnswerNaive is the reference homomorphism search: dynamic
@@ -293,7 +298,7 @@ func findAnswerNaive(ctx context.Context, q *Query, d *instance.Database, want i
 	if eq.Unsatisfiable() {
 		return false, nil, stats, nil
 	}
-	rels, _, err := resolveRelations(q, d)
+	relIdxs, err := resolveRelations(q, d.Schema)
 	if err != nil {
 		return false, nil, stats, err
 	}
@@ -365,7 +370,7 @@ func findAnswerNaive(ctx context.Context, q *Query, d *instance.Database, want i
 		a := q.Body[ai]
 		used[ai] = true
 		defer func() { used[ai] = false }()
-		for _, t := range rels[ai].Tuples() {
+		for _, t := range d.Relations[relIdxs[ai]].Tuples() {
 			if found || canceled != nil {
 				return
 			}

@@ -248,18 +248,6 @@ func TestEvalStatsCounted(t *testing.T) {
 	}
 }
 
-func TestNonEmpty(t *testing.T) {
-	d := evalDB(t)
-	ok, err := NonEmpty(MustParse("V(X) :- R(X, Y)."), d)
-	if err != nil || !ok {
-		t.Error("NonEmpty should be true")
-	}
-	ok, err = NonEmpty(MustParse("V(X) :- R(X, Y), Y = T2:77."), d)
-	if err != nil || ok {
-		t.Error("NonEmpty should be false")
-	}
-}
-
 // Conjunctive queries are monotone: answers over a sub-database are a
 // subset of answers over the full database.
 func TestEvalMonotone(t *testing.T) {

@@ -9,13 +9,14 @@ import (
 )
 
 // This file is the streamed homomorphism-search runtime: the plan's
-// steps become a pipeline of composable streaming operators over the
-// database's frozen (interned) view —
+// steps become a pipeline of composable streaming operators over a
+// frozen (interned) view, on the ID core it shares with the dense scan
+// (idcore.go) —
 //
 //   - scan: positional cursor over a FrozenRelation's rows;
 //   - indexed lookup: cursor over the row list of a pre-sized hash
 //     index bucket keyed by the step's bound positions;
-//   - join/selection: tryBind, which extends the dense class binding
+//   - join/selection: bindRow, which extends the dense class binding
 //     with a candidate row (hash-join probe on the key positions plus
 //     residual equality selection on repeated classes) and unwinds by
 //     mark on backtrack;
@@ -31,7 +32,7 @@ import (
 //
 // Candidates are enumerated in row order (hash buckets are filled in
 // row order) and a node is counted for every candidate pulled, before
-// tryBind, under the cancelCheckMask polling contract.  The adaptive
+// bindRow, under the cancelCheckMask polling contract.  The adaptive
 // search's differential wall pins the pipeline to the naive oracle's
 // verdicts, and its witnesses to VerifyHomomorphism.
 
@@ -72,7 +73,7 @@ type stepCursor struct {
 // shared ID-search core plus the hash indexes and the cursor stack of
 // the pipeline driver.
 type streamSearcher struct {
-	idSearchCore
+	*idSearchCore
 	plan *searchPlan
 	idx  []streamIndex
 	// keyBuf is the reusable scratch for wide-key encoding.
@@ -83,37 +84,22 @@ type streamSearcher struct {
 	marks   []int
 }
 
-// newStreamSearcher sets up the search of plan over fz.  pinned and
-// vals are the compiled form's pins (Compiled.pin): each pinned body
-// class starts bound to its value, interned (or given a ghost ID when
-// the frozen view never saw it).  The searcher takes pinned's body
-// prefix as its bound set.
-func newStreamSearcher(ctx context.Context, plan *searchPlan, fz *instance.Frozen, stats *EvalStats, pinned []bool, vals []value.Value) *streamSearcher {
+// newStreamSearcher sets up the search of plan on the core s, whose
+// pins the plan was compiled over.
+func newStreamSearcher(s *idSearchCore, plan *searchPlan) *streamSearcher {
 	maxSteps := 0
 	for ci := range plan.comps {
 		if n := len(plan.comps[ci].steps); n > maxSteps {
 			maxSteps = n
 		}
 	}
-	s := &streamSearcher{
-		idSearchCore: idSearchCore{
-			ctx:     ctx,
-			fz:      fz,
-			binding: make([]value.ID, plan.numClasses),
-			bound:   pinned[:plan.numClasses:plan.numClasses],
-			stats:   stats,
-		},
-		plan:    plan,
-		idx:     make([]streamIndex, plan.numSlots),
-		cursors: make([]stepCursor, maxSteps),
-		marks:   make([]int, maxSteps),
+	return &streamSearcher{
+		idSearchCore: s,
+		plan:         plan,
+		idx:          make([]streamIndex, plan.numSlots),
+		cursors:      make([]stepCursor, maxSteps),
+		marks:        make([]int, maxSteps),
 	}
-	for k, ok := range s.bound {
-		if ok {
-			s.binding[k] = s.internID(vals[k])
-		}
-	}
-	return s
 }
 
 // appendIDKey encodes one ID into the wide-key scratch buffer.
@@ -274,7 +260,7 @@ func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 		}
 		st := &steps[depth]
 		s.marks[depth] = len(s.addedStack)
-		if !s.tryBind(st, s.fz.Relations[st.relIdx], ri) {
+		if !s.bindRow(st.roots, s.fz.Relations[st.relIdx].Row(ri)) {
 			s.unbindTo(s.marks[depth])
 			continue
 		}
@@ -296,10 +282,10 @@ func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 }
 
 // buildStreamPlan compiles the plan and emits the plan-stage span.
-func buildStreamPlan(ctx context.Context, comp *Compiled, rels []*instance.Relation, relIdxs []int, pinned []bool) *searchPlan {
+func buildStreamPlan(ctx context.Context, comp *Compiled, fz *instance.Frozen, relIdxs []int, pinned []bool) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
-	plan := buildPlan(comp, rels, relIdxs, pinned)
+	plan := buildPlan(comp, fz, relIdxs, pinned)
 	if o.SpansOn() {
 		steps := 0
 		for ci := range plan.comps {
@@ -313,19 +299,20 @@ func buildStreamPlan(ctx context.Context, comp *Compiled, rels []*instance.Relat
 }
 
 // runComponentsSequential searches the plan's components in order over
-// one searcher, recording per-component node counts.  A miss or a
-// cancellation in an earlier component ends the search, so the
-// recorded entries always sum to Nodes.
-func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) {
+// one searcher, recording per-component node counts, and reports
+// whether every component matched.  A miss or a cancellation in an
+// earlier component ends the search, so the recorded entries always sum
+// to Nodes.
+func runComponentsSequential(s *streamSearcher, plan *searchPlan) bool {
 	for ci := range plan.comps {
 		before := s.stats.Nodes
 		found := s.runPipeline(plan.comps[ci].steps, nil)
 		s.stats.CompNodes = append(s.stats.CompNodes, s.stats.Nodes-before)
 		if !found {
-			return false, s.canceled
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // evalPipeline is the enumeration behind EvalWithStats: every
@@ -339,21 +326,19 @@ func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) 
 //
 //keyedeq:hot -- full-enumeration evaluation visits every match of every component
 func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *instance.Relation) (EvalStats, error) {
-	var stats EvalStats
 	comp := Compile(q)
 	defer comp.Release()
 	if comp.Unsat {
-		return stats, nil
+		return EvalStats{}, nil
 	}
-	rels, relIdxs, err := resolveRelations(q, d)
+	relIdxs, err := resolveRelations(q, d.Schema)
 	if err != nil {
-		return stats, err
+		return EvalStats{}, err
 	}
-	vals := make([]value.Value, comp.NumClasses())
-	pinned := make([]bool, len(vals))
-	comp.pin(q, nil, vals, pinned)
-	plan := buildPlan(comp, rels, relIdxs, pinned)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats, pinned, vals)
+	core := newIDSearchCore(ctx, d.Frozen(), comp.NumClasses())
+	core.pin(q, comp, nil)
+	plan := buildPlan(comp, core.fz, relIdxs, core.bound)
+	s := newStreamSearcher(core, plan)
 
 	// solutions[ci] holds component ci's distinct head-class projections
 	// as one flat ID slice of stride len(headRoots) (nil for head-free
@@ -361,15 +346,15 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 	solutions := make([][]value.ID, len(plan.comps))
 	for ci := range plan.comps {
 		comp := &plan.comps[ci]
-		before := stats.Nodes
+		before := s.stats.Nodes
 		if len(comp.headRoots) == 0 {
 			found := s.runPipeline(comp.steps, nil)
-			stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
+			s.stats.CompNodes = append(s.stats.CompNodes, s.stats.Nodes-before)
 			if s.canceled != nil {
-				return stats, s.canceled
+				return s.stats, s.canceled
 			}
 			if !found {
-				return stats, nil
+				return s.stats, nil
 			}
 			continue
 		}
@@ -388,12 +373,12 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 			}
 			return true
 		})
-		stats.CompNodes = append(stats.CompNodes, stats.Nodes-before)
+		s.stats.CompNodes = append(s.stats.CompNodes, s.stats.Nodes-before)
 		if s.canceled != nil {
-			return stats, s.canceled
+			return s.stats, s.canceled
 		}
 		if len(sols) == 0 {
-			return stats, nil
+			return s.stats, nil
 		}
 		solutions[ci] = sols
 	}
@@ -442,5 +427,5 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 		return true
 	}
 	emit(0)
-	return stats, s.canceled
+	return s.stats, s.canceled
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"keyedeq/internal/instance"
+	"keyedeq/internal/schema"
 )
 
 // This file compiles a query body into a search plan for the streamed
@@ -31,11 +32,8 @@ const smallRelScanThreshold = 8
 type planStep struct {
 	// atom indexes q.Body.
 	atom int
-	// rel is the resolved relation instance the atom matches against.
-	rel *instance.Relation
-	// relIdx is rel's index in the database's schema order, which is
-	// also its index among the frozen (interned) relation views — the
-	// pipeline addresses relations by it.
+	// relIdx is the index, in schema order, of the frozen relation the
+	// atom matches against.
 	relIdx int
 	// roots holds the class of each position (the compiled form's Args).
 	roots []int32
@@ -67,33 +65,27 @@ type planComponent struct {
 // fixed query and database.
 type searchPlan struct {
 	comps []planComponent
-	// numClasses is the compiled form's BodyClasses: classes [0,
-	// numClasses) are the ones some atom mentions.
-	numClasses int
 	// numSlots is the number of distinct (relation, key positions)
 	// hash indexes the plan's steps probe.
 	numSlots int
 }
 
-// resolveRelations maps each body atom to its relation instance and
-// its schema-order index, rejecting unknown relations and arity
-// mismatches.
-func resolveRelations(q *Query, d *instance.Database) ([]*instance.Relation, []int, error) {
-	rels := make([]*instance.Relation, len(q.Body))
+// resolveRelations maps each body atom to its relation's index in s's
+// order — also its index among a database's relations and a frozen
+// view's — rejecting unknown relations and arity mismatches.
+func resolveRelations(q *Query, s *schema.Schema) ([]int, error) {
 	idxs := make([]int, len(q.Body))
 	for i, a := range q.Body {
-		ri := d.Schema.RelationIndex(a.Rel)
+		ri := s.RelationIndex(a.Rel)
 		if ri < 0 {
-			return nil, nil, fmt.Errorf("cq: no relation %q in database", a.Rel)
+			return nil, fmt.Errorf("cq: no relation %q in database", a.Rel)
 		}
-		r := d.Relations[ri]
-		if r.Scheme != nil && len(a.Vars) != r.Scheme.Arity() {
-			return nil, nil, fmt.Errorf("cq: %s arity mismatch", a.Rel)
+		if len(a.Vars) != s.Relations[ri].Arity() {
+			return nil, fmt.Errorf("cq: %s arity mismatch", a.Rel)
 		}
-		rels[i] = r
 		idxs[i] = ri
 	}
-	return rels, idxs, nil
+	return idxs, nil
 }
 
 // ufFind is the path-halving find of buildPlan's union-find over atoms.
@@ -118,8 +110,8 @@ func equalPos(a, b []int) bool {
 	return true
 }
 
-// buildPlan compiles the plan for the compiled query comp over the
-// resolved relations.  prebound marks the body classes whose value is
+// buildPlan compiles the plan for the compiled query comp over fz, whose
+// relation relIdxs[i] body atom i matches.  prebound marks the body classes whose value is
 // fixed before the search starts (constant-bound classes, plus the head
 // classes when searching for a specific answer tuple); entries past
 // comp.BodyClasses are ignored.
@@ -129,10 +121,10 @@ func equalPos(a, b []int) bool {
 // bool) back every scratch table and every step's key-position list,
 // and index-slot sharing compares position lists directly instead of
 // building signature strings.
-func buildPlan(comp *Compiled, rels []*instance.Relation, relIdxs []int, prebound []bool) *searchPlan {
+func buildPlan(comp *Compiled, fz *instance.Frozen, relIdxs []int, prebound []bool) *searchPlan {
 	roots := comp.Args
 	n, nc := len(roots), comp.BodyClasses
-	plan := &searchPlan{numClasses: nc}
+	plan := &searchPlan{}
 	total := 0
 	for _, args := range roots {
 		total += len(args)
@@ -215,7 +207,7 @@ func buildPlan(comp *Compiled, rels []*instance.Relation, relIdxs []int, preboun
 	stepsArena := make([]planStep, n)
 	for ci := 0; ci < ncomps; ci++ {
 		atoms := atomList[compStart[ci]:compStart[ci+1]]
-		plan.comps[ci], keyArena = orderComponent(atoms, rels, relIdxs, roots, preboundID,
+		plan.comps[ci], keyArena = orderComponent(atoms, fz, relIdxs, roots, preboundID,
 			boundScratch, placedArena[compStart[ci]:compStart[ci+1]],
 			stepsArena[compStart[ci]:compStart[ci]:compStart[ci+1]], keyArena)
 		for _, ai := range atoms {
@@ -236,13 +228,12 @@ func buildPlan(comp *Compiled, rels []*instance.Relation, relIdxs []int, preboun
 	for ci := range plan.comps {
 		for si := range plan.comps[ci].steps {
 			st := &plan.comps[ci].steps[si]
-			if len(st.keyPos) == 0 || st.rel.Len() <= smallRelScanThreshold {
-				st.indexSlot = -1
+			st.indexSlot = -1
+			if len(st.keyPos) == 0 || fz.Relations[st.relIdx].NumRows() <= smallRelScanThreshold {
 				continue
 			}
-			st.indexSlot = -1
 			for slot, have := range slotSteps {
-				if have.rel == st.rel && equalPos(have.keyPos, st.keyPos) {
+				if have.relIdx == st.relIdx && equalPos(have.keyPos, st.keyPos) {
 					st.indexSlot = slot
 					break
 				}
@@ -281,7 +272,7 @@ func buildPlan(comp *Compiled, rels []*instance.Relation, relIdxs []int, preboun
 // steps are this component's disjoint carvings of the caller's arenas;
 // keyArena backs the steps' key-position lists, with the unconsumed
 // tail returned.
-func orderComponent(atoms []int, rels []*instance.Relation, relIdxs []int, roots [][]int32, preboundID []bool,
+func orderComponent(atoms []int, fz *instance.Frozen, relIdxs []int, roots [][]int32, preboundID []bool,
 	bound, placed []bool, steps []planStep, keyArena []int) (planComponent, []int) {
 	copy(bound, preboundID)
 	for k := range placed {
@@ -300,13 +291,13 @@ func orderComponent(atoms []int, rels []*instance.Relation, relIdxs []int, roots
 					b++
 				}
 			}
-			card := rels[ai].Len()
+			card := fz.Relations[relIdxs[ai]].NumRows()
 			if b > bestBound || (b == bestBound && card < bestCard) {
 				best, bestK, bestBound, bestCard = ai, k, b, card
 			}
 		}
 		placed[bestK] = true
-		step := planStep{atom: best, rel: rels[best], relIdx: relIdxs[best], roots: roots[best]}
+		step := planStep{atom: best, relIdx: relIdxs[best], roots: roots[best]}
 		nk := 0
 		for _, id := range roots[best] {
 			if bound[id] {

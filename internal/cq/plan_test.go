@@ -7,7 +7,6 @@ import (
 
 	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
-	"keyedeq/internal/value"
 )
 
 // chainDB builds E(a,b) holding a path 0 -> 1 -> ... -> n, which is
@@ -25,14 +24,13 @@ func chainDB(t *testing.T, n int) *instance.Database {
 func mustPlan(t *testing.T, q *Query, d *instance.Database) *searchPlan {
 	t.Helper()
 	comp := Compile(q)
-	rels, relIdxs, err := resolveRelations(q, d)
+	relIdxs, err := resolveRelations(q, d.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]value.Value, comp.NumClasses())
-	pinned := make([]bool, len(vals))
-	comp.pin(q, nil, vals, pinned)
-	return buildPlan(comp, rels, relIdxs, pinned)
+	s := newIDSearchCore(context.Background(), d.Frozen(), comp.NumClasses())
+	s.pin(q, comp, nil)
+	return buildPlan(comp, s.fz, relIdxs, s.bound)
 }
 
 func TestPlanMostConstrainedFirst(t *testing.T) {

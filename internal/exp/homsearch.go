@@ -50,7 +50,10 @@ type HomBenchResult struct {
 }
 
 // HomCase is one prepared homomorphism search instance: does Q have the
-// answer Want on the (chased) canonical database DB?
+// answer Want on the (chased) canonical database DB?  DB is the decode
+// of the frozen view the canonical build keeps: the naive arm scans it,
+// and the adaptive arm reaches the same view again through the
+// memoized DB.Frozen().
 type HomCase struct {
 	Q    *cq.Query
 	DB   *instance.Database

@@ -8,12 +8,14 @@ import (
 
 // This file implements the frozen (interned) view of a database: every
 // value interned to a dense value.ID and every relation body stored as
-// one flat fixed-width row array.  The chase and the homomorphism
-// search run their hot loops over these ID rows; surface values
-// reappear only at the decode boundary (witnesses, dumps, errors).
-// The frozen view is immutable data with no locks: it is memoized per
-// Database and invalidated by mutation, never mutated itself, so any
-// number of searches may read one view concurrently.
+// one flat fixed-width row array.  The homomorphism search runs its hot
+// loops over these ID rows; surface values reappear only at the decode
+// boundary (witnesses, dumps, errors, the naive oracle).  A canonical
+// database is born frozen — the chase emits this view directly
+// (chase.Tableau.Frozen) — while a value Database reaches it through
+// the memoized Database.Frozen, invalidated by mutation.  The view is
+// immutable data with no locks, never mutated itself, so any number of
+// searches may read one view concurrently.
 
 // FrozenRelation is one relation instance encoded as interned rows:
 // rows holds NumRows()*Arity() IDs, row-major, in exactly the order of
@@ -105,6 +107,19 @@ func (f *Frozen) DecodeTuple(ri, i int) Tuple {
 		out[p] = v
 	}
 	return out
+}
+
+// Database decodes f into a value database holding every row as a
+// tuple: the inverse of FreezeDatabase.  The naive search oracle and
+// the value-level tools read a canonical database through it.
+func (f *Frozen) Database() *Database {
+	d := NewDatabase(f.Schema)
+	for ri, fr := range f.Relations {
+		for i := 0; i < fr.NumRows(); i++ {
+			d.Relations[ri].MustInsert(f.DecodeTuple(ri, i))
+		}
+	}
+	return d
 }
 
 // Frozen returns the memoized interned view of d, rebuilding it only
