@@ -175,10 +175,11 @@ var ErrNilQuery = errors.New("nil query")
 
 // CheckComparable validates both queries against s and requires equal
 // head types — the precondition every containment test shares.  A nil
-// query is an error wrapping ErrNilQuery, never a panic.  The batch
-// engine, which meets one query in many pairs, runs Validate and
-// HeadType once per query and CheckHeadTypes per pair, and calls
-// CheckComparable only to build a failing pair's error.
+// query is an error wrapping ErrNilQuery, never a panic.  Each query is
+// compiled once and both checks read the compiled form, with the
+// errors of Validate and HeadType.  The batch engine, which meets one
+// query in many pairs, checks each query once and CheckHeadTypes per
+// pair, and calls CheckComparable only to build a failing pair's error.
 func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
 	if q1 == nil {
 		return fmt.Errorf("containment: left query: %w", ErrNilQuery)
@@ -186,17 +187,20 @@ func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
 	if q2 == nil {
 		return fmt.Errorf("containment: right query: %w", ErrNilQuery)
 	}
-	if err := q1.Validate(s); err != nil {
+	c1, c2 := cq.Compile(q1), cq.Compile(q2)
+	defer c1.Release()
+	defer c2.Release()
+	if err := c1.Check(q1, s); err != nil {
 		return fmt.Errorf("containment: left query: %v", err)
 	}
-	if err := q2.Validate(s); err != nil {
+	if err := c2.Check(q2, s); err != nil {
 		return fmt.Errorf("containment: right query: %v", err)
 	}
-	t1, err := q1.HeadType(s)
+	t1, err := c1.HeadType(q1)
 	if err != nil {
 		return err
 	}
-	t2, err := q2.HeadType(s)
+	t2, err := c2.HeadType(q2)
 	if err != nil {
 		return err
 	}

@@ -35,26 +35,28 @@ func allSmall(q *Query, fz *instance.Frozen) bool {
 // compiles q, resolves its relations, pins and interns what it knows,
 // runs the scan arm (useScan) or the pipeline, and decodes the full
 // match it found only when witness is set.  The pins are fixed before
-// any plan is built, so an impossible want misses without one.
+// any plan is built, so an impossible want misses without one.  The
+// compiled form and the core are pooled, so a search allocates only
+// its plan and its witness.
 func searchIDs(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple, witness, useScan bool) (bool, map[Var]value.Value, EvalStats, error) {
 	comp := Compile(q)
 	defer comp.Release()
 	if comp.Unsat {
 		return false, nil, EvalStats{}, nil
 	}
-	relIdxs, err := resolveRelations(q, fz.Schema)
-	if err != nil {
+	if err := resolveCompiled(q, comp, fz.Schema); err != nil {
 		return false, nil, EvalStats{}, err
 	}
-	s := newIDSearchCore(ctx, fz, comp.NumClasses())
+	s := newIDSearchCore(ctx, fz, comp)
+	defer s.release()
 	if !s.pin(q, comp, want) {
 		return false, nil, s.stats, nil
 	}
 	var found bool
 	if useScan {
-		found = scan(s, comp, relIdxs)
+		found = scan(s, comp)
 	} else {
-		plan := buildStreamPlan(ctx, comp, fz, relIdxs, s.bound)
+		plan := buildStreamPlan(ctx, comp, fz, s.bound)
 		found = runComponentsSequential(newStreamSearcher(s, plan), plan)
 	}
 	switch {

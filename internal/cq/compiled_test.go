@@ -178,7 +178,8 @@ func TestCompiledMatchesEqClasses(t *testing.T) {
 	}
 }
 
-// FuzzCompile holds the compiled form to EqClasses on every query the
+// FuzzCompile holds the compiled form to EqClasses, and Validate and
+// HeadType, which read it, to their references, on every query the
 // parser accepts.
 func FuzzCompile(f *testing.F) {
 	for _, s := range cq.ParseSeeds {
@@ -192,5 +193,6 @@ func FuzzCompile(f *testing.F) {
 		c := cq.Compile(q)
 		defer c.Release()
 		checkCompiled(t, c, q)
+		checkValidate(t, q, oracleSchema)
 	})
 }

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"context"
+	"sync"
 
 	"keyedeq/internal/instance"
 	"keyedeq/internal/invariant"
@@ -34,18 +35,41 @@ type idSearchCore struct {
 	// exactly like a value absent from the database: every comparison
 	// misses, and the search explores the same nodes.
 	ghostVals []value.Value
+	// atomUsed holds one flag per body atom, the dense scan's record of
+	// the atoms on its current path.
+	atomUsed []bool
 }
 
-// newIDSearchCore returns a core over fz for a compiled query of nc
-// classes.  Each class is pushed on the unwind stack at most once, so nc
-// bounds its depth.
-func newIDSearchCore(ctx context.Context, fz *instance.Frozen, nc int) *idSearchCore {
-	return &idSearchCore{
-		ctx:        ctx,
-		fz:         fz,
-		binding:    make([]value.ID, nc),
-		bound:      make([]bool, nc),
-		addedStack: make([]int32, 0, nc),
+// idSearchCores recycles search cores, so a search takes its tables
+// from an earlier one instead of allocating them.
+var idSearchCores = sync.Pool{New: func() any { return new(idSearchCore) }}
+
+// newIDSearchCore returns a pooled core over fz for the compiled query
+// c, its tables cleared and sized by c.  Each class is pushed on the
+// unwind stack at most once, so the class count bounds its depth.
+// release returns the core.
+func newIDSearchCore(ctx context.Context, fz *instance.Frozen, c *Compiled) *idSearchCore {
+	s := idSearchCores.Get().(*idSearchCore)
+	nc := c.NumClasses()
+	s.ctx, s.fz = ctx, fz
+	s.binding = resize(s.binding, nc)
+	s.bound = resize(s.bound, nc)
+	s.atomUsed = resize(s.atomUsed, len(c.Args))
+	if cap(s.addedStack) < nc {
+		s.addedStack = make([]int32, 0, nc)
+	}
+	s.addedStack = s.addedStack[:0]
+	s.ghostVals = s.ghostVals[:0]
+	s.stats, s.canceled = EvalStats{}, nil
+	return s
+}
+
+// release drops the core's references to the search and returns it to
+// the pool, unless a huge query grew its tables past MaxPooledSlots.
+func (s *idSearchCore) release() {
+	s.ctx, s.fz, s.canceled = nil, nil, nil
+	if len(s.binding) <= MaxPooledSlots {
+		idSearchCores.Put(s)
 	}
 }
 

@@ -282,10 +282,10 @@ func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 }
 
 // buildStreamPlan compiles the plan and emits the plan-stage span.
-func buildStreamPlan(ctx context.Context, comp *Compiled, fz *instance.Frozen, relIdxs []int, pinned []bool) *searchPlan {
+func buildStreamPlan(ctx context.Context, comp *Compiled, fz *instance.Frozen, pinned []bool) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
-	plan := buildPlan(comp, fz, relIdxs, pinned)
+	plan := buildPlan(comp, fz, pinned)
 	if o.SpansOn() {
 		steps := 0
 		for ci := range plan.comps {
@@ -331,13 +331,13 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 	if comp.Unsat {
 		return EvalStats{}, nil
 	}
-	relIdxs, err := resolveRelations(q, d.Schema)
-	if err != nil {
+	if err := resolveCompiled(q, comp, d.Schema); err != nil {
 		return EvalStats{}, err
 	}
-	core := newIDSearchCore(ctx, d.Frozen(), comp.NumClasses())
+	core := newIDSearchCore(ctx, d.Frozen(), comp)
+	defer core.release()
 	core.pin(q, comp, nil)
-	plan := buildPlan(comp, core.fz, relIdxs, core.bound)
+	plan := buildPlan(comp, core.fz, core.bound)
 	s := newStreamSearcher(core, plan)
 
 	// solutions[ci] holds component ci's distinct head-class projections

@@ -72,20 +72,39 @@ type searchPlan struct {
 
 // resolveRelations maps each body atom to its relation's index in s's
 // order — also its index among a database's relations and a frozen
-// view's — rejecting unknown relations and arity mismatches.
+// view's — rejecting unknown relations and arity mismatches.  The naive
+// oracle calls it; the adaptive arms resolve the compiled form instead
+// (resolveCompiled), with the same errors.
 func resolveRelations(q *Query, s *schema.Schema) ([]int, error) {
 	idxs := make([]int, len(q.Body))
 	for i, a := range q.Body {
 		ri := s.RelationIndex(a.Rel)
-		if ri < 0 {
-			return nil, fmt.Errorf("cq: no relation %q in database", a.Rel)
-		}
-		if len(a.Vars) != s.Relations[ri].Arity() {
-			return nil, fmt.Errorf("cq: %s arity mismatch", a.Rel)
+		if ri < 0 || len(a.Vars) != s.Relations[ri].Arity() {
+			return nil, relationErr(a, ri < 0)
 		}
 		idxs[i] = ri
 	}
 	return idxs, nil
+}
+
+// resolveCompiled resolves c, compiled from q, against s, leaving each
+// atom's relation index in c.Rels, and returns resolveRelations' error
+// for the first atom s lacks or has at another arity.
+func resolveCompiled(q *Query, c *Compiled, s *schema.Schema) error {
+	c.Resolve(q, s)
+	if c.relAtom < 0 {
+		return nil
+	}
+	return relationErr(q.Body[c.relAtom], c.Rels[c.relAtom] < 0)
+}
+
+// relationErr is the search's error for atom a, whose relation the
+// database lacks (unknown) or has at another arity.
+func relationErr(a Atom, unknown bool) error {
+	if unknown {
+		return fmt.Errorf("cq: no relation %q in database", a.Rel)
+	}
+	return fmt.Errorf("cq: %s arity mismatch", a.Rel)
 }
 
 // ufFind is the path-halving find of buildPlan's union-find over atoms.
@@ -111,7 +130,8 @@ func equalPos(a, b []int) bool {
 }
 
 // buildPlan compiles the plan for the compiled query comp over fz, whose
-// relation relIdxs[i] body atom i matches.  prebound marks the body classes whose value is
+// relation comp.Rels[i] body atom i matches (resolveCompiled).
+// prebound marks the body classes whose value is
 // fixed before the search starts (constant-bound classes, plus the head
 // classes when searching for a specific answer tuple); entries past
 // comp.BodyClasses are ignored.
@@ -121,7 +141,7 @@ func equalPos(a, b []int) bool {
 // bool) back every scratch table and every step's key-position list,
 // and index-slot sharing compares position lists directly instead of
 // building signature strings.
-func buildPlan(comp *Compiled, fz *instance.Frozen, relIdxs []int, prebound []bool) *searchPlan {
+func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan {
 	roots := comp.Args
 	n, nc := len(roots), comp.BodyClasses
 	plan := &searchPlan{}
@@ -207,7 +227,7 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, relIdxs []int, prebound []bo
 	stepsArena := make([]planStep, n)
 	for ci := 0; ci < ncomps; ci++ {
 		atoms := atomList[compStart[ci]:compStart[ci+1]]
-		plan.comps[ci], keyArena = orderComponent(atoms, fz, relIdxs, roots, preboundID,
+		plan.comps[ci], keyArena = orderComponent(atoms, fz, comp.Rels, roots, preboundID,
 			boundScratch, placedArena[compStart[ci]:compStart[ci+1]],
 			stepsArena[compStart[ci]:compStart[ci]:compStart[ci+1]], keyArena)
 		for _, ai := range atoms {
@@ -272,7 +292,7 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, relIdxs []int, prebound []bo
 // steps are this component's disjoint carvings of the caller's arenas;
 // keyArena backs the steps' key-position lists, with the unconsumed
 // tail returned.
-func orderComponent(atoms []int, fz *instance.Frozen, relIdxs []int, roots [][]int32, preboundID []bool,
+func orderComponent(atoms []int, fz *instance.Frozen, relIdxs []int32, roots [][]int32, preboundID []bool,
 	bound, placed []bool, steps []planStep, keyArena []int) (planComponent, []int) {
 	copy(bound, preboundID)
 	for k := range placed {
@@ -297,7 +317,7 @@ func orderComponent(atoms []int, fz *instance.Frozen, relIdxs []int, roots [][]i
 			}
 		}
 		placed[bestK] = true
-		step := planStep{atom: best, relIdx: relIdxs[best], roots: roots[best]}
+		step := planStep{atom: best, relIdx: int(relIdxs[best]), roots: roots[best]}
 		nk := 0
 		for _, id := range roots[best] {
 			if bound[id] {

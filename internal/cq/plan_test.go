@@ -24,13 +24,12 @@ func chainDB(t *testing.T, n int) *instance.Database {
 func mustPlan(t *testing.T, q *Query, d *instance.Database) *searchPlan {
 	t.Helper()
 	comp := Compile(q)
-	relIdxs, err := resolveRelations(q, d.Schema)
-	if err != nil {
+	if err := resolveCompiled(q, comp, d.Schema); err != nil {
 		t.Fatal(err)
 	}
-	s := newIDSearchCore(context.Background(), d.Frozen(), comp.NumClasses())
+	s := newIDSearchCore(context.Background(), d.Frozen(), comp)
 	s.pin(q, comp, nil)
-	return buildPlan(comp, s.fz, relIdxs, s.bound)
+	return buildPlan(comp, s.fz, s.bound)
 }
 
 func TestPlanMostConstrainedFirst(t *testing.T) {

@@ -21,7 +21,7 @@ type scanSearcher struct {
 	// roots holds the class of each atom position (the compiled form's
 	// Args); relIdxs each atom's relation among the frozen view's.
 	roots   [][]int32
-	relIdxs []int
+	relIdxs []int32
 	used    []bool
 	found   bool
 }
@@ -76,11 +76,12 @@ func (s *scanSearcher) run(remaining int) {
 }
 
 // scan runs the dense scan on the pinned core s over the atoms'
-// resolved relations, and reports whether it found a full match.
+// resolved relations (comp.Rels), and reports whether it found a full
+// match.
 //
 //keyedeq:hot -- the adaptive default's small-instance arm: every containment check on tiny canonical databases lands here
-func scan(s *idSearchCore, comp *Compiled, relIdxs []int) bool {
-	sc := scanSearcher{idSearchCore: s, roots: comp.Args, relIdxs: relIdxs, used: make([]bool, len(relIdxs))}
-	sc.run(len(relIdxs))
+func scan(s *idSearchCore, comp *Compiled) bool {
+	sc := scanSearcher{idSearchCore: s, roots: comp.Args, relIdxs: comp.Rels, used: s.atomUsed}
+	sc.run(len(comp.Rels))
 	return sc.found
 }

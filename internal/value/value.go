@@ -47,12 +47,16 @@ func (v Value) IsZero() bool { return v.Type == NoType && v.N == 0 }
 
 // String renders the value as, e.g., "T3:17".
 func (v Value) String() string {
-	if v.IsZero() {
-		return "<zero>"
-	}
 	var buf [36]byte // "T" + int32 + ":" + int64, signs included
-	b := append(v.Type.appendName(buf[:0]), ':')
-	return string(strconv.AppendInt(b, v.N, 10))
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends v.String() to b.
+func (v Value) Append(b []byte) []byte {
+	if v.IsZero() {
+		return append(b, "<zero>"...)
+	}
+	return strconv.AppendInt(append(v.Type.appendName(b), ':'), v.N, 10)
 }
 
 // Compare orders values first by type, then by N.  It returns -1, 0, or +1.
