@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"keyedeq/internal/containment"
@@ -257,6 +258,53 @@ func TestRunIncomparableHeads(t *testing.T) {
 			t.Fatalf("workers %d: comparable pair holds %v, type mismatch err %v, arity mismatch err %v; want true and two errors",
 				w, rep.Results[0].Holds, rep.Results[1].Err, rep.Results[2].Err)
 		}
+	}
+}
+
+// TestCanonicalizeOnlyPassingPairs requires Decide and Run to
+// canonicalize a query only for a pair that passes CheckComparable, so
+// the canonicalization counter and the canonicalize spans count keys
+// that were used: a valid query met only next to an invalid one, or
+// one whose head type differs, is checked but never canonicalized.
+func TestCanonicalizeOnlyPassingPairs(t *testing.T) {
+	s := schema.MustParse("R(a:T1, b:T2)")
+	left := cq.MustParse("V(X) :- R(X, Y).")
+	other := cq.MustParse("V(Y) :- R(X, Y).")
+	unknown := cq.MustParse("V(X) :- Nope(X, Y).")
+	failing := []Job{
+		{Left: left, Right: unknown, Op: OpEquivalent},
+		{Left: left, Right: other, Op: OpContained},
+		{Left: unknown, Right: other, Op: OpEquivalent},
+		{Left: other, Right: nil, Op: OpEquivalent},
+	}
+	ctx := context.Background()
+	count := func(t *testing.T, reg *obs.Registry, sink *obs.CollectSink, want int64) {
+		t.Helper()
+		got := reg.Snapshot()["keyedeq_canonicalizations_total"]
+		if spans := int64(len(sink.Stage(obs.StageCanonicalize))); got != want || spans != want {
+			t.Fatalf("%d canonicalizations and %d canonicalize spans, want %d", got, spans, want)
+		}
+	}
+	for _, w := range []int{1, 2} {
+		reg, sink := obs.NewRegistry(), &obs.CollectSink{}
+		e := New(s, nil, Options{Workers: w, Obs: &obs.Obs{Reg: reg, Sink: sink}})
+		for _, j := range failing {
+			if r := e.Decide(ctx, j.Left, j.Right, j.Op); r.Err == nil {
+				t.Fatalf("Decide(%v, %v) passed; the fixture needs it to fail", j.Left, j.Right)
+			}
+		}
+		count(t, reg, sink, 0)
+		if rep := e.Run(ctx, failing); rep.Errors != len(failing) {
+			t.Fatalf("workers %d: %d errors, want %d", w, rep.Errors, len(failing))
+		}
+		count(t, reg, sink, 0)
+		// One passing pair canonicalizes its two presentations once each,
+		// in a batch that also meets them in failing pairs.
+		jobs := append(slices.Clone(failing), Job{Left: left, Right: cq.MustParse("V(Z) :- R(Z, W)."), Op: OpEquivalent})
+		if rep := e.Run(ctx, jobs); rep.Results[len(failing)].Err != nil {
+			t.Fatalf("workers %d: passing pair: %v", w, rep.Results[len(failing)].Err)
+		}
+		count(t, reg, sink, 2)
 	}
 }
 
