@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -479,43 +481,133 @@ func fanOut(workers, n int, f func(i int)) {
 // regenerated corpora).  Queries are looked up by presentation, so
 // clones of one query — pointer-distinct but structurally identical —
 // share one entry.  It is safe for concurrent use: the mutex guards
-// only the map, and each entry's sync.Onces make concurrent sharers of
-// a presentation wait for its one check and its one canonicalization
-// instead of repeating them.
+// the table and the key numbering, and each entry's sync.Onces make
+// concurrent sharers of a presentation wait for its one check and its
+// one canonicalization instead of repeating them.
 type canonMemo struct {
-	mu      sync.Mutex
-	entries map[string]*canonEntry
+	mu   sync.Mutex
+	seed maphash.Seed
+	// mask keeps every bit of a presentation's hash; a test clears it to
+	// put every presentation into one chain.
+	mask uint64
+	// chains maps a presentation's hash to its entries, linked by next.
+	chains map[uint64]*canonEntry
+	// slabs hold the entries in creation order, slab at a time; free is
+	// the unused tail of the last.
+	slabs [][]canonEntry
+	free  []canonEntry
+	slab  int
+	// keys lists the batch's distinct canonical keys by number; nums
+	// numbers them.
+	keys []string
+	nums map[string]int
 }
 
 // canonEntry is one presentation's validation and canonical key.
 type canonEntry struct {
-	checked sync.Once
+	q    *cq.Query   // the first query with this presentation
+	next *canonEntry // the next entry whose presentation hashes alike
+	// checked guards headType and c, canon guards num.
+	checked, canon sync.Once
 	// headType is the presentation's head type, nil when it failed
 	// Validate or HeadType; HeadType never returns a nil slice.
 	headType []value.Type
 	// c holds the presentation's compiled form from its check to its
 	// canonicalization.  A valid presentation met only in failing pairs
 	// keeps it until the memo is dropped, outside the canonizer pool.
-	c     *canonizer
-	canon sync.Once
-	key   string
+	c   *canonizer
+	num int // the number of the canonical key in the memo
+}
+
+// newCanonMemo returns an empty memo for a batch of n jobs, whose
+// entries come in slabs of at most 64.
+func newCanonMemo(n int) *canonMemo {
+	return &canonMemo{
+		seed:   maphash.MakeSeed(),
+		mask:   ^uint64(0),
+		chains: make(map[uint64]*canonEntry),
+		slab:   max(1, min(64, 2*n)),
+		nums:   make(map[string]int),
+	}
 }
 
 // entry returns q's entry, creating it on first sight of q's
 // presentation.
 func (m *canonMemo) entry(q *cq.Query) *canonEntry {
-	// Most presentations repeat: render into a stack buffer, so only a
-	// new one is copied into a string, as its map key.
+	// Most presentations repeat: render into a stack buffer and keep only
+	// its hash.  A hit is confirmed field by field against the entry's
+	// first query, so no rendering is ever stored.
 	var buf [2 << 10]byte
-	p := appendPresentation(buf[:0], q)
+	h := maphash.Bytes(m.seed, appendPresentation(buf[:0], q)) & m.mask
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent, ok := m.entries[string(p)]
-	if !ok {
-		ent = &canonEntry{}
-		m.entries[string(p)] = ent
+	for ent := m.chains[h]; ent != nil; ent = ent.next {
+		if samePresentation(ent.q, q) {
+			return ent
+		}
 	}
+	if len(m.free) == 0 {
+		m.free = make([]canonEntry, m.slab)
+		m.slabs = append(m.slabs, m.free)
+	}
+	ent := &m.free[0]
+	m.free = m.free[1:]
+	ent.q, ent.next = q, m.chains[h]
+	m.chains[h] = ent
 	return ent
+}
+
+// number returns the number of canonical key k, numbering it on first
+// sight.
+func (m *canonMemo) number(k string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n, ok := m.nums[k]
+	if !ok {
+		n = len(m.keys)
+		m.nums[k] = n
+		m.keys = append(m.keys, k)
+	}
+	return n
+}
+
+// constants returns batchConstants(jobs) for the batch whose two-sided
+// jobs the memo has seen: every constant of its distinct presentations
+// and of the one side of each half-nil job, which the memo never sees,
+// sorted and deduplicated.
+func (m *canonMemo) constants(jobs []Job) []value.Value {
+	var s value.Set
+	for _, slab := range m.slabs {
+		for i := range slab {
+			if q := slab[i].q; q != nil {
+				addConstants(&s, q)
+			}
+		}
+	}
+	for _, j := range jobs {
+		switch {
+		case j.Left == nil && j.Right != nil:
+			addConstants(&s, j.Right)
+		case j.Left != nil && j.Right == nil:
+			addConstants(&s, j.Left)
+		}
+	}
+	return s.Values()
+}
+
+// addConstants adds to s every constant q.Constants() returns: those of
+// the head and of the equality list.
+func addConstants(s *value.Set, q *cq.Query) {
+	for _, t := range q.Head {
+		if t.IsConst {
+			s.Add(t.Const)
+		}
+	}
+	for _, e := range q.Eqs {
+		if e.Right.IsConst {
+			s.Add(e.Right.Const)
+		}
+	}
 }
 
 // checkEntry validates and types q, the entry's presentation, at most
@@ -526,15 +618,15 @@ func (e *Engine) checkEntry(ent *canonEntry, q *cq.Query) bool {
 	return ent.headType != nil
 }
 
-// keyOf returns the canonical key of q, the entry's valid presentation,
-// canonicalizing it from the entry's compiled form at most once per
-// batch.
-func (e *Engine) keyOf(ctx context.Context, o *obs.Obs, ent *canonEntry, q *cq.Query) string {
+// keyOf returns the number of q's canonical key, q being the entry's
+// valid presentation: it canonicalizes q from the entry's compiled form
+// and numbers the key in m at most once per batch.
+func (e *Engine) keyOf(ctx context.Context, o *obs.Obs, m *canonMemo, ent *canonEntry, q *cq.Query) int {
 	ent.canon.Do(func() {
-		ent.key = e.canonicalize(ctx, o, ent.c, q)
+		ent.num = m.number(e.canonicalize(ctx, o, ent.c, q))
 		ent.c = nil
 	})
-	return ent.key
+	return ent.num
 }
 
 // appendPresentation appends a rendering of q to b that is exact: two
@@ -580,12 +672,52 @@ func appendTerm(b []byte, t cq.Term) []byte {
 	return binary.AppendVarint(b, t.Const.N)
 }
 
+// samePresentation reports whether a and b render alike under
+// appendPresentation, comparing the rendered fields one by one.
+func samePresentation(a, b *cq.Query) bool {
+	if a == b {
+		return true
+	}
+	if a.HeadRel != b.HeadRel || len(a.Head) != len(b.Head) || len(a.Body) != len(b.Body) || len(a.Eqs) != len(b.Eqs) {
+		return false
+	}
+	for i := range a.Head {
+		if !sameTerm(a.Head[i], b.Head[i]) {
+			return false
+		}
+	}
+	for i := range a.Body {
+		if a.Body[i].Rel != b.Body[i].Rel || !slices.Equal(a.Body[i].Vars, b.Body[i].Vars) {
+			return false
+		}
+	}
+	for i := range a.Eqs {
+		if a.Eqs[i].Left != b.Eqs[i].Left || !sameTerm(a.Eqs[i].Right, b.Eqs[i].Right) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTerm reports whether a and b render alike under appendTerm.
+func sameTerm(a, b cq.Term) bool {
+	if a.IsConst || b.IsConst {
+		return a.IsConst == b.IsConst && a.Const == b.Const
+	}
+	return a.Var == b.Var
+}
+
 // Run decides every job of the batch: validate and canonicalize, dedupe
 // identical pairs, probe the cache, then fan the remaining work across
 // the worker pool.  Chase artifacts are shared per distinct query; the
 // homomorphism searches of each pair run under the per-job timeout.
 // Results are positionally aligned with jobs.
 func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
+	return e.run(ctx, jobs, newCanonMemo(len(jobs)))
+}
+
+// run is Run over the presentation memo m.
+func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 	ctx, o := e.withObs(ctx)
 	rep := &Report{Results: make([]Result, len(jobs)), Pairs: len(jobs), Workers: e.opts.Workers}
 	var started time.Time
@@ -597,18 +729,15 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	// and each presentation once, from one compiled form.  Everything
 	// order-dependent happens in the serial pass below, so the result
 	// does not depend on which worker got where.
-	leftKey := make([]string, len(jobs))
-	rightKey := make([]string, len(jobs))
+	keyNum := make([][2]int, len(jobs)) // a passing job's two key numbers
 	checkErr := make([]error, len(jobs))
-	memo := &canonMemo{entries: make(map[string]*canonEntry)}
 	fanOut(e.opts.Workers, len(jobs), func(i int) {
 		j := jobs[i]
 		if j.Left != nil && j.Right != nil {
-			l, r := memo.entry(j.Left), memo.entry(j.Right)
+			l, r := m.entry(j.Left), m.entry(j.Right)
 			if e.checkEntry(l, j.Left) && e.checkEntry(r, j.Right) &&
 				containment.CheckHeadTypes(l.headType, r.headType) == nil {
-				leftKey[i] = e.keyOf(ctx, o, l, j.Left)
-				rightKey[i] = e.keyOf(ctx, o, r, j.Right)
+				keyNum[i] = [2]int{e.keyOf(ctx, o, m, l, j.Left), e.keyOf(ctx, o, m, r, j.Right)}
 				return
 			}
 		}
@@ -619,46 +748,63 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		invariant.Assertf(checkErr[i] != nil, "engine: job %d failed the memo's checks but passes CheckComparable", i)
 	})
 
-	// Group jobs by canonical pair key in job order; one leader computes,
-	// the rest copy.
-	type group struct {
-		leader  int
-		indexes []int
+	// Group jobs by canonical pair in job order; one leader computes, the
+	// rest copy.  A pair is the op and the two key numbers, unordered for
+	// the symmetric equivalence op as in cacheKey, so a group's cache key
+	// is built once and its jobs share it as their pair key.  The key
+	// numbers depend on scheduling; the groups, their order and every key
+	// do not.
+	type pair struct {
+		op   Op
+		l, r int
 	}
-	groups := make(map[string]*group)
-	firstOf := make(map[string]*cq.Query)
-	var order []string // deterministic dispatch order
+	type group struct {
+		key          string // the cache key
+		leader, last int    // the group's first and last job
+	}
+	groupOf := make(map[pair]int)
+	var groups []group
+	next := make([]int, len(jobs))            // the job after i in its group, -1 after the last
+	firstOf := make([]*cq.Query, len(m.keys)) // by key number, in job order
 	for i, j := range jobs {
 		if checkErr[i] != nil {
 			rep.Results[i] = Result{Err: checkErr[i]}
 			continue
 		}
-		if _, ok := firstOf[leftKey[i]]; !ok {
-			firstOf[leftKey[i]] = j.Left
+		l, r := keyNum[i][0], keyNum[i][1]
+		if firstOf[l] == nil {
+			firstOf[l] = j.Left
 		}
-		if _, ok := firstOf[rightKey[i]]; !ok {
-			firstOf[rightKey[i]] = j.Right
+		if firstOf[r] == nil {
+			firstOf[r] = j.Right
 		}
-		key := e.cacheKey(j.Op, leftKey[i], rightKey[i])
-		rep.Results[i].PairKey = e.pairKeyOf(key)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{leader: i}
-			groups[key] = g
-			order = append(order, key)
+		p := pair{j.Op, l, r}
+		if j.Op == OpEquivalent && r < l {
+			p.l, p.r = r, l
 		}
-		g.indexes = append(g.indexes, i)
+		next[i] = -1
+		gi, ok := groupOf[p]
+		if ok {
+			next[groups[gi].last] = i
+			groups[gi].last = i
+		} else {
+			gi = len(groups)
+			groupOf[p] = gi
+			groups = append(groups, group{key: e.cacheKey(j.Op, m.keys[l], m.keys[r]), leader: i, last: i})
+		}
+		rep.Results[i].PairKey = e.pairKeyOf(groups[gi].key)
 	}
 
 	// Cache probe per group.
-	var work []string
-	for _, key := range order {
+	var work []int // groups to compute, in dispatch order
+	for gi := range groups {
+		g := &groups[gi]
 		if e.cache == nil {
-			work = append(work, key)
+			work = append(work, gi)
 			continue
 		}
-		if v, ok := e.cache.get(key); ok {
-			for _, i := range groups[key].indexes {
+		if v, ok := e.cache.get(g.key); ok {
+			for i := g.leader; i >= 0; i = next[i] {
 				rep.Results[i].Holds = v.Holds
 				rep.Results[i].CacheHit = true
 				rep.Results[i].Stats = v.Stats
@@ -667,12 +813,16 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 			}
 			continue
 		}
-		work = append(work, key)
+		work = append(work, gi)
 	}
 
-	// Compute the remaining groups on the pool.
-	bs := &batchState{ctx: ctx, first: firstOf, frozen: make(map[string]*frozen)}
-	bs.consts = batchConstants(jobs)
+	// Compute the remaining groups on the pool.  The freeze reserve is
+	// every constant of the batch, gathered once per presentation.
+	first := make(map[string]*cq.Query, len(firstOf))
+	for k, q := range firstOf {
+		first[m.keys[k]] = q
+	}
+	bs := &batchState{ctx: ctx, consts: m.constants(jobs), first: first, frozen: make(map[string]*frozen)}
 	type leaderRun struct {
 		res        Result
 		read       [2]*frozen // chase artifacts the leader read
@@ -680,10 +830,10 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	}
 	runs := make([]leaderRun, len(work))
 	fanOut(e.opts.Workers, len(work), func(w int) {
-		g := groups[work[w]]
+		i := groups[work[w]].leader
 		r := &runs[w]
 		r.start = o.Time()
-		r.res, r.read = e.runLeader(bs, jobs[g.leader], leftKey[g.leader], rightKey[g.leader])
+		r.res, r.read = e.runLeader(bs, jobs[i], m.keys[keyNum[i][0]], m.keys[keyNum[i][1]])
 		r.end = o.Time()
 	})
 
@@ -691,13 +841,13 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	// here rather than on the pool gives each artifact's chase work to
 	// the first leader in that order that read it, so per-pair Stats do
 	// not depend on which worker got where.
-	for w, key := range work {
+	for w, gi := range work {
 		r := &runs[w]
-		g := groups[key]
-		res := e.settle(o, key, r.res, r.read)
+		g := &groups[gi]
+		res := e.settle(o, g.key, r.res, r.read)
 		rep.Results[g.leader] = res
 		emitVerify(ctx, o, r.start, r.end, &res)
-		for _, i := range g.indexes[1:] {
+		for i := next[g.leader]; i >= 0; i = next[i] {
 			dup := res
 			dup.Deduped = true
 			// A dedup copy carries none of the leader's work, only the
