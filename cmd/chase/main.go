@@ -25,7 +25,6 @@ import (
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/schema"
-	"keyedeq/internal/value"
 )
 
 func main() {
@@ -111,8 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if derived == 0 {
 		fmt.Fprintln(stdout, "no new equalities derived")
 	}
-	var alloc value.Allocator
-	db, _, err := tb.ToDatabase(&alloc)
+	db, _, err := tb.ToDatabase()
 	if err != nil {
 		return fail(err)
 	}

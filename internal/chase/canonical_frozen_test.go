@@ -20,17 +20,16 @@ import (
 // every row of every relation, and the value of every term.
 
 // toDatabaseOracle is the value-level ToDatabase that Tableau.Frozen
-// replaced, kept verbatim: every term class bound to a constant becomes
-// that constant; every unbound class gets a fresh distinct value from
-// alloc.  The returned map resolves each term to its value.  It fails
-// on a failed tableau.
-func toDatabaseOracle(t *Tableau, alloc *value.Allocator) (*instance.Database, map[Term]value.Value, error) {
+// replaced, kept verbatim but for its nulls: every term class bound to a
+// constant becomes that constant; every unbound class becomes the next
+// labeled null of its type, in the order the classes resolve.  The
+// returned map resolves each term to its value.  It fails on a failed
+// tableau.
+func toDatabaseOracle(t *Tableau) (*instance.Database, map[Term]value.Value, error) {
 	if t.failed {
 		return nil, nil, fmt.Errorf("chase: tableau failed; no database exists")
 	}
-	for _, v := range t.constOf {
-		alloc.Reserve(v)
-	}
+	nulls := make(map[value.Type]int64)
 	valOf := make(map[int]value.Value)
 	resolve := func(id int) value.Value {
 		rep := t.find(id)
@@ -39,7 +38,9 @@ func toDatabaseOracle(t *Tableau, alloc *value.Allocator) (*instance.Database, m
 		}
 		v, ok := t.constOf[rep]
 		if !ok {
-			v = alloc.Fresh(t.typeOf[rep])
+			typ := t.typeOf[rep]
+			nulls[typ]++
+			v = value.Value{Type: typ, Null: true, N: nulls[typ]}
 		}
 		valOf[rep] = v
 		return v
@@ -61,15 +62,12 @@ func toDatabaseOracle(t *Tableau, alloc *value.Allocator) (*instance.Database, m
 	return d, all, nil
 }
 
-// checkCanonicalFrozen builds tb's canonical database both ways, each
-// over an allocator reserving reserve, and reports the first difference
-// between Tableau.Frozen and the frozen oracle.
-func checkCanonicalFrozen(tb *Tableau, reserve []value.Value) error {
-	var alloc, oracleAlloc value.Allocator
-	alloc.ReserveAll(reserve)
-	oracleAlloc.ReserveAll(reserve)
-	fz, vals, err := tb.Frozen(&alloc)
-	db, oracleVals, oracleErr := toDatabaseOracle(tb, &oracleAlloc)
+// checkCanonicalFrozen builds tb's canonical database both ways and
+// reports the first difference between Tableau.Frozen and the frozen
+// oracle.
+func checkCanonicalFrozen(tb *Tableau) error {
+	fz, vals, err := tb.Frozen()
+	db, oracleVals, oracleErr := toDatabaseOracle(tb)
 	if (err == nil) != (oracleErr == nil) {
 		return fmt.Errorf("errors diverge: %v, oracle %v", err, oracleErr)
 	}
@@ -151,13 +149,12 @@ func TestCanonicalFrozenMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range fam.Pairs {
-				reserve := append(p.Left.Constants(), p.Right.Constants()...)
 				for _, q := range []*cq.Query{p.Left, p.Right} {
 					tb, err := freezeCanonical(fam.Schema, fam.Deps, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := checkCanonicalFrozen(tb, reserve); err != nil {
+					if err := checkCanonicalFrozen(tb); err != nil {
 						t.Fatalf("%s seed %d: %s: %v", name, seed, q, err)
 					}
 				}
@@ -169,7 +166,7 @@ func TestCanonicalFrozenMatchesOracle(t *testing.T) {
 // TestCanonicalFrozenHandBuiltTableaux covers tableaux no query freeze
 // produces: nulls created out of row order, a null in no row, a
 // constant only the head mentions, equated nulls and duplicate rows,
-// before and after a key chase.  Fresh values must follow row order,
+// before and after a key chase.  Nulls must be numbered in row order,
 // not term order.
 func TestCanonicalFrozenHandBuiltTableaux(t *testing.T) {
 	s := schema.MustParse("R(k*:T1, a:T2)\nS(b:T2)")
@@ -186,8 +183,7 @@ func TestCanonicalFrozenHandBuiltTableaux(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reserve := []value.Value{{Type: 2, N: 3}}
-	if err := checkCanonicalFrozen(tb, reserve); err != nil {
+	if err := checkCanonicalFrozen(tb); err != nil {
 		t.Fatalf("before the chase: %v", err)
 	}
 	if _, err := tb.Run(fd.KeyFDs(s)); err != nil {
@@ -196,7 +192,7 @@ func TestCanonicalFrozenHandBuiltTableaux(t *testing.T) {
 	if !tb.Same(n2, n3) || tb.Same(lone, n2) {
 		t.Fatal("the key chase must equate exactly n2 and n3")
 	}
-	if err := checkCanonicalFrozen(tb, reserve); err != nil {
+	if err := checkCanonicalFrozen(tb); err != nil {
 		t.Fatalf("after the chase: %v", err)
 	}
 }
@@ -229,7 +225,7 @@ func FuzzCanonicalFrozen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := checkCanonicalFrozen(tb, q.Constants()); err != nil {
+		if err := checkCanonicalFrozen(tb); err != nil {
 			t.Fatalf("%s over %q: %v", q, schemaText, err)
 		}
 	})

@@ -618,31 +618,31 @@ func appendInt(b []byte, n int) []byte {
 // Frozen converts the (chased) tableau to its canonical database in
 // interned form, and returns each term's value beside it: every term
 // class bound to a constant becomes that constant, and every unbound
-// class gets a fresh distinct value from alloc, which first reserves
-// the tableau's constants.  Values resolve in one pass over a slice
-// indexed by class root — rows in order, cells left to right, then
-// every term by id — and each relation's rows are sorted by value with
-// duplicates dropped, so the view is exactly what
-// instance.FreezeDatabase builds from the same database: values
-// interned with relations in schema order, rows in order, positions
-// left to right.  It fails on a failed tableau.
-func (t *Tableau) Frozen(alloc *value.Allocator) (*instance.Frozen, []value.Value, error) {
+// class becomes the next labeled null of its type, numbered from 1.  No
+// constant equals a null, so the database serves any query over the
+// schema.  Values resolve in one pass over a slice indexed by class
+// root — rows in order, cells left to right, then every term by id —
+// and each relation's rows are sorted by value with duplicates dropped,
+// so the view is exactly what instance.FreezeDatabase builds from the
+// same database: values interned with relations in schema order, rows
+// in order, positions left to right.  It fails on a failed tableau.
+func (t *Tableau) Frozen() (*instance.Frozen, []value.Value, error) {
 	if t.failed {
 		return nil, nil, fmt.Errorf("chase: tableau failed; no database exists")
 	}
-	for _, v := range t.constOf {
-		alloc.Reserve(v)
-	}
 	// vals holds each class's value at its root until the last pass
-	// below writes every term's value.
+	// below writes every term's value; nulls counts each type's nulls.
 	vals := make([]value.Value, len(t.parent))
 	resolved := make([]bool, len(t.parent))
+	nulls := make(map[value.Type]int64)
 	resolve := func(id int) value.Value {
 		rep := t.find(id)
 		if !resolved[rep] {
 			v, ok := t.constOf[rep]
 			if !ok {
-				v = alloc.Fresh(t.typeOf[rep])
+				typ := t.typeOf[rep]
+				nulls[typ]++
+				v = value.Value{Type: typ, Null: true, N: nulls[typ]}
 			}
 			vals[rep], resolved[rep] = v, true
 		}
@@ -698,8 +698,8 @@ func (t *Tableau) Frozen(alloc *value.Allocator) (*instance.Frozen, []value.Valu
 
 // ToDatabase is Frozen decoded to surface values: the chased canonical
 // database and each term's value.  It fails on a failed tableau.
-func (t *Tableau) ToDatabase(alloc *value.Allocator) (*instance.Database, []value.Value, error) {
-	fz, vals, err := t.Frozen(alloc)
+func (t *Tableau) ToDatabase() (*instance.Database, []value.Value, error) {
+	fz, vals, err := t.Frozen()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -112,7 +112,7 @@ func TestChaseFailure(t *testing.T) {
 	if !tb.Failed() {
 		t.Error("chase equating distinct constants must fail")
 	}
-	if _, _, err := tb.ToDatabase(&value.Allocator{}); err == nil {
+	if _, _, err := tb.ToDatabase(); err == nil {
 		t.Error("ToDatabase of failed tableau must error")
 	}
 }
@@ -188,8 +188,7 @@ func TestToDatabase(t *testing.T) {
 	tb.AddRow("R", []Term{k, a1, b1})
 	tb.AddRow("R", []Term{k, a2, b2})
 	tb.Run(keyDeps(keyed))
-	var alloc value.Allocator
-	d, vals, err := tb.ToDatabase(&alloc)
+	d, vals, err := tb.ToDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +213,18 @@ func TestToDatabase(t *testing.T) {
 func TestToDatabaseFreshAvoidConstants(t *testing.T) {
 	s := schema.MustParse("R(a:T1, b:T1)")
 	tb := NewTableau(s)
-	c := tb.NewConst(value.Value{Type: 1, N: 5})
+	c := tb.NewConst(value.Value{Type: 1, N: 1})
 	n := tb.NewNull(1)
 	tb.AddRow("R", []Term{c, n})
-	var alloc value.Allocator
-	_, vals, err := tb.ToDatabase(&alloc)
+	_, vals, err := tb.ToDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vals[n] == vals[c] {
 		t.Error("fresh null collided with a constant")
+	}
+	if want := (value.Value{Type: 1, Null: true, N: 1}); vals[n] != want {
+		t.Errorf("null resolved to %v, want %v", vals[n], want)
 	}
 }
 

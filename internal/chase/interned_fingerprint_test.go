@@ -6,7 +6,6 @@ import (
 
 	"keyedeq/internal/cq"
 	"keyedeq/internal/gen"
-	"keyedeq/internal/value"
 )
 
 // This file extends the semi-naive differential gate across the corpus
@@ -90,11 +89,7 @@ func TestCanonicalDatabaseFreezeRoundTripsAcrossFamilies(t *testing.T) {
 				if tb.Failed() {
 					continue
 				}
-				var alloc value.Allocator
-				for _, c := range p.Left.Constants() {
-					alloc.Reserve(c)
-				}
-				db, _, err := tb.ToDatabase(&alloc)
+				db, _, err := tb.ToDatabase()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,8 +46,7 @@ func TestTGDFiring(t *testing.T) {
 	if _, err := tb.RunWithTGDs(nil, []TGD{d}, 10); err != nil {
 		t.Fatal(err)
 	}
-	var alloc value.Allocator
-	db, vals, err := tb.ToDatabase(&alloc)
+	db, vals, err := tb.ToDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +72,7 @@ func TestTGDExistential(t *testing.T) {
 	if _, err := tb.RunWithTGDs(nil, []TGD{d}, 10); err != nil {
 		t.Fatal(err)
 	}
-	var alloc value.Allocator
-	db, _, err := tb.ToDatabase(&alloc)
+	db, _, err := tb.ToDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +210,7 @@ func TestTGDMultiAtomBody(t *testing.T) {
 	if _, err := tb.RunWithTGDs(nil, []TGD{d}, 10); err != nil {
 		t.Fatal(err)
 	}
-	var alloc value.Allocator
-	db, vals, err := tb.ToDatabase(&alloc)
+	db, vals, err := tb.ToDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,21 +32,20 @@ type CanonicalDB struct {
 }
 
 // NewCanonicalDB freezes q into its canonical database over s, chases it
-// with deps under ctx, and interns the result over an allocator that
-// reserves every value of reserve.  The fresh values standing for q's
-// variables therefore differ from every reserved constant, so reserve
-// must hold the constants of q and of every query the result will be
-// searched with.  With deps, the chase is timed as a freeze_chase span.
+// with deps under ctx, and interns the result.  The labeled nulls
+// standing for q's unbound variables equal no constant, so the result
+// depends on q alone and serves any right-hand query.  With deps, the
+// chase is timed as a freeze_chase span.
 //
 // The build keeps its error rather than returning it: a chase cut short
 // by ctx still reports its work through ChaseStats, and ContainedIn
 // returns the error.
 //
 //keyedeq:hot -- freeze-chase-intern is the left half of every verdict the engine computes
-func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []fd.FD, reserve []value.Value) *CanonicalDB {
+func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []fd.FD) *CanonicalDB {
 	comp := cq.Compile(q)
 	defer comp.Release()
-	c, _, _ := buildCanonicalDB(q, comp, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+	c, _, _ := buildCanonicalDB(q, comp, s, func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(ctx, tb, deps)
 	})
 	return c
@@ -57,7 +56,7 @@ func NewCanonicalDB(ctx context.Context, q *cq.Query, s *schema.Schema, deps []f
 // returns the term of each body class and each term's value (nil when
 // the build stopped early), which only FindHomomorphism reads, to map a
 // witness back to q's variables.
-func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve []value.Value, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, []chase.Term, []value.Value) {
+func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, run func(*chase.Tableau) (chase.Stats, error)) (*CanonicalDB, []chase.Term, []value.Value) {
 	c := &CanonicalDB{}
 	tb := chase.NewTableau(s)
 	terms, err := chase.FreezeCompiled(tb, q, comp)
@@ -85,9 +84,7 @@ func buildCanonicalDB(q *cq.Query, comp *cq.Compiled, s *schema.Schema, reserve 
 	if c.err != nil || c.failed {
 		return c, nil, nil
 	}
-	var alloc value.Allocator
-	alloc.ReserveAll(reserve)
-	fz, vals, err := tb.Frozen(&alloc)
+	fz, vals, err := tb.Frozen()
 	if err != nil {
 		c.err = err
 		return c, nil, nil
@@ -145,7 +142,7 @@ func (c *CanonicalDB) ChaseStats() Stats {
 // ContainedIn decides q ⊑ q2 by searching q2 for the frozen head with
 // the given search mode, and returns the search's Stats.  A failed chase
 // makes the containment hold vacuously with no search; a build error is
-// returned as is.  q2's constants must lie in the build's reserve.
+// returned as is.
 func (c *CanonicalDB) ContainedIn(ctx context.Context, q2 *cq.Query, mode cq.SearchMode) (bool, Stats, error) {
 	switch {
 	case c.err != nil:
@@ -179,10 +176,4 @@ func (c *CanonicalDB) decide(ctx context.Context, q2 *cq.Query, mode cq.SearchMo
 	ok, search, err := c.ContainedIn(ctx, q2, mode)
 	st.Merge(search)
 	return ok, st, err
-}
-
-// pairConstants returns the constants of q1 and q2, the reserve of a
-// canonical database searched only with the other query of the pair.
-func pairConstants(q1, q2 *cq.Query) []value.Value {
-	return append(q1.Constants(), q2.Constants()...)
 }

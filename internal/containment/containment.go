@@ -127,7 +127,7 @@ func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Sche
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	return NewCanonicalDB(ctx, q1, s, deps, pairConstants(q1, q2)).decide(ctx, q2, mode)
+	return NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, mode)
 }
 
 // Equivalent reports whether q1 ≡ q2 over all instances of s.
@@ -153,18 +153,16 @@ func EquivalentUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema,
 }
 
 // EquivalentUnderCtxMode is EquivalentUnderCtx with an explicit
-// homomorphism search mode.  The two directions share one validation
-// and one constant reserve.
+// homomorphism search mode.  The two directions share one validation.
 func EquivalentUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	reserve := pairConstants(q1, q2)
-	ok, st, err := NewCanonicalDB(ctx, q1, s, deps, reserve).decide(ctx, q2, mode)
+	ok, st, err := NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, mode)
 	if err != nil || !ok {
 		return false, st, err
 	}
-	ok, st2, err := NewCanonicalDB(ctx, q2, s, deps, reserve).decide(ctx, q1, mode)
+	ok, st2, err := NewCanonicalDB(ctx, q2, s, deps).decide(ctx, q1, mode)
 	st.Merge(st2)
 	return ok, st, err
 }

@@ -11,7 +11,6 @@ import (
 	"keyedeq/internal/gen"
 	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
-	"keyedeq/internal/value"
 )
 
 // This file holds the adaptive search — on the pipeline-arm families,
@@ -53,13 +52,7 @@ func evalContained(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, erro
 	if tb.Failed() {
 		return true, nil
 	}
-	var alloc value.Allocator
-	for _, q := range []*cq.Query{q1, q2} {
-		for _, c := range q.Constants() {
-			alloc.Reserve(c)
-		}
-	}
-	db, valOf, err := tb.ToDatabase(&alloc)
+	db, valOf, err := tb.ToDatabase()
 	if err != nil {
 		return false, err
 	}

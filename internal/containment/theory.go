@@ -7,7 +7,6 @@ import (
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/schema"
-	"keyedeq/internal/value"
 )
 
 // Containment under a full dependency theory: EGDs (keys/FDs) plus TGDs
@@ -27,7 +26,7 @@ func ContainedUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgds
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	return theoryDB(q1, s, egds, tgds, maxRounds, pairConstants(q1, q2)).decide(context.Background(), q2, cq.SearchAdaptive)
+	return theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, cq.SearchAdaptive)
 }
 
 // EquivalentUnderTheory reports mutual containment under the theory.
@@ -35,12 +34,11 @@ func EquivalentUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgd
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	reserve := pairConstants(q1, q2)
-	ok, st, err := theoryDB(q1, s, egds, tgds, maxRounds, reserve).decide(context.Background(), q2, cq.SearchAdaptive)
+	ok, st, err := theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, cq.SearchAdaptive)
 	if err != nil || !ok {
 		return false, st, err
 	}
-	ok, st2, err := theoryDB(q2, s, egds, tgds, maxRounds, reserve).decide(context.Background(), q1, cq.SearchAdaptive)
+	ok, st2, err := theoryDB(q2, s, egds, tgds, maxRounds).decide(context.Background(), q1, cq.SearchAdaptive)
 	st.Merge(st2)
 	return ok, st, err
 }
@@ -48,13 +46,13 @@ func EquivalentUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgd
 // theoryDB builds q's canonical database chased with the whole theory.
 // maxRounds ≤ 0 means DefaultTGDRounds.  A theory with no dependencies
 // chases nothing, as NewCanonicalDB does with no deps.
-func theoryDB(q *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, maxRounds int, reserve []value.Value) *CanonicalDB {
+func theoryDB(q *cq.Query, s *schema.Schema, egds []fd.FD, tgds []chase.TGD, maxRounds int) *CanonicalDB {
 	if maxRounds <= 0 {
 		maxRounds = DefaultTGDRounds
 	}
 	comp := cq.Compile(q)
 	defer comp.Release()
-	c, _, _ := buildCanonicalDB(q, comp, s, reserve, func(tb *chase.Tableau) (chase.Stats, error) {
+	c, _, _ := buildCanonicalDB(q, comp, s, func(tb *chase.Tableau) (chase.Stats, error) {
 		if len(egds) == 0 && len(tgds) == 0 {
 			return chase.Stats{}, nil
 		}

@@ -50,7 +50,7 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	}
 	comp := cq.Compile(q1)
 	defer comp.Release()
-	c, terms, vals := buildCanonicalDB(q1, comp, s, pairConstants(q1, q2), func(tb *chase.Tableau) (chase.Stats, error) {
+	c, terms, vals := buildCanonicalDB(q1, comp, s, func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(context.Background(), tb, deps)
 	})
 	switch {
@@ -64,8 +64,9 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 		return nil, ok, err
 	}
 	// Translate the value binding back to q1 terms through the per-term
-	// values: each frozen value maps to a representative q1 variable of
-	// its chased class; reserved constants map to themselves.
+	// values: each frozen value, a labeled null or a class's constant,
+	// maps to a representative q1 variable of its chased class; a value
+	// no body placeholder carries maps to itself.
 	valToVar := make(map[value.Value]cq.Var)
 	for i, a := range q1.Body {
 		for p, v := range a.Vars {

@@ -284,6 +284,9 @@ func (c *Compiled) Check(q *Query, s *schema.Schema) error {
 			if t.Const.Type == value.NoType {
 				return fmt.Errorf("cq: head position %d has untyped constant", i)
 			}
+			if t.Const.Null {
+				return fmt.Errorf("cq: head position %d has labeled null %v", i, t.Const)
+			}
 			continue
 		}
 		if c.headSlots[i] >= c.bodySlots {
@@ -299,6 +302,9 @@ func (c *Compiled) Check(q *Query, s *schema.Schema) error {
 		if e.Right.IsConst {
 			if e.Right.Const.Type != lt {
 				return fmt.Errorf("cq: selection %s compares %v with %v", e, lt, e.Right.Const.Type)
+			}
+			if e.Right.Const.Null {
+				return fmt.Errorf("cq: selection %s names a labeled null", e)
 			}
 			continue
 		}

@@ -255,8 +255,10 @@ func (q *Query) RelationsUsed() []string {
 // Validate checks the query against a schema: known relations, matching
 // arities, globally distinct placeholder variables, safe head (every head
 // variable occurs in the body), equality variables occurring in the body
-// (the paper requires this), and type correctness of every equality and
-// constant.  It reads the query's compiled form (Compiled.Check).
+// (the paper requires this), type correctness of every equality and
+// constant, and no labeled null among the constants: nulls belong to
+// canonical databases.  It reads the query's compiled form
+// (Compiled.Check).
 func (q *Query) Validate(s *schema.Schema) error {
 	c := Compile(q)
 	defer c.Release()

@@ -98,6 +98,32 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsLabeledNulls builds queries that hold a labeled
+// null, which no query text can name: Validate rejects a null in the
+// head or in a selection, each with its own error, after the type
+// checks beside it.
+func TestValidateRejectsLabeledNulls(t *testing.T) {
+	null := value.Value{Type: 2, Null: true, N: 2}
+	head := MustParse("V(X, T2:2) :- P(X, A).")
+	head.Head[1] = C(null)
+	sel := MustParse("V(X) :- P(X, A), A = T2:2.")
+	sel.Eqs[0].Right = C(null)
+	clash := MustParse("V(X) :- P(X, A), X = T2:2.")
+	clash.Eqs[0].Right = C(null)
+	for _, c := range []struct {
+		q    *Query
+		want string
+	}{
+		{head, "cq: head position 1 has labeled null T2:_2"},
+		{sel, "cq: selection A = T2:_2 names a labeled null"},
+		{clash, "cq: selection X = T2:_2 compares T1 with T2"},
+	} {
+		if err := c.q.Validate(testSchema); err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%s) = %v, want %q", c.q, err, c.want)
+		}
+	}
+}
+
 func TestHeadType(t *testing.T) {
 	q := MustParse("V(X, B, T3:1) :- P(X, A), Q2(B, C).")
 	ht, err := q.HeadType(testSchema)

@@ -264,15 +264,13 @@ func TestInternedGhostValuesFilterLikeMissingBuckets(t *testing.T) {
 }
 
 // TestInternedWitnessDecodesFreshValues pins the pipeline's decode
-// boundary: canonical databases carry labeled nulls as allocator-fresh
-// values, and a witness binding one must decode back to exactly that
-// value.
+// boundary: canonical databases carry labeled nulls, and a witness
+// binding one must decode back to exactly that null, not to the
+// constant T1:5 that the database also holds.
 func TestInternedWitnessDecodesFreshValues(t *testing.T) {
 	s := schema.MustParse("E(a:T1, b:T1)")
 	d := instance.NewDatabase(s)
-	var alloc value.Allocator
-	alloc.Reserve(val(1, 20))
-	null := alloc.Fresh(1)
+	null := value.Value{Type: 1, Null: true, N: 5}
 	d.MustInsert("E", val(1, 1), null)
 	for i := int64(4); i < 20; i++ {
 		d.MustInsert("E", val(1, i), val(1, i+1))
@@ -287,9 +285,9 @@ func TestInternedWitnessDecodesFreshValues(t *testing.T) {
 		t.Fatal("answer not found")
 	}
 	if r.w["Y"] != null {
-		t.Fatalf("witness Y = %v, want the fresh value %v", r.w["Y"], null)
+		t.Fatalf("witness Y = %v, want the null %v", r.w["Y"], null)
 	}
-	checkWitness(t, "fresh-value witness", q, d, want, r)
+	checkWitness(t, "null witness", q, d, want, r)
 }
 
 // TestInternedReusesFrozenViewAcrossSearches pins the frozen-view

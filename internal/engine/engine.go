@@ -357,14 +357,8 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		ctx, cancel = context.WithTimeout(ctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	jobs := []Job{{Left: q1, Right: q2, Op: op}}
-	bs := &batchState{
-		ctx:    ctx,
-		consts: batchConstants(jobs),
-		first:  map[string]*cq.Query{k1: q1, k2: q2},
-		frozen: make(map[string]*frozen, 2),
-	}
-	res, read := e.runLeader(bs, jobs[0], k1, k2)
+	bs := &batchState{ctx: ctx, first: []*cq.Query{q1, q2}, frozen: make([]frozen, 2)}
+	res, read := e.runLeader(bs, Job{Left: q1, Right: q2, Op: op}, 0, 1)
 	res = e.settle(o, key, res, read)
 	if res.Err == nil && e.cache != nil && o != nil {
 		o.G(obs.GCacheEntries).Set(int64(e.cache.stats().Entries))
@@ -414,36 +408,27 @@ func (f *frozen) claim() containment.Stats {
 }
 
 // batchState carries the structures shared by the pairs of one batch:
-// a Run, or the single pair of a Decide miss.
+// a Run, or the single pair of a Decide miss.  Both slices are indexed
+// by canonical key number.
 type batchState struct {
-	ctx    context.Context // the chases' context
-	consts []value.Value   // every constant of the batch, reserved in every freeze
-	// first maps each canonical query key to the first query carrying it,
-	// in job order.  Freezing that query, not whichever sharer a worker
-	// reaches first, keeps the artifact's value numbering — and so every
-	// search's node count — independent of the worker count.
-	first  map[string]*cq.Query
-	mu     sync.Mutex
-	frozen map[string]*frozen // canonical query key -> artifact
+	ctx context.Context // the chases' context
+	// first holds the first query carrying each canonical key, in job
+	// order.  Freezing that query, not whichever sharer a worker reaches
+	// first, keeps the artifact's null numbering — and so every search's
+	// node count — independent of the worker count.
+	first  []*cq.Query
+	frozen []frozen // each canonical query's artifact
 }
 
 // frozenOf returns the chase artifact for the query with canonical key
-// k, computing it at most once per batch.  The freeze reserves every
-// constant of the whole batch so fresh nulls never collide with any
-// query's constants — the invariant that makes sharing the database
-// across pairs sound.  A chase cut short by the batch context keeps
-// its partial work for claim, and every search of the artifact reports
-// the error.
-func (e *Engine) frozenOf(b *batchState, k string) *frozen {
-	b.mu.Lock()
-	f, ok := b.frozen[k]
-	if !ok {
-		f = &frozen{}
-		b.frozen[k] = f
-	}
-	b.mu.Unlock()
+// number k, computing it at most once per batch.  Its nulls equal no
+// constant, so every pair mentioning the query can search it.  A chase
+// cut short by the batch context keeps its partial work for claim, and
+// every search of the artifact reports the error.
+func (e *Engine) frozenOf(b *batchState, k int) *frozen {
+	f := &b.frozen[k]
 	f.once.Do(func() {
-		f.db = containment.NewCanonicalDB(b.ctx, b.first[k], e.s, e.deps, b.consts)
+		f.db = containment.NewCanonicalDB(b.ctx, b.first[k], e.s, e.deps)
 	})
 	return f
 }
@@ -492,11 +477,10 @@ type canonMemo struct {
 	mask uint64
 	// chains maps a presentation's hash to its entries, linked by next.
 	chains map[uint64]*canonEntry
-	// slabs hold the entries in creation order, slab at a time; free is
-	// the unused tail of the last.
-	slabs [][]canonEntry
-	free  []canonEntry
-	slab  int
+	// Entries are carved from slabs of slab entries; free is the unused
+	// tail of the last.
+	free []canonEntry
+	slab int
 	// keys lists the batch's distinct canonical keys by number; nums
 	// numbers them.
 	keys []string
@@ -548,7 +532,6 @@ func (m *canonMemo) entry(q *cq.Query) *canonEntry {
 	}
 	if len(m.free) == 0 {
 		m.free = make([]canonEntry, m.slab)
-		m.slabs = append(m.slabs, m.free)
 	}
 	ent := &m.free[0]
 	m.free = m.free[1:]
@@ -569,45 +552,6 @@ func (m *canonMemo) number(k string) int {
 		m.keys = append(m.keys, k)
 	}
 	return n
-}
-
-// constants returns batchConstants(jobs) for the batch whose two-sided
-// jobs the memo has seen: every constant of its distinct presentations
-// and of the one side of each half-nil job, which the memo never sees,
-// sorted and deduplicated.
-func (m *canonMemo) constants(jobs []Job) []value.Value {
-	var s value.Set
-	for _, slab := range m.slabs {
-		for i := range slab {
-			if q := slab[i].q; q != nil {
-				addConstants(&s, q)
-			}
-		}
-	}
-	for _, j := range jobs {
-		switch {
-		case j.Left == nil && j.Right != nil:
-			addConstants(&s, j.Right)
-		case j.Left != nil && j.Right == nil:
-			addConstants(&s, j.Left)
-		}
-	}
-	return s.Values()
-}
-
-// addConstants adds to s every constant q.Constants() returns: those of
-// the head and of the equality list.
-func addConstants(s *value.Set, q *cq.Query) {
-	for _, t := range q.Head {
-		if t.IsConst {
-			s.Add(t.Const)
-		}
-	}
-	for _, e := range q.Eqs {
-		if e.Right.IsConst {
-			s.Add(e.Right.Const)
-		}
-	}
 }
 
 // checkEntry validates and types q, the entry's presentation, at most
@@ -662,13 +606,17 @@ func appendName(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// appendTerm appends a variable as 'v' and its name, a constant as 'c',
-// its type and its number.
+// appendTerm appends a variable as 'v' and its name, a constant as 'c'
+// (a labeled null as 'n'), its type and its number.
 func appendTerm(b []byte, t cq.Term) []byte {
 	if !t.IsConst {
 		return appendName(append(b, 'v'), string(t.Var))
 	}
-	b = binary.AppendVarint(append(b, 'c'), int64(t.Const.Type))
+	tag := byte('c')
+	if t.Const.Null {
+		tag = 'n'
+	}
+	b = binary.AppendVarint(append(b, tag), int64(t.Const.Type))
 	return binary.AppendVarint(b, t.Const.N)
 }
 
@@ -764,19 +712,19 @@ func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 	}
 	groupOf := make(map[pair]int)
 	var groups []group
-	next := make([]int, len(jobs))            // the job after i in its group, -1 after the last
-	firstOf := make([]*cq.Query, len(m.keys)) // by key number, in job order
+	next := make([]int, len(jobs))          // the job after i in its group, -1 after the last
+	first := make([]*cq.Query, len(m.keys)) // by key number, in job order
 	for i, j := range jobs {
 		if checkErr[i] != nil {
 			rep.Results[i] = Result{Err: checkErr[i]}
 			continue
 		}
 		l, r := keyNum[i][0], keyNum[i][1]
-		if firstOf[l] == nil {
-			firstOf[l] = j.Left
+		if first[l] == nil {
+			first[l] = j.Left
 		}
-		if firstOf[r] == nil {
-			firstOf[r] = j.Right
+		if first[r] == nil {
+			first[r] = j.Right
 		}
 		p := pair{j.Op, l, r}
 		if j.Op == OpEquivalent && r < l {
@@ -816,13 +764,8 @@ func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 		work = append(work, gi)
 	}
 
-	// Compute the remaining groups on the pool.  The freeze reserve is
-	// every constant of the batch, gathered once per presentation.
-	first := make(map[string]*cq.Query, len(firstOf))
-	for k, q := range firstOf {
-		first[m.keys[k]] = q
-	}
-	bs := &batchState{ctx: ctx, consts: m.constants(jobs), first: first, frozen: make(map[string]*frozen)}
+	// Compute the remaining groups on the pool.
+	bs := &batchState{ctx: ctx, first: first, frozen: make([]frozen, len(first))}
 	type leaderRun struct {
 		res        Result
 		read       [2]*frozen // chase artifacts the leader read
@@ -833,7 +776,7 @@ func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 		i := groups[work[w]].leader
 		r := &runs[w]
 		r.start = o.Time()
-		r.res, r.read = e.runLeader(bs, jobs[i], m.keys[keyNum[i][0]], m.keys[keyNum[i][1]])
+		r.res, r.read = e.runLeader(bs, jobs[i], keyNum[i][0], keyNum[i][1])
 		r.end = o.Time()
 	})
 
@@ -894,8 +837,9 @@ func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 // chase artifacts.  It is the engine's one pair decider: Run calls it
 // for every group leader, Decide for a cache miss.  It returns the
 // artifacts it read, whose chase work the caller books through settle;
-// the Result's Stats hold the searches only.
-func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*frozen) {
+// the Result's Stats hold the searches only.  l and r are the numbers of
+// the two sides' canonical keys in bs.
+func (e *Engine) runLeader(bs *batchState, j Job, l, r int) (Result, [2]*frozen) {
 	var read [2]*frozen
 	jctx := bs.ctx
 	if err := jctx.Err(); err != nil {
@@ -904,7 +848,7 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*fr
 	// Equal canonical keys mean the queries are isomorphic (a key is a
 	// faithful encoding even when inexact), so both ops hold with no
 	// chase or homomorphism search at all.
-	if lk == rk {
+	if l == r {
 		return Result{Holds: true}, read
 	}
 	if e.opts.JobTimeout > 0 {
@@ -912,12 +856,12 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, [2]*fr
 		jctx, cancel = context.WithTimeout(jctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	read[0] = e.frozenOf(bs, lk)
+	read[0] = e.frozenOf(bs, l)
 	ok, st, err := read[0].db.ContainedIn(jctx, j.Right, cq.SearchAdaptive)
 	if err != nil || !ok || j.Op == OpContained {
 		return Result{Holds: ok, Stats: st, Err: err}, read
 	}
-	read[1] = e.frozenOf(bs, rk)
+	read[1] = e.frozenOf(bs, r)
 	ok2, st2, err := read[1].db.ContainedIn(jctx, j.Left, cq.SearchAdaptive)
 	st.Merge(st2)
 	return Result{Holds: ok2, Stats: st, Err: err}, read
@@ -935,25 +879,6 @@ func (e *Engine) settle(o *obs.Obs, key string, res Result, read [2]*frozen) Res
 		e.cachePut(o, key, Verdict{Holds: res.Holds, Stats: res.Stats})
 	}
 	return res
-}
-
-// batchConstants collects every constant mentioned by any query of the
-// batch, sorted and deduplicated.
-func batchConstants(jobs []Job) []value.Value {
-	var s value.Set
-	for _, j := range jobs {
-		if j.Left != nil {
-			for _, c := range j.Left.Constants() {
-				s.Add(c)
-			}
-		}
-		if j.Right != nil {
-			for _, c := range j.Right.Constants() {
-				s.Add(c)
-			}
-		}
-	}
-	return s.Values()
 }
 
 // Fingerprint renders the (schema, dependencies) pair an engine is

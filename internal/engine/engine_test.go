@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"keyedeq/internal/fd"
 	"keyedeq/internal/gen"
 	"keyedeq/internal/schema"
+	"keyedeq/internal/value"
 )
 
 func TestEngineMatchesSequentialOnGraphPairs(t *testing.T) {
@@ -171,6 +173,65 @@ func TestEngineErrorOnIncomparablePair(t *testing.T) {
 	}
 	if rep.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", rep.Errors)
+	}
+}
+
+// TestLabeledNullsEqualNoConstant decides pairs whose left canonical
+// database holds a labeled null numbered like a constant of the right
+// side: V(X) :- E(X, Y). freezes X and Y to the nulls T1:_1 and T1:_2,
+// which the selections X = T1:1 and Y = T1:2 must not match.  Each case
+// runs adaptive and naive, through Decide, and in one Run batch.  A
+// query built to hold a null is rejected on every path.
+func TestLabeledNullsEqualNoConstant(t *testing.T) {
+	s := schema.MustParse("E(src*:T1, dst:T1)")
+	deps := fd.KeyFDs(s)
+	plain := cq.MustParse("V(X) :- E(X, Y).")
+	sel := cq.MustParse("V(X) :- E(X, Y), Y = T1:2.")
+	withNull := cq.MustParse("V(X) :- E(X, Y), Y = T1:2.")
+	withNull.Eqs[0].Right = cq.C(value.Value{Type: 1, Null: true, N: 2})
+	cases := []struct {
+		left, right *cq.Query
+		op          Op
+		want        bool
+		err         string // what every path's error must contain
+	}{
+		{plain, sel, OpContained, false, ""},
+		{sel, plain, OpContained, true, ""},
+		{plain, cq.MustParse("V(X) :- E(X, Y), X = T1:1."), OpContained, false, ""},
+		{plain, sel, OpEquivalent, false, ""},
+		{withNull, plain, OpContained, false, "labeled null"},
+	}
+	ctx := context.Background()
+	jobs := make([]Job, len(cases))
+	for i, c := range cases {
+		jobs[i] = Job{Left: c.left, Right: c.right, Op: c.op}
+	}
+	rep := New(s, deps, Options{Workers: 2, DisableCache: true}).Run(ctx, jobs)
+	e := New(s, deps, Options{DisableCache: true})
+	for i, c := range cases {
+		check := func(path string, holds bool, err error) {
+			t.Helper()
+			switch {
+			case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+				t.Errorf("case %d %s: %v(%s, %s) error %v, want one naming %q", i, path, c.op, c.left, c.right, err, c.err)
+			case c.err == "" && (err != nil || holds != c.want):
+				t.Errorf("case %d %s: %v(%s, %s) = %v, %v; want %v", i, path, c.op, c.left, c.right, holds, err, c.want)
+			}
+		}
+		for _, m := range []struct {
+			name string
+			mode cq.SearchMode
+		}{{"adaptive", cq.SearchAdaptive}, {"naive", cq.SearchNaive}} {
+			decide := containment.ContainedUnderCtxMode
+			if c.op == OpEquivalent {
+				decide = containment.EquivalentUnderCtxMode
+			}
+			holds, _, err := decide(ctx, c.left, c.right, s, deps, m.mode)
+			check(m.name, holds, err)
+		}
+		r := e.Decide(ctx, c.left, c.right, c.op)
+		check("Decide", r.Holds, r.Err)
+		check("Run", rep.Results[i].Holds, rep.Results[i].Err)
 	}
 }
 

@@ -49,7 +49,8 @@ func checkPresentationIdentity(t *testing.T, qs []*cq.Query) {
 // empty names in every place (an empty variable, too, where a constant
 // stands elsewhere), one variable named `X, Y` and the two
 // variables X and Y, a placeholder reused across atoms, and equalities
-// to constants, to a variable named like one, and to other constants.
+// to constants, to a variable named like one, to other constants and to
+// the labeled null T1:_5.
 func lookalikes() []*cq.Query {
 	t15 := value.Value{Type: 1, N: 5}
 	e := func(vars ...cq.Var) cq.Atom { return cq.Atom{Rel: "E", Vars: vars} }
@@ -76,6 +77,7 @@ func lookalikes() []*cq.Query {
 		q(x, []cq.Equality{{Left: "Y", Right: cq.C(value.Value{Type: 1, N: 6})}}, e("X", "Y")),
 		q(x, []cq.Equality{{Left: "Y", Right: cq.C(value.Value{Type: 2, N: 5})}}, e("X", "Y")),
 		q(x, []cq.Equality{{Left: "Y", Right: cq.C(value.Value{Type: 1, N: -5})}}, e("X", "Y")),
+		q(x, []cq.Equality{{Left: "Y", Right: cq.C(value.Value{Type: 1, Null: true, N: 5})}}, e("X", "Y")),
 		q([]cq.Term{cq.C(t15), cq.V("X")}, []cq.Equality{{Left: "Y", Right: cq.C(t15)}, {Left: "X", Right: cq.V("Y")}}, e("X", "Y")),
 		q([]cq.Term{cq.C(t15), cq.V("X")}, []cq.Equality{{Left: "X", Right: cq.V("Y")}, {Left: "Y", Right: cq.C(t15)}}, e("X", "Y")),
 	}
@@ -111,44 +113,6 @@ func TestPresentationIdentity(t *testing.T) {
 		}
 	}
 	checkPresentationIdentity(t, qs)
-}
-
-// TestMemoConstantsMatchBatchConstants requires the freeze reserve Run
-// gathers from its memo to be the set batchConstants returns, on every
-// E1 family's poisoned jobs and on the lookalikes, paired up with two
-// half-nil jobs whose one sides hold the only T3:9 and T3:10 of the
-// batch.
-func TestMemoConstantsMatchBatchConstants(t *testing.T) {
-	looks := lookalikes()
-	var hand []Job
-	for i := 0; i+1 < len(looks); i += 2 {
-		hand = append(hand, Job{Left: looks[i], Right: looks[i+1]})
-	}
-	hand = append(hand,
-		Job{Left: cq.MustParse("V(X) :- E(X, Y), Y = T3:9."), Op: OpContained},
-		Job{Right: cq.MustParse("V(T3:10) :- E(X, Y).")},
-		Job{})
-	batches := [][]Job{hand}
-	for _, f := range e1Corpus(t, 60) {
-		batches = append(batches, poisonedJobs(f))
-	}
-	for k, jobs := range batches {
-		m := newCanonMemo(len(jobs))
-		for _, j := range jobs {
-			if j.Left != nil && j.Right != nil {
-				m.entry(j.Left)
-				m.entry(j.Right)
-			}
-		}
-		if got, want := m.constants(jobs), batchConstants(jobs); !slices.Equal(got, want) {
-			t.Fatalf("batch %d: reserve %v, batchConstants %v", k, got, want)
-		}
-	}
-	for _, c := range []value.Value{{Type: 3, N: 9}, {Type: 3, N: 10}} {
-		if !slices.Contains(batchConstants(hand), c) {
-			t.Fatalf("premise: the half-nil jobs' constant %v should be in the reserve", c)
-		}
-	}
 }
 
 // TestRunOneChainMatchesDecide runs the E1 corpus with poisoned jobs

@@ -67,7 +67,7 @@ type HomCase struct {
 func PrepareHomCases(f *gen.Family) ([]HomCase, error) {
 	var cases []HomCase
 	add := func(q1, q2 *cq.Query) error {
-		c := containment.NewCanonicalDB(context.Background(), q1, f.Schema, f.Deps, append(q1.Constants(), q2.Constants()...))
+		c := containment.NewCanonicalDB(context.Background(), q1, f.Schema, f.Deps)
 		if err := c.Err(); err != nil {
 			return err
 		}

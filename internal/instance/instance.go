@@ -74,7 +74,8 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// key renders the tuple's map key: "type:n" per value, comma-separated.
+// key renders the tuple's map key: "type:n", or "type:_n" for a null,
+// per value, comma-separated.
 func (t Tuple) key() string {
 	var buf [64]byte
 	b := buf[:0]
@@ -84,6 +85,9 @@ func (t Tuple) key() string {
 		}
 		b = strconv.AppendInt(b, int64(v.Type), 10)
 		b = append(b, ':')
+		if v.Null {
+			b = append(b, '_')
+		}
 		b = strconv.AppendInt(b, v.N, 10)
 	}
 	return string(b)

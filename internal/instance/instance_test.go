@@ -94,11 +94,17 @@ func TestTuplesDeterministicOrder(t *testing.T) {
 	r.MustInsert(Tuple{v(1, 2), v(2, 1)})
 	r.MustInsert(Tuple{v(1, 1), v(2, 9)})
 	r.MustInsert(Tuple{v(1, 1), v(2, 2)})
+	// The null T1:_2 is not the constant T1:2: the relation keeps both
+	// tuples, the constant's first.
+	r.MustInsert(Tuple{{Type: 1, Null: true, N: 2}, v(2, 1)})
 	ts := r.Tuples()
 	for i := 1; i < len(ts); i++ {
 		if ts[i-1].Compare(ts[i]) >= 0 {
 			t.Fatalf("Tuples not sorted: %v", ts)
 		}
+	}
+	if len(ts) != 4 || ts[2].String() != "(T1:2, T2:1)" || ts[3].String() != "(T1:_2, T2:1)" {
+		t.Fatalf("Tuples = %v, want the constant's tuple before the null's", ts)
 	}
 }
 

@@ -164,12 +164,8 @@ func Contained(u1, u2 *Query, s *schema.Schema, deps []fd.FD) (bool, error) {
 
 // disjunctContainedInUnion decides p ⊑ ∪qⱼ on p's canonical database.
 func disjunctContainedInUnion(p *cq.Query, u *Query, s *schema.Schema, deps []fd.FD) (bool, error) {
-	reserve := p.Constants()
-	for _, q := range u.Disjuncts {
-		reserve = append(reserve, q.Constants()...)
-	}
 	ctx := context.Background()
-	c := containment.NewCanonicalDB(ctx, p, s, deps, reserve)
+	c := containment.NewCanonicalDB(ctx, p, s, deps)
 	for _, q := range u.Disjuncts {
 		ok, _, err := c.ContainedIn(ctx, q, cq.SearchAdaptive)
 		if err != nil {

@@ -1,10 +1,13 @@
 // Package value models the paper's universe of data: a countably infinite
 // domain partitioned into disjoint, countably infinite attribute types.
 //
-// A Value is an atomic constant tagged with the attribute type it belongs
-// to.  Because the type tag participates in equality, values of different
-// attribute types are never equal, which realizes the paper's requirement
-// that attribute types be disjoint subsets of the domain.
+// A Value is an atomic constant or a labeled null, tagged with the
+// attribute type it belongs to.  Because the type tag participates in
+// equality, values of different attribute types are never equal, which
+// realizes the paper's requirement that attribute types be disjoint
+// subsets of the domain.  The null flag participates too, so no constant
+// equals a null: a canonical database's nulls are the paper's values
+// "not among the constants of the queries" whatever the queries are.
 package value
 
 import (
@@ -35,17 +38,20 @@ func (t Type) appendName(b []byte) []byte {
 	return strconv.AppendInt(append(b, 'T'), int64(t), 10)
 }
 
-// Value is an atomic constant of some attribute type.  The zero Value is
-// invalid and belongs to no type.
+// Value is an atomic constant of some attribute type, or, with Null set,
+// the labeled null numbered N of that type.  Only a canonical database
+// holds nulls; no query or instance text can name one.  The zero Value
+// is invalid and belongs to no type.
 type Value struct {
 	Type Type
+	Null bool
 	N    int64
 }
 
 // IsZero reports whether v is the invalid zero Value.
 func (v Value) IsZero() bool { return v.Type == NoType && v.N == 0 }
 
-// String renders the value as, e.g., "T3:17".
+// String renders the value as, e.g., "T3:17", or a null as "T3:_17".
 func (v Value) String() string {
 	var buf [36]byte // "T" + int32 + ":" + int64, signs included
 	return string(v.Append(buf[:0]))
@@ -56,16 +62,26 @@ func (v Value) Append(b []byte) []byte {
 	if v.IsZero() {
 		return append(b, "<zero>"...)
 	}
-	return strconv.AppendInt(append(v.Type.appendName(b), ':'), v.N, 10)
+	b = append(v.Type.appendName(b), ':')
+	if v.Null {
+		b = append(b, '_')
+	}
+	return strconv.AppendInt(b, v.N, 10)
 }
 
-// Compare orders values first by type, then by N.  It returns -1, 0, or +1.
+// Compare orders values first by type, then the constants of a type
+// before its nulls, then by N.  It returns -1, 0, or +1.
 func (v Value) Compare(w Value) int {
 	switch {
 	case v.Type < w.Type:
 		return -1
 	case v.Type > w.Type:
 		return 1
+	case v.Null != w.Null:
+		if v.Null {
+			return 1
+		}
+		return -1
 	case v.N < w.N:
 		return -1
 	case v.N > w.N:
@@ -82,7 +98,8 @@ func Sort(vs []Value) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
 }
 
-// Parse parses the "T<type>:<n>" form produced by Value.String.
+// Parse parses the "T<type>:<n>" form produced by Value.String for a
+// constant.  It rejects a null's "T<type>:_<n>", so no text names a null.
 func Parse(s string) (Value, error) {
 	switch v, bad := parse(s); bad {
 	case badForm:
@@ -131,10 +148,10 @@ func parse(s string) (Value, parseResult) {
 	return Value{Type: Type(t), N: n}, parsed
 }
 
-// Allocator hands out fresh values per attribute type.  Fresh values are
-// needed throughout the paper's constructions: attribute-specific instances,
-// values "not among the constants of the queries", frozen variables for
-// canonical databases, and the choice function f of the δ map.
+// Allocator hands out fresh constants per attribute type, for the
+// paper's constructions that need distinct values: attribute-specific
+// instances and random keyed instances.  A canonical database needs none:
+// its frozen variables are labeled nulls, which no constant equals.
 //
 // The zero Allocator is ready to use.  An Allocator is not safe for
 // concurrent use.

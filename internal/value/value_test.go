@@ -30,6 +30,9 @@ func TestValueString(t *testing.T) {
 	if got := v.String(); got != "T3:17" {
 		t.Errorf("String() = %q, want T3:17", got)
 	}
+	if got := (Value{Type: 1, Null: true, N: 3}).String(); got != "T1:_3" {
+		t.Errorf("null String() = %q, want T1:_3", got)
+	}
 	var zero Value
 	if got := zero.String(); got != "<zero>" {
 		t.Errorf("zero.String() = %q", got)
@@ -50,11 +53,16 @@ func TestCompare(t *testing.T) {
 		a, b Value
 		want int
 	}{
-		{Value{1, 1}, Value{1, 1}, 0},
-		{Value{1, 1}, Value{1, 2}, -1},
-		{Value{1, 2}, Value{1, 1}, 1},
-		{Value{1, 9}, Value{2, 1}, -1},
-		{Value{2, 1}, Value{1, 9}, 1},
+		{Value{Type: 1, N: 1}, Value{Type: 1, N: 1}, 0},
+		{Value{Type: 1, N: 1}, Value{Type: 1, N: 2}, -1},
+		{Value{Type: 1, N: 2}, Value{Type: 1, N: 1}, 1},
+		{Value{Type: 1, N: 9}, Value{Type: 2, N: 1}, -1},
+		{Value{Type: 2, N: 1}, Value{Type: 1, N: 9}, 1},
+		{Value{Type: 1, N: 9}, Value{Type: 1, Null: true, N: 1}, -1},
+		{Value{Type: 1, Null: true, N: 1}, Value{Type: 1, N: 9}, 1},
+		{Value{Type: 1, Null: true, N: 1}, Value{Type: 1, Null: true, N: 2}, -1},
+		{Value{Type: 1, Null: true, N: 2}, Value{Type: 1, Null: true, N: 2}, 0},
+		{Value{Type: 1, Null: true, N: 2}, Value{Type: 2, N: 1}, -1},
 	}
 	for _, tt := range tests {
 		if got := tt.a.Compare(tt.b); got != tt.want {
@@ -64,9 +72,9 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareAntisymmetric(t *testing.T) {
-	f := func(at, bt int8, an, bn int16) bool {
-		a := Value{Type: Type(uint8(at)%4 + 1), N: int64(an)}
-		b := Value{Type: Type(uint8(bt)%4 + 1), N: int64(bn)}
+	f := func(at, bt int8, an, bn int16, anull, bnull bool) bool {
+		a := Value{Type: Type(uint8(at)%4 + 1), Null: anull, N: int64(an)}
+		b := Value{Type: Type(uint8(bt)%4 + 1), Null: bnull, N: int64(bn)}
 		return a.Compare(b) == -b.Compare(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -75,12 +83,12 @@ func TestCompareAntisymmetric(t *testing.T) {
 }
 
 func TestSort(t *testing.T) {
-	vs := []Value{{2, 1}, {1, 5}, {1, 2}, {3, 0}, {1, 2}}
+	vs := []Value{{Type: 2, N: 1}, {Type: 1, Null: true, N: 3}, {Type: 1, N: 5}, {Type: 1, N: 2}, {Type: 1, Null: true, N: 1}, {Type: 3, N: 0}, {Type: 1, N: 2}}
 	Sort(vs)
 	if !sort.SliceIsSorted(vs, func(i, j int) bool { return vs[i].Less(vs[j]) || vs[i] == vs[j] && i < j }) {
 		t.Errorf("not sorted: %v", vs)
 	}
-	want := []Value{{1, 2}, {1, 2}, {1, 5}, {2, 1}, {3, 0}}
+	want := []Value{{Type: 1, N: 2}, {Type: 1, N: 2}, {Type: 1, N: 5}, {Type: 1, Null: true, N: 1}, {Type: 1, Null: true, N: 3}, {Type: 2, N: 1}, {Type: 3, N: 0}}
 	for i := range want {
 		if vs[i] != want[i] {
 			t.Fatalf("Sort = %v, want %v", vs, want)
@@ -125,6 +133,7 @@ func TestParseErrorMessages(t *testing.T) {
 		{"T-3:4", `value: bad type in "T-3:4"`},
 		{"T1:y", `value: bad ordinal in "T1:y"`},
 		{"T1:99999999999999999999", `value: bad ordinal in "T1:99999999999999999999"`},
+		{"T1:_3", `value: bad ordinal in "T1:_3"`},
 		{"T2:-5", ""},
 		{"T2147483647:0", ""},
 	} {
@@ -157,7 +166,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "T1", "1:2", "Tx:2", "T1:y", "T-3:4", "T0:1"} {
+	for _, s := range []string{"", "T1", "1:2", "Tx:2", "T1:y", "T-3:4", "T0:1", "T1:_3"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q): want error", s)
 		}
@@ -211,7 +220,7 @@ func TestAllocatorReserve(t *testing.T) {
 
 func TestAllocatorReserveAll(t *testing.T) {
 	var a Allocator
-	a.ReserveAll([]Value{{1, 10}, {2, 20}})
+	a.ReserveAll([]Value{{Type: 1, N: 10}, {Type: 2, N: 20}})
 	if v := a.Fresh(1); v.N <= 10 {
 		t.Errorf("Fresh(1) = %v after ReserveAll", v)
 	}
@@ -246,19 +255,19 @@ func TestChoiceSet(t *testing.T) {
 
 func TestSetBasics(t *testing.T) {
 	var s Set
-	if s.Len() != 0 || s.Has(Value{1, 1}) {
+	if s.Len() != 0 || s.Has(Value{Type: 1, N: 1}) {
 		t.Fatal("zero Set should be empty")
 	}
-	if !s.Add(Value{1, 1}) {
+	if !s.Add(Value{Type: 1, N: 1}) {
 		t.Error("first Add should report true")
 	}
-	if s.Add(Value{1, 1}) {
+	if s.Add(Value{Type: 1, N: 1}) {
 		t.Error("second Add of same value should report false")
 	}
-	s.Add(Value{2, 1})
-	s.Add(Value{1, 0})
+	s.Add(Value{Type: 2, N: 1})
+	s.Add(Value{Type: 1, N: 0})
 	got := s.Values()
-	want := []Value{{1, 0}, {1, 1}, {2, 1}}
+	want := []Value{{Type: 1, N: 0}, {Type: 1, N: 1}, {Type: 2, N: 1}}
 	if len(got) != len(want) {
 		t.Fatalf("Values() = %v, want %v", got, want)
 	}
@@ -271,13 +280,13 @@ func TestSetBasics(t *testing.T) {
 
 func TestSetIntersects(t *testing.T) {
 	var a, b Set
-	a.Add(Value{1, 1})
-	a.Add(Value{1, 2})
-	b.Add(Value{1, 3})
+	a.Add(Value{Type: 1, N: 1})
+	a.Add(Value{Type: 1, N: 2})
+	b.Add(Value{Type: 1, N: 3})
 	if a.Intersects(&b) || b.Intersects(&a) {
 		t.Error("disjoint sets report intersection")
 	}
-	b.Add(Value{1, 2})
+	b.Add(Value{Type: 1, N: 2})
 	if !a.Intersects(&b) || !b.Intersects(&a) {
 		t.Error("overlapping sets report no intersection")
 	}

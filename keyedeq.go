@@ -63,11 +63,12 @@ type (
 	// renaming and re-ordering.
 	Isomorphism = schema.Isomorphism
 
-	// Value is an atomic constant of some attribute type.
+	// Value is an atomic constant of some attribute type, or a labeled
+	// null of a canonical database.
 	Value = value.Value
 	// Type identifies one of the disjoint attribute types.
 	Type = value.Type
-	// Allocator hands out fresh values per type.
+	// Allocator hands out fresh constants per type.
 	Allocator = value.Allocator
 	// Choice is the paper's choice function f from types to constants.
 	Choice = value.Choice
