@@ -35,7 +35,7 @@ func BenchmarkT1TheoremExhaustive(b *testing.B) {
 	bounds := dominance.SearchBounds{MaxAtoms: 1, MaxEqs: 1, MaxViews: 2000, MaxPairs: 100_000}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ok, _, err := dominance.SearchEquivalence(s1, s2, bounds)
+		ok, _, err := dominance.SearchEquivalence(context.Background(), s1, s2, bounds, dominance.SearchOptions{})
 		if err != nil || !ok {
 			b.Fatalf("search: %v %v", ok, err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkT5MappingIdentity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok, err := comp.IsIdentityOn(deps)
+		ok, err := comp.IsIdentityOn(context.Background(), deps, nil)
 		if err != nil || !ok {
 			b.Fatalf("identity: %v %v", ok, err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkT7DecisionCompare(b *testing.B) {
 		bounds := dominance.SearchBounds{MaxAtoms: 1, MaxEqs: 1, MaxViews: 20000, MaxPairs: 500_000}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ok, _, err := dominance.SearchEquivalence(s1, s2, bounds)
+			ok, _, err := dominance.SearchEquivalence(context.Background(), s1, s2, bounds, dominance.SearchOptions{})
 			if err != nil || !ok {
 				b.Fatalf("search: %v %v", ok, err)
 			}

@@ -15,7 +15,8 @@
 //
 // -cache bounds the daemon's one verdict cache, in entries, shared by
 // every schema the requests name; memory does not grow with the number
-// of schemas.
+// of schemas.  A negative -cache turns the cache off, and with it
+// persistence: -store then neither records nor warms anything.
 //
 // With -store, every computed verdict is appended to a log of
 // CRC-framed binary records, and the next boot warms the cache with the
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storePath := fs.String("store", "", "verdict log `file`; empty disables persistence")
 	syncEvery := fs.Int("sync-every", 64, "fsync the verdict log every `N` appends (negative: only on drain)")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache", 0, "verdict cache entries, shared by every schema (0 = default 4096)")
+	cacheSize := fs.Int("cache", 0, "verdict cache entries, shared by every schema (0 = default 4096, <0 = no cache and no -store records)")
 	maxInFlight := fs.Int("max-inflight", 64, "global concurrent request bound")
 	perClient := fs.Int("per-client", 8, "per-client (API key or remote address) concurrent request bound")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-decision timeout (requests may set timeout_ms)")

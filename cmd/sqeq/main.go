@@ -127,14 +127,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		pool := keyedeq.NewEnginePool(keyedeq.EngineOptions{
-			Workers:      *parallel,
-			CacheSize:    *cacheSize,
-			DisableCache: *cacheSize < 0,
-			Obs:          ob.Obs,
+			Workers:   *parallel,
+			CacheSize: *cacheSize,
+			Obs:       ob.Obs,
 		})
-		found, stats, err := keyedeq.SearchEquivalenceCtx(ctx, s1, s2, b, keyedeq.SearchOptions{
-			Workers:  *parallel,
-			EquivCtx: pool.EquivCtx,
+		found, stats, err := keyedeq.SearchEquivalence(ctx, s1, s2, b, keyedeq.SearchOptions{
+			Workers: *parallel,
+			Equiv:   pool.Equiv,
 		})
 		if err != nil {
 			return fail(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"keyedeq"
@@ -29,7 +30,7 @@ func main() {
 			if iso {
 				isoPairs++
 			}
-			eq, stats, err := keyedeq.SearchEquivalence(s1, s2, bounds)
+			eq, stats, err := keyedeq.SearchEquivalence(context.Background(), s1, s2, bounds, keyedeq.SearchOptions{})
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

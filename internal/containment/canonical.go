@@ -139,41 +139,40 @@ func (c *CanonicalDB) ChaseStats() Stats {
 	return st
 }
 
-// ContainedIn decides q ⊑ q2 by searching q2 for the frozen head with
-// the given search mode, and returns the search's Stats.  A failed chase
-// makes the containment hold vacuously with no search; a build error is
-// returned as is.
-func (c *CanonicalDB) ContainedIn(ctx context.Context, q2 *cq.Query, mode cq.SearchMode) (bool, Stats, error) {
+// ContainedIn decides q ⊑ q2 by the adaptive search of q2 for the
+// frozen head, and returns the search's Stats.  A failed chase makes the
+// containment hold vacuously with no search; a build error is returned
+// as is.
+func (c *CanonicalDB) ContainedIn(ctx context.Context, q2 *cq.Query) (bool, Stats, error) {
+	ok, _, st, err := c.search(ctx, q2, false, false)
+	return ok, st, err
+}
+
+// search is ContainedIn by the naive oracle over the decode or by the
+// adaptive search, which decodes a witness only when asked.
+func (c *CanonicalDB) search(ctx context.Context, q2 *cq.Query, naive, witness bool) (bool, map[cq.Var]value.Value, Stats, error) {
 	switch {
 	case c.err != nil:
-		return false, Stats{}, c.err
+		return false, nil, Stats{}, c.err
 	case c.failed:
-		return true, FailedChaseStats(), nil
-	}
-	ok, _, es, err := c.search(ctx, q2, mode, false)
-	return ok, SearchStats(es.Nodes), err
-}
-
-// search runs q2 over the chased database for the frozen head: the
-// adaptive search over the frozen view, decoding a witness only when
-// asked, or the naive oracle over the decode.
-func (c *CanonicalDB) search(ctx context.Context, q2 *cq.Query, mode cq.SearchMode, witness bool) (bool, map[cq.Var]value.Value, cq.EvalStats, error) {
-	switch {
-	case mode == cq.SearchNaive:
+		return true, nil, FailedChaseStats(), nil
+	case naive:
 		db, head := c.Database()
-		return cq.FindAnswerBindingCtxMode(ctx, q2, db, head, mode)
+		ok, w, es, err := cq.FindAnswerBindingNaive(ctx, q2, db, head)
+		return ok, w, SearchStats(es.Nodes), err
 	case witness:
-		return cq.FindAnswerBindingFrozen(ctx, q2, c.fz, c.head)
+		ok, w, es, err := cq.FindAnswerBindingFrozen(ctx, q2, c.fz, c.head)
+		return ok, w, SearchStats(es.Nodes), err
 	}
 	ok, es, err := cq.HasAnswerFrozen(ctx, q2, c.fz, c.head)
-	return ok, nil, es, err
+	return ok, nil, SearchStats(es.Nodes), err
 }
 
-// decide is ContainedIn with the chase's work merged into the Stats: the
+// decide is search with the chase's work merged into the Stats: the
 // books of one containment test that built c for itself alone.
-func (c *CanonicalDB) decide(ctx context.Context, q2 *cq.Query, mode cq.SearchMode) (bool, Stats, error) {
+func (c *CanonicalDB) decide(ctx context.Context, q2 *cq.Query, naive bool) (bool, Stats, error) {
 	st := c.ChaseStats()
-	ok, search, err := c.ContainedIn(ctx, q2, mode)
+	ok, _, search, err := c.search(ctx, q2, naive, false)
 	st.Merge(search)
 	return ok, st, err
 }

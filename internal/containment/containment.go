@@ -110,24 +110,23 @@ func Contained(q1, q2 *cq.Query, s *schema.Schema) (bool, error) {
 // ContainedUnder reports whether q1 ⊑ q2 over all instances of s
 // satisfying deps (single-relation EGDs, e.g. fd.KeyFDs(s)).
 func ContainedUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return ContainedUnderCtx(context.Background(), q1, q2, s, deps)
+	return containedUnder(context.Background(), q1, q2, s, deps, false)
 }
 
-// ContainedUnderCtx is ContainedUnder with cancellation: both the chase
-// and the homomorphism search poll ctx and abort with its error when it
-// is done.  The search is the adaptive one (cq.SearchAdaptive).
-func ContainedUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return ContainedUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchAdaptive)
+// ContainedUnderMode is ContainedUnder with an explicit homomorphism
+// search mode; the naive mode drives the differential tests and the
+// adaptive-vs-naive benchmark record.
+func ContainedUnderMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
+	return containedUnder(context.Background(), q1, q2, s, deps, mode == cq.SearchNaive)
 }
 
-// ContainedUnderCtxMode is ContainedUnderCtx with an explicit
-// homomorphism search mode; the naive mode drives the differential tests
-// and the adaptive-vs-naive benchmark record.
-func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
+// containedUnder is ContainedUnder under ctx, by the naive oracle or the
+// adaptive search.
+func containedUnder(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, naive bool) (bool, Stats, error) {
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	return NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, mode)
+	return NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, naive)
 }
 
 // Equivalent reports whether q1 ≡ q2 over all instances of s.
@@ -141,28 +140,29 @@ func EquivalentUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, St
 	return EquivalentUnderCtx(context.Background(), q1, q2, s, deps)
 }
 
+// EquivalentUnderCtx is EquivalentUnder with cancellation: the chases
+// and searches poll ctx and abort with its error when it is done.
+func EquivalentUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
+	return equivalentUnder(ctx, q1, q2, s, deps, false)
+}
+
 // EquivalentUnderMode is EquivalentUnder with an explicit homomorphism
 // search mode; the naive mode drives differential tests and benchmarks.
 func EquivalentUnderMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
-	return EquivalentUnderCtxMode(context.Background(), q1, q2, s, deps, mode)
+	return equivalentUnder(context.Background(), q1, q2, s, deps, mode == cq.SearchNaive)
 }
 
-// EquivalentUnderCtx is EquivalentUnder with cancellation via ctx.
-func EquivalentUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchAdaptive)
-}
-
-// EquivalentUnderCtxMode is EquivalentUnderCtx with an explicit
-// homomorphism search mode.  The two directions share one validation.
-func EquivalentUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
+// equivalentUnder is EquivalentUnderCtx by the naive oracle or the
+// adaptive search.  The two directions share one validation.
+func equivalentUnder(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, naive bool) (bool, Stats, error) {
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	ok, st, err := NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, mode)
+	ok, st, err := NewCanonicalDB(ctx, q1, s, deps).decide(ctx, q2, naive)
 	if err != nil || !ok {
 		return false, st, err
 	}
-	ok, st2, err := NewCanonicalDB(ctx, q2, s, deps).decide(ctx, q1, mode)
+	ok, st2, err := NewCanonicalDB(ctx, q2, s, deps).decide(ctx, q1, naive)
 	st.Merge(st2)
 	return ok, st, err
 }

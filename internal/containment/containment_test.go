@@ -1,7 +1,6 @@
 package containment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -463,7 +462,7 @@ func TestContainedWideRelationMatchesNaive(t *testing.T) {
 	sb.WriteString(", B1 = A2, C257 = B2.")
 	q2 := cq.MustParse(sb.String())
 
-	naive, _, err := ContainedUnderCtxMode(context.Background(), q1, q2, s, nil, cq.SearchNaive)
+	naive, _, err := ContainedUnderMode(q1, q2, s, nil, cq.SearchNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func scanFamily(fam string) bool {
 func containedArm(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, string, error) {
 	sink := &obs.CollectSink{}
 	ctx := obs.NewContext(context.Background(), &obs.Obs{Reg: obs.NewRegistry(), Sink: sink})
-	ok, st, err := ContainedUnderCtx(ctx, q1, q2, s, deps)
+	ok, st, err := containedUnder(ctx, q1, q2, s, deps, false)
 	arm := ""
 	for _, sp := range sink.Stage(obs.StageSearch) {
 		arm = armOf(sp)

@@ -64,7 +64,7 @@ func TestPlannedVsNaiveVerdicts(t *testing.T) {
 			pos := 0
 			for i, p := range f.Pairs {
 				sink.Reset()
-				adaptive, stA, err := EquivalentUnderCtxMode(ctx, p.Left, p.Right, f.Schema, f.Deps, cq.SearchAdaptive)
+				adaptive, stA, err := EquivalentUnderCtx(ctx, p.Left, p.Right, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatalf("pair %d (%s): adaptive: %v", i, p.Note, err)
 				}

@@ -1,7 +1,6 @@
 package containment
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -98,7 +97,7 @@ func TestStreamedVsOraclesVerdicts(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pair %d (%s): streamed: %v", i, p.Note, err)
 					}
-					naive, stN, err := ContainedUnderCtxMode(context.Background(), q1, q2, f.Schema, f.Deps, cq.SearchNaive)
+					naive, stN, err := ContainedUnderMode(q1, q2, f.Schema, f.Deps, cq.SearchNaive)
 					if err != nil {
 						t.Fatalf("pair %d (%s): naive: %v", i, p.Note, err)
 					}
@@ -160,7 +159,7 @@ func TestStreamedVsOraclesWitnesses(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pair %d (%s): streamed: %v", i, p.Note, err)
 					}
-					naive, _, err := ContainedUnderCtxMode(context.Background(), q1, q2, f.Schema, f.Deps, cq.SearchNaive)
+					naive, _, err := ContainedUnderMode(q1, q2, f.Schema, f.Deps, cq.SearchNaive)
 					if err != nil {
 						t.Fatalf("pair %d (%s): naive: %v", i, p.Note, err)
 					}

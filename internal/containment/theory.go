@@ -26,7 +26,7 @@ func ContainedUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgds
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	return theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, cq.SearchAdaptive)
+	return theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, false)
 }
 
 // EquivalentUnderTheory reports mutual containment under the theory.
@@ -34,11 +34,11 @@ func EquivalentUnderTheory(q1, q2 *cq.Query, s *schema.Schema, egds []fd.FD, tgd
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return false, Stats{}, err
 	}
-	ok, st, err := theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, cq.SearchAdaptive)
+	ok, st, err := theoryDB(q1, s, egds, tgds, maxRounds).decide(context.Background(), q2, false)
 	if err != nil || !ok {
 		return false, st, err
 	}
-	ok, st2, err := theoryDB(q2, s, egds, tgds, maxRounds).decide(context.Background(), q1, cq.SearchAdaptive)
+	ok, st2, err := theoryDB(q2, s, egds, tgds, maxRounds).decide(context.Background(), q1, false)
 	st.Merge(st2)
 	return ok, st, err
 }

@@ -39,12 +39,18 @@ func (h Homomorphism) String() string {
 // ok=true with a nil homomorphism.  The witness comes from the adaptive
 // search.
 func FindHomomorphism(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (Homomorphism, bool, error) {
-	return FindHomomorphismMode(q1, q2, s, deps, cq.SearchAdaptive)
+	return findHomomorphism(q1, q2, s, deps, false)
 }
 
 // FindHomomorphismMode is FindHomomorphism with an explicit homomorphism
 // search mode; the differential wall verifies both modes' witnesses.
 func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (Homomorphism, bool, error) {
+	return findHomomorphism(q1, q2, s, deps, mode == cq.SearchNaive)
+}
+
+// findHomomorphism is FindHomomorphism by the naive oracle or the
+// adaptive search.
+func findHomomorphism(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, naive bool) (Homomorphism, bool, error) {
 	if err := CheckComparable(q1, q2, s); err != nil {
 		return nil, false, err
 	}
@@ -53,14 +59,8 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	c, terms, vals := buildCanonicalDB(q1, comp, s, func(tb *chase.Tableau) (chase.Stats, error) {
 		return keyChase(context.Background(), tb, deps)
 	})
-	switch {
-	case c.err != nil:
-		return nil, false, c.err
-	case c.failed:
-		return nil, true, nil
-	}
-	ok, binding, _, err := c.search(context.Background(), q2, mode, true)
-	if err != nil || !ok {
+	ok, binding, _, err := c.search(context.Background(), q2, naive, true)
+	if err != nil || !ok || c.failed {
 		return nil, ok, err
 	}
 	// Translate the value binding back to q1 terms through the per-term

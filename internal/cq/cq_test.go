@@ -58,6 +58,11 @@ func TestParseErrors(t *testing.T) {
 		"Q(X) :- P(X, Y), Z =.",         // missing rhs
 		"Q(X) :- P(X,, Y).",             // empty arg
 		"Q(X(Y)) :- P(X, Y).",           // bad head term
+		"Q(X) :- P(X, T1:_2).",          // a null's text as placeholder
+		"Q(X) :- P(X, T1:y).",           // type name, bad ordinal
+		"Q(T1:_2) :- P(X, Y).",          // a null's text in the head
+		"Q(X) :- P(X, Y), Y = T1:y.",    // bad ordinal on the right
+		"Q(X) :- P(X, Y), T1:_2 = Y.",   // bad ordinal on the left
 	}
 	for _, text := range bad {
 		if _, err := Parse(text); err == nil {

@@ -32,9 +32,7 @@ const cancelCheckMask = 0x3ff
 // Eval evaluates q over database d, returning the answer as a relation
 // instance with a synthesized scheme (named by q.HeadRel, attributes
 // c0..cn-1, no key).  Evaluation runs the planned, indexed join of
-// plan.go through the streamed pipeline (iter.go); the classical naive
-// backtracking join remains available through
-// EvalWithStatsMode(SearchNaive).
+// plan.go through the streamed pipeline (iter.go).
 func Eval(q *Query, d *instance.Database) (*instance.Relation, error) {
 	rel, _, err := EvalWithStats(q, d)
 	return rel, err
@@ -55,21 +53,25 @@ func EvalInto(q *Query, d *instance.Database, scheme *schema.Relation) (*instanc
 			return nil, fmt.Errorf("cq: head position %d has type %v, scheme %q wants %v", i, t, scheme.Name, scheme.Attrs[i].Type)
 		}
 	}
-	rel, _, err := evalCore(q, d, scheme, SearchAdaptive)
+	rel, _, err := evalCore(q, d, scheme)
 	return rel, err
 }
 
 // EvalWithStats is Eval returning search statistics.
 func EvalWithStats(q *Query, d *instance.Database) (*instance.Relation, EvalStats, error) {
-	return EvalWithStatsMode(q, d, SearchAdaptive)
-}
-
-// EvalWithStatsMode is EvalWithStats with an explicit search mode; the
-// naive mode exists for differential testing and benchmarking.
-func EvalWithStatsMode(q *Query, d *instance.Database, mode SearchMode) (*instance.Relation, EvalStats, error) {
-	ht, err := q.HeadType(d.Schema)
+	scheme, err := answerScheme(q, d.Schema)
 	if err != nil {
 		return nil, EvalStats{}, err
+	}
+	return evalCore(q, d, scheme)
+}
+
+// answerScheme synthesizes the scheme of q's answer over s: named by
+// q.HeadRel ("Q" when empty), attributes c0..cn-1 of q's head types.
+func answerScheme(q *Query, s *schema.Schema) (*schema.Relation, error) {
+	ht, err := q.HeadType(s)
+	if err != nil {
+		return nil, err
 	}
 	name := q.HeadRel
 	if name == "" {
@@ -79,158 +81,25 @@ func EvalWithStatsMode(q *Query, d *instance.Database, mode SearchMode) (*instan
 	for i, t := range ht {
 		scheme.Attrs = append(scheme.Attrs, schema.Attribute{Name: fmt.Sprintf("c%d", i), Type: t})
 	}
-	return evalCore(q, d, scheme, mode)
+	return scheme, nil
 }
 
-func evalCore(q *Query, d *instance.Database, scheme *schema.Relation, mode SearchMode) (*instance.Relation, EvalStats, error) {
+func evalCore(q *Query, d *instance.Database, scheme *schema.Relation) (*instance.Relation, EvalStats, error) {
 	out := instance.NewRelation(scheme)
 	if len(q.Body) == 0 {
 		return out, EvalStats{}, fmt.Errorf("cq: empty body")
-	}
-	if mode == SearchNaive {
-		stats, err := evalNaive(q, d, out)
-		return out, stats, err
 	}
 	stats, err := evalPipeline(context.Background(), q, d, out)
 	return out, stats, err
 }
 
-// evalNaive is the reference evaluation: a backtracking join matching
-// atoms against full relation scans, picking the next atom dynamically
-// by bound-position count.
-func evalNaive(q *Query, d *instance.Database, out *instance.Relation) (EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return stats, nil
-	}
-	relIdxs, err := resolveRelations(q, d.Schema)
-	if err != nil {
-		return stats, err
-	}
-	// Binding environment: class representative -> value.
-	binding := make(map[Var]value.Value)
-	// Pre-bind constants from the equality list.
-	for _, a := range q.Body {
-		for _, v := range a.Vars {
-			if c, ok := eq.Const(v); ok {
-				binding[eq.Find(v)] = c
-			}
-		}
-	}
-
-	used := make([]bool, len(q.Body))
-	var emit func()
-	emit = func() {
-		t := make(instance.Tuple, len(q.Head))
-		for i, term := range q.Head {
-			if term.IsConst {
-				t[i] = term.Const
-				continue
-			}
-			t[i] = binding[eq.Find(term.Var)]
-		}
-		// Scheme-checked insert guards against internal type errors.
-		out.MustInsert(t)
-	}
-
-	// pickNext chooses the unused atom with the most already-bound
-	// positions (a greedy join order that keeps chains and stars cheap),
-	// breaking ties by original order.
-	pickNext := func() int {
-		best, bestBound := -1, -1
-		for i, a := range q.Body {
-			if used[i] {
-				continue
-			}
-			bound := 0
-			for _, v := range a.Vars {
-				if _, ok := binding[eq.Find(v)]; ok {
-					bound++
-				}
-			}
-			if bound > bestBound {
-				best, bestBound = i, bound
-			}
-		}
-		return best
-	}
-
-	var recurse func(remaining int)
-	recurse = func(remaining int) {
-		if remaining == 0 {
-			emit()
-			return
-		}
-		ai := pickNext()
-		a := q.Body[ai]
-		used[ai] = true
-		defer func() { used[ai] = false }()
-		for _, t := range d.Relations[relIdxs[ai]].Tuples() {
-			stats.Nodes++
-			// Check consistency and collect new bindings.
-			var added []Var
-			ok := true
-			for p, v := range a.Vars {
-				root := eq.Find(v)
-				if bv, bound := binding[root]; bound {
-					if bv != t[p] {
-						ok = false
-						break
-					}
-					continue
-				}
-				binding[root] = t[p]
-				added = append(added, root)
-			}
-			if ok {
-				recurse(remaining - 1)
-			}
-			for _, r := range added {
-				delete(binding, r)
-			}
-		}
-	}
-	recurse(len(q.Body))
-	return stats, nil
-}
-
-// HasAnswer reports whether evaluating q over d produces the tuple want.
-// Unlike Eval it terminates as soon as the tuple is derived, which is the
-// homomorphism test at the heart of containment checking.  The returned
-// stats count search nodes visited.
-func HasAnswer(q *Query, d *instance.Database, want instance.Tuple) (bool, EvalStats, error) {
-	ok, _, stats, err := FindAnswerBinding(q, d, want)
-	return ok, stats, err
-}
-
-// FindAnswerBinding is HasAnswer returning, on success, the witnessing
-// variable binding (every body variable of q mapped to a database value).
-// Containment uses it to extract explicit homomorphisms.
-func FindAnswerBinding(q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	return FindAnswerBindingCtx(context.Background(), q, d, want)
-}
-
-// FindAnswerBindingCtx is FindAnswerBinding with cancellation via ctx.
-// It runs the adaptive search.
-func FindAnswerBindingCtx(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	return FindAnswerBindingCtxMode(ctx, q, d, want, SearchAdaptive)
-}
-
-// FindAnswerBindingMode is FindAnswerBinding with an explicit search
-// mode; the naive mode exists for differential testing and benchmarking.
-func FindAnswerBindingMode(q *Query, d *instance.Database, want instance.Tuple, mode SearchMode) (bool, map[Var]value.Value, EvalStats, error) {
-	return FindAnswerBindingCtxMode(context.Background(), q, d, want, mode)
-}
-
-// FindAnswerBindingCtxMode is FindAnswerBindingCtx with an explicit
-// search mode.  The adaptive search reads d's memoized frozen view.
-func FindAnswerBindingCtxMode(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple, mode SearchMode) (bool, map[Var]value.Value, EvalStats, error) {
-	return searchObserved(ctx, q, d, nil, want, mode, true)
-}
-
-// FindAnswerBindingFrozen is FindAnswerBindingCtx over a frozen view:
-// the adaptive search for want in fz, with the witness decoded.
+// FindAnswerBindingFrozen reports whether evaluating q over the frozen
+// view fz produces the tuple want and, when it does, returns the
+// witnessing binding (every body variable of q mapped to a database
+// value).  Unlike Eval it stops as soon as the tuple is derived: the
+// homomorphism test at the heart of containment checking, run by the
+// adaptive search.  Containment uses it to extract explicit
+// homomorphisms; the returned stats count search nodes visited.
 func FindAnswerBindingFrozen(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
 	return searchObserved(ctx, q, nil, fz, want, SearchAdaptive, true)
 }
@@ -242,13 +111,19 @@ func HasAnswerFrozen(ctx context.Context, q *Query, fz *instance.Frozen, want in
 	return ok, es, err
 }
 
+// FindAnswerBindingNaive is FindAnswerBindingFrozen over the value
+// database d by the naive search (SearchNaive): the oracle the adaptive
+// search is checked and benchmarked against.
+func FindAnswerBindingNaive(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
+	return searchObserved(ctx, q, d, nil, want, SearchNaive, true)
+}
+
 // searchObserved is the obs reporting funnel for the homomorphism
 // search behind every entry point: every invocation bumps the search
 // counters and, with a sink installed, emits one search span — on
 // success, cancellation, and validation failure alike — so exported
 // totals reconcile exactly with the EvalStats callers accumulate.  The
-// naive oracle reads the value database d; the adaptive search reads
-// fz, or d's frozen view when fz is nil.
+// naive oracle reads the value database d, the adaptive search fz.
 func searchObserved(ctx context.Context, q *Query, d *instance.Database, fz *instance.Frozen, want instance.Tuple, mode SearchMode, witness bool) (bool, map[Var]value.Value, EvalStats, error) {
 	o := obs.FromContext(ctx)
 	start := o.Time()
@@ -283,9 +158,6 @@ func findAnswer(ctx context.Context, q *Query, d *instance.Database, fz *instanc
 	}
 	if mode == SearchNaive {
 		return findAnswerNaive(ctx, q, d, want)
-	}
-	if fz == nil {
-		fz = d.Frozen()
 	}
 	return searchIDs(ctx, q, fz, want, witness, allSmall(q, fz))
 }

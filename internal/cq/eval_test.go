@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -172,24 +173,24 @@ func TestEvalInto(t *testing.T) {
 func TestHasAnswer(t *testing.T) {
 	d := evalDB(t)
 	q := MustParse("V(X, W) :- R(X, Y), S(Z, W), Y = Z.")
-	ok, _, err := HasAnswer(q, d, instance.Tuple{val(1, 1), val(3, 2)})
+	ok, _, err := HasAnswerFrozen(context.Background(), q, d.Frozen(), instance.Tuple{val(1, 1), val(3, 2)})
 	if err != nil || !ok {
-		t.Errorf("HasAnswer = %v, %v; want true", ok, err)
+		t.Errorf("HasAnswerFrozen = %v, %v; want true", ok, err)
 	}
-	ok, _, err = HasAnswer(q, d, instance.Tuple{val(1, 2), val(3, 1)})
+	ok, _, err = HasAnswerFrozen(context.Background(), q, d.Frozen(), instance.Tuple{val(1, 2), val(3, 1)})
 	if err != nil || ok {
-		t.Errorf("HasAnswer = %v, %v; want false", ok, err)
+		t.Errorf("HasAnswerFrozen = %v, %v; want false", ok, err)
 	}
-	if _, _, err := HasAnswer(q, d, instance.Tuple{val(1, 1)}); err == nil {
+	if _, _, err := HasAnswerFrozen(context.Background(), q, d.Frozen(), instance.Tuple{val(1, 1)}); err == nil {
 		t.Error("arity mismatch should error")
 	}
 	// Constant head positions must match the wanted tuple.
 	qc := MustParse("V(T3:9, X) :- R(X, Y).")
-	ok, _, _ = HasAnswer(qc, d, instance.Tuple{val(3, 9), val(1, 1)})
+	ok, _, _ = HasAnswerFrozen(context.Background(), qc, d.Frozen(), instance.Tuple{val(3, 9), val(1, 1)})
 	if !ok {
 		t.Error("matching constant head rejected")
 	}
-	ok, _, _ = HasAnswer(qc, d, instance.Tuple{val(3, 8), val(1, 1)})
+	ok, _, _ = HasAnswerFrozen(context.Background(), qc, d.Frozen(), instance.Tuple{val(3, 8), val(1, 1)})
 	if ok {
 		t.Error("mismatching constant head accepted")
 	}
@@ -210,12 +211,12 @@ func TestHasAnswerAgreesWithEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Every produced answer must be found by HasAnswer; a few
+			// Every produced answer must be found by HasAnswerFrozen; a few
 			// random non-answers must be rejected.
 			for _, tp := range full.Tuples() {
-				ok, _, err := HasAnswer(q, d, tp)
+				ok, _, err := HasAnswerFrozen(context.Background(), q, d.Frozen(), tp)
 				if err != nil || !ok {
-					t.Fatalf("HasAnswer missed produced tuple %v for %s", tp, q)
+					t.Fatalf("HasAnswerFrozen missed produced tuple %v for %s", tp, q)
 				}
 			}
 			ht, _ := q.HeadType(s)
@@ -224,12 +225,12 @@ func TestHasAnswerAgreesWithEval(t *testing.T) {
 				for j, typ := range ht {
 					tp[j] = value.Value{Type: typ, N: int64(rng.Intn(5) + 1)}
 				}
-				ok, _, err := HasAnswer(q, d, tp)
+				ok, _, err := HasAnswerFrozen(context.Background(), q, d.Frozen(), tp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if ok != full.Has(tp) {
-					t.Fatalf("HasAnswer(%v) = %v but Eval says %v for %s on %s", tp, ok, full.Has(tp), q, d)
+					t.Fatalf("HasAnswerFrozen(%v) = %v but Eval says %v for %s on %s", tp, ok, full.Has(tp), q, d)
 				}
 			}
 		}

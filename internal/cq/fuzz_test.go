@@ -25,6 +25,9 @@ var parseSeeds = []string{
 	"Q(X) :- P(X, T1:1).",
 	"名前(X) :- P(X, Y).",
 	"Q(X) :- P(X, Y), T1:1 = T1:2.",
+	"V(X) :- E(X, T1:_2).",
+	"V(X) :- E(X, Y), Y = T1:y.",
+	"V(T1:_2) :- E(X, Y), X = Tx:1.",
 }
 
 func FuzzParseCQ(f *testing.F) {

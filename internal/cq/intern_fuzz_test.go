@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"testing"
 
 	"keyedeq/internal/instance"
@@ -105,8 +106,8 @@ func FuzzInternRoundTrip(f *testing.F) {
 		for i := range want {
 			want[i] = value.Value{Type: 1, N: int64(i)}
 		}
-		okN, _, _, errN := FindAnswerBindingMode(q, d, want, SearchNaive)
-		okA, _, _, errA := FindAnswerBindingMode(q, d, want, SearchAdaptive)
+		okN, _, _, errN := FindAnswerBindingNaive(context.Background(), q, d, want)
+		okA, _, _, errA := FindAnswerBindingFrozen(context.Background(), q, d.Frozen(), want)
 		if (errN == nil) != (errA == nil) {
 			t.Fatalf("errors diverge: naive %v, adaptive %v", errN, errA)
 		}

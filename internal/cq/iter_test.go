@@ -53,11 +53,11 @@ type searchResult struct {
 
 // searchNaive runs the naive oracle.
 func searchNaive(q *Query, d *instance.Database, want instance.Tuple) searchResult {
-	ok, w, es, err := FindAnswerBindingMode(q, d, want, SearchNaive)
+	ok, w, es, err := FindAnswerBindingNaive(context.Background(), q, d, want)
 	return searchResult{ok, w, es, err}
 }
 
-// searchFunc is the signature shared by FindAnswerBindingCtx and the
+// searchFunc is the signature shared by FindAnswerBindingNaive and the
 // adaptive search's two arms.
 type searchFunc func(context.Context, *Query, *instance.Database, instance.Tuple) (bool, map[Var]value.Value, EvalStats, error)
 
@@ -70,7 +70,7 @@ func searchArm(arm searchFunc, q *Query, d *instance.Database, want instance.Tup
 
 // searchAdaptive runs the production search, size rule included.
 func searchAdaptive(q *Query, d *instance.Database, want instance.Tuple) searchResult {
-	ok, w, es, err := FindAnswerBinding(q, d, want)
+	ok, w, es, err := FindAnswerBindingFrozen(context.Background(), q, d.Frozen(), want)
 	return searchResult{ok, w, es, err}
 }
 

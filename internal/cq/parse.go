@@ -99,7 +99,7 @@ func ParseAt(text string, base Pos) (*Query, error) {
 				return nil, p.errf(arg.a, "constant %q used as placeholder; the paper's syntax requires distinct variables with conditions in the equality list", p.str(arg))
 			}
 			if err != nil {
-				return nil, p.errf(arg.a, "bad placeholder %q in %s", p.str(arg), name)
+				return nil, p.errf(arg.a, "bad placeholder %q in %s: %v", p.str(arg), name, msg(err))
 			}
 			varBuf = append(varBuf, t.Var)
 			posBuf = append(posBuf, t.Pos)
@@ -210,7 +210,7 @@ func (p *src) parseEquality(ls, le, eq int) (Equality, error) {
 		left, right, lt, lerr, rt, rerr = right, left, rt, rerr, lt, lerr
 	}
 	if lerr != nil {
-		return Equality{}, p.errf(left.a, "bad equality %q: left side must be a variable", litText)
+		return Equality{}, p.errf(left.a, "bad equality %q: %v", litText, msg(lerr))
 	}
 	if rerr != nil {
 		return Equality{}, p.errf(right.a, "bad equality %q: %v", litText, msg(rerr))
@@ -320,13 +320,19 @@ func (p *src) countBody(start, end int) (atoms, eqs, vars int) {
 }
 
 // parseTerm classifies a token once: a constant when it parses as
-// T<type>:<n>, else a variable.
+// T<type>:<n>, an error when the text before ':' names a type but no
+// ordinal follows (a null's T1:_3, or T1:y), else a variable.  So no
+// variable reads like a constant or a null.
 func (p *src) parseTerm(s span) (Term, error) {
 	text := p.str(s)
-	if v, ok := value.TryParse(text); ok {
+	v, ok, err := value.TryParse(text)
+	switch {
+	case ok:
 		t := C(v)
 		t.Pos = p.pos(s.a)
 		return t, nil
+	case err != nil:
+		return Term{}, p.errf(s.a, "%v", err)
 	}
 	if text == "" || strings.ContainsAny(text, "(), =") {
 		return Term{}, p.errf(s.a, "bad term %q", text)

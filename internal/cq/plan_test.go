@@ -158,11 +158,11 @@ func TestPlannedEvalMatchesNaiveRandomized(t *testing.T) {
 		default:
 			q = MustParse("V(X, W) :- E(X, Y), E(Z, W), Y = Z.")
 		}
-		planned, _, err := EvalWithStatsMode(q, d, SearchAdaptive)
+		planned, _, err := EvalWithStats(q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, err := EvalWithStatsMode(q, d, SearchNaive)
+		naive, err := naiveEval(q, d)
 		if err != nil {
 			t.Fatal(err)
 		}

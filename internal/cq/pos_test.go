@@ -81,6 +81,10 @@ func TestParseErrorCoordinates(t *testing.T) {
 		{"Q(X) :- P(X, Y), T1:1 = T1:2.", Pos{1, 18}, "no variable"},
 		{"Q(X) :- .", Pos{1, 1}, "empty body"},
 		{"Q(X)", Pos{1, 1}, "missing \":-\""},
+		{"Q(X) :- P(X, T1:_2).", Pos{1, 14}, `bad ordinal in "T1:_2"`},
+		{"Q(T1:y) :- P(X, Y).", Pos{1, 3}, `bad ordinal in "T1:y"`},
+		{"Q(X) :- P(X, Y), Y = T1:y.", Pos{1, 22}, `bad ordinal in "T1:y"`},
+		{"Q(X) :- P(X, Y), T1:_2 = Y.", Pos{1, 18}, `bad ordinal in "T1:_2"`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.text)

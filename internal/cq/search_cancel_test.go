@@ -36,9 +36,10 @@ func cancelChainQuery(n int, extra ...string) *Query {
 	return MustParse(sb.String())
 }
 
-// naiveSearch runs the naive oracle through the reporting funnel.
-func naiveSearch(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	return FindAnswerBindingCtxMode(ctx, q, d, want, SearchNaive)
+// adaptiveSearch runs the adaptive search, size rule included, over
+// d's frozen view.
+func adaptiveSearch(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
+	return FindAnswerBindingFrozen(ctx, q, d.Frozen(), want)
 }
 
 // completeDigraph inserts every edge between distinct vertices of verts.
@@ -130,7 +131,7 @@ func testCancelObserved(t *testing.T, q *Query, d *instance.Database, search sea
 // path it names.
 func requireArm(t *testing.T, q *Query, d *instance.Database, pipeline bool) {
 	t.Helper()
-	_, _, es, err := FindAnswerBinding(q, d, wantAcross())
+	_, _, es, err := adaptiveSearch(context.Background(), q, d, wantAcross())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCancelObservedPlannedScanFallback(t *testing.T) {
 	}
 	q := cancelChainQuery(9, "F(Y1, Y2)")
 	requireArm(t, q, d, true)
-	testCancelObserved(t, q, d, FindAnswerBindingCtx)
+	testCancelObserved(t, q, d, adaptiveSearch)
 }
 
 func TestCancelObservedPlannedIndexed(t *testing.T) {
@@ -162,7 +163,7 @@ func TestCancelObservedPlannedIndexed(t *testing.T) {
 	d := cancelGraph(t, true)
 	q := cancelChainQuery(12)
 	requireArm(t, q, d, true)
-	testCancelObserved(t, q, d, FindAnswerBindingCtx)
+	testCancelObserved(t, q, d, adaptiveSearch)
 }
 
 func TestCancelObservedInternedScanFallback(t *testing.T) {
@@ -179,7 +180,7 @@ func TestCancelObservedInternedIndexed(t *testing.T) {
 }
 
 func TestCancelObservedNaive(t *testing.T) {
-	testCancelObserved(t, cancelChainQuery(9), cancelGraph(t, false), naiveSearch)
+	testCancelObserved(t, cancelChainQuery(9), cancelGraph(t, false), FindAnswerBindingNaive)
 }
 
 func TestCancelObservedStreamedScanFallback(t *testing.T) {
@@ -200,7 +201,7 @@ func TestCancelObservedAdaptiveScanArm(t *testing.T) {
 	d := cancelGraph(t, false)
 	q := cancelChainQuery(9)
 	requireArm(t, q, d, false)
-	testCancelObserved(t, q, d, FindAnswerBindingCtx)
+	testCancelObserved(t, q, d, adaptiveSearch)
 }
 
 func TestCancelObservedAdaptivePipeline(t *testing.T) {
@@ -215,7 +216,7 @@ func TestCancelObservedAdaptivePipeline(t *testing.T) {
 		"E(A1, A2), E(A2, A3), E(A3, A4), E(A4, A5), E(A5, A6), E(A6, A7), E(A7, A8), E(A8, A9), E(A9, A10), E(A10, A11), E(A11, A12), " +
 		"E(B1, B2), E(B2, B3), E(B3, B4), E(B4, B5), E(B5, B6), E(B6, B7), E(B7, B8), E(B8, B9), E(B9, B10), E(B10, B11), E(B11, B12).")
 	want := instance.Tuple{val(1, 1), val(1, 4), val(1, 1), val(1, 4)}
-	okC, _, esC, errC := FindAnswerBinding(q, d, want)
+	okC, _, esC, errC := adaptiveSearch(context.Background(), q, d, want)
 	if errC != nil {
 		t.Fatal(errC)
 	}
@@ -227,7 +228,7 @@ func TestCancelObservedAdaptivePipeline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ok, _, es, err := FindAnswerBindingCtx(ctx, q, d, want)
+	ok, _, es, err := adaptiveSearch(ctx, q, d, want)
 	if err != context.Canceled {
 		t.Fatalf("canceled search returned %v (ok=%v)", err, ok)
 	}

@@ -1,6 +1,7 @@
 package dominance
 
 import (
+	"context"
 	"fmt"
 
 	"keyedeq/internal/cq"
@@ -226,5 +227,5 @@ func VerifyKappaPair(alphaK, betaK *mapping.Mapping) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return comp.IsIdentityOn(nil)
+	return comp.IsIdentityOn(context.Background(), nil, nil)
 }

@@ -276,43 +276,18 @@ type SearchOptions struct {
 	// once a witness below their index is known.
 	Workers int
 	// Equiv, when non-nil, decides the per-relation CQ equivalences of
-	// the identity test — e.g. the batch engine pool's cached decider.
+	// the identity test — e.g. the batch engine pool's cached Equiv; nil
+	// means containment.EquivalentUnderCtx.
 	Equiv mapping.EquivFunc
-	// EquivCtx is Equiv with a context threaded through (e.g. the
-	// pool's EquivCtx); when both are set, EquivCtx wins.  Only through
-	// it do the ctx-threaded search entry points propagate cancellation
-	// into the underlying chase and homomorphism searches.
-	EquivCtx mapping.EquivCtxFunc
-}
-
-// decider resolves the options' equivalence decider to the ctx-threaded
-// shape (nil means the mapping package's default sequential path).
-func (o SearchOptions) decider() mapping.EquivCtxFunc {
-	if o.EquivCtx != nil {
-		return o.EquivCtx
-	}
-	return mapping.DropCtx(o.Equiv)
 }
 
 // SearchDominance searches for a pair (α, β) establishing S1 ≼ S2 within
 // the bounds.  found=false with stats.Truncated=true is inconclusive;
 // found=false with Truncated=false means no witness exists in the bounded
-// space.
-func SearchDominance(s1, s2 *schema.Schema, b SearchBounds) (*Witness, bool, SearchStats, error) {
-	return SearchDominanceOpts(s1, s2, b, SearchOptions{})
-}
-
-// SearchDominanceOpts is SearchDominance with a parallel pair loop and a
-// pluggable equivalence decider.
-func SearchDominanceOpts(s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (*Witness, bool, SearchStats, error) {
-	return SearchDominanceOptsCtx(context.Background(), s1, s2, b, opts)
-}
-
-// SearchDominanceOptsCtx is SearchDominanceOpts with a context threaded
-// through every certificate check.  Cancelling ctx stops the pair loop
-// (sequential or parallel) and, when the decider is ctx-aware (EquivCtx
-// or the default), aborts the chase and homomorphism searches mid-pair.
-func SearchDominanceOptsCtx(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (*Witness, bool, SearchStats, error) {
+// space.  ctx reaches every certificate check: cancelling it stops the
+// pair loop (sequential or parallel) and aborts the chase and
+// homomorphism searches mid-pair.
+func SearchDominance(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (*Witness, bool, SearchStats, error) {
 	var stats SearchStats
 	alphas := EnumerateMappings(s1, s2, b, &stats, 0)
 	betas := EnumerateMappings(s2, s1, b, &stats, 1)
@@ -358,15 +333,13 @@ func SearchDominanceOptsCtx(ctx context.Context, s1, s2 *schema.Schema, b Search
 		}
 	}
 
-	decide := opts.decider()
-
 	if opts.Workers <= 1 {
 		for _, p := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, false, stats, err
 			}
 			stats.PairsChecked++
-			ok, err := mapping.RoundTripIsIdentityCtx(ctx, p.a, p.b, decide)
+			ok, err := mapping.RoundTripIsIdentity(ctx, p.a, p.b, opts.Equiv)
 			if err != nil {
 				return nil, false, stats, err
 			}
@@ -411,7 +384,7 @@ func SearchDominanceOptsCtx(ctx context.Context, s1, s2 *schema.Schema, b Search
 					return
 				}
 				checked.Add(1)
-				ok, err := mapping.RoundTripIsIdentityCtx(ctx, pairs[i].a, pairs[i].b, decide)
+				ok, err := mapping.RoundTripIsIdentity(ctx, pairs[i].a, pairs[i].b, opts.Equiv)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -434,26 +407,15 @@ func SearchDominanceOptsCtx(ctx context.Context, s1, s2 *schema.Schema, b Search
 	return nil, false, stats, nil
 }
 
-// SearchEquivalence searches for witnesses in both directions.
-func SearchEquivalence(s1, s2 *schema.Schema, b SearchBounds) (bool, SearchStats, error) {
-	return SearchEquivalenceOpts(s1, s2, b, SearchOptions{})
-}
-
-// SearchEquivalenceOpts is SearchEquivalence with SearchOptions applied
-// to both directions.
-func SearchEquivalenceOpts(s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
-	return SearchEquivalenceOptsCtx(context.Background(), s1, s2, b, opts)
-}
-
-// SearchEquivalenceOptsCtx is SearchEquivalenceOpts with a context
-// threaded through both directional searches.
-func SearchEquivalenceOptsCtx(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
-	w1, ok1, st1, err := SearchDominanceOptsCtx(ctx, s1, s2, b, opts)
+// SearchEquivalence searches for witnesses in both directions, with
+// ctx and opts applied to both.
+func SearchEquivalence(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
+	w1, ok1, st1, err := SearchDominance(ctx, s1, s2, b, opts)
 	if err != nil || !ok1 {
 		return false, st1, err
 	}
 	_ = w1
-	_, ok2, st2, err := SearchDominanceOptsCtx(ctx, s2, s1, b, opts)
+	_, ok2, st2, err := SearchDominance(ctx, s2, s1, b, opts)
 	st := st1
 	st.PairsChecked += st2.PairsChecked
 	st.AlphaCandidates += st2.AlphaCandidates

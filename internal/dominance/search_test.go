@@ -50,7 +50,7 @@ func TestEnumerateViewsShapes(t *testing.T) {
 func TestSearchFindsIsomorphismWitness(t *testing.T) {
 	s1 := schema.MustParse("R(a*:T1, b:T2)")
 	s2 := schema.MustParse("P(x:T2, y*:T1)")
-	w, found, stats, err := SearchDominance(s1, s2, smallBounds())
+	w, found, stats, err := SearchDominance(context.Background(), s1, s2, smallBounds(), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSearchFindsIsomorphismWitness(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("found witness fails verification: %v %v", ok, err)
 	}
-	eq, _, err := SearchEquivalence(s1, s2, smallBounds())
+	eq, _, err := SearchEquivalence(context.Background(), s1, s2, smallBounds(), SearchOptions{})
 	if err != nil || !eq {
 		t.Errorf("SearchEquivalence = %v, %v; want true", eq, err)
 	}
@@ -72,14 +72,14 @@ func TestSearchAsymmetricDominance(t *testing.T) {
 	// read it back.  The converse fails (nothing can store b).
 	s1 := schema.MustParse("R(a*:T1)")
 	s2 := schema.MustParse("P(a*:T1, b:T1)")
-	_, up, _, err := SearchDominance(s1, s2, smallBounds())
+	_, up, _, err := SearchDominance(context.Background(), s1, s2, smallBounds(), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !up {
 		t.Error("S1 ≼ S2 witness not found (echo the key)")
 	}
-	_, down, stats, err := SearchDominance(s2, s1, smallBounds())
+	_, down, stats, err := SearchDominance(context.Background(), s2, s1, smallBounds(), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSearchAsymmetricDominance(t *testing.T) {
 		t.Log("warning: search truncated; negative result inconclusive")
 	}
 	// Hence not equivalent — matching Theorem 13 (not isomorphic).
-	eq, _, err := SearchEquivalence(s1, s2, smallBounds())
+	eq, _, err := SearchEquivalence(context.Background(), s1, s2, smallBounds(), SearchOptions{})
 	if err != nil || eq {
 		t.Errorf("SearchEquivalence = %v, %v; want false", eq, err)
 	}
@@ -116,7 +116,7 @@ func TestTheorem13EmpiricalMini(t *testing.T) {
 				continue
 			}
 			iso := schema.Isomorphic(s1, s2)
-			eq, stats, err := SearchEquivalence(s1, s2, b)
+			eq, stats, err := SearchEquivalence(context.Background(), s1, s2, b, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestTheorem13EmpiricalMini(t *testing.T) {
 func TestSearchStatsPopulated(t *testing.T) {
 	s1 := schema.MustParse("R(a*:T1)")
 	s2 := schema.MustParse("P(a*:T1)")
-	_, found, stats, err := SearchDominance(s1, s2, smallBounds())
+	_, found, stats, err := SearchDominance(context.Background(), s1, s2, smallBounds(), SearchOptions{})
 	if err != nil || !found {
 		t.Fatalf("search failed: %v %v", found, err)
 	}
@@ -151,7 +151,7 @@ func TestSearchTruncation(t *testing.T) {
 	s2 := schema.MustParse("P(a*:T1, b:T2)") // not isomorphic: no witness
 	b := smallBounds()
 	b.MaxPairs = 1
-	_, found, stats, err := SearchDominance(s1, s2, b)
+	_, found, stats, err := SearchDominance(context.Background(), s1, s2, b, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTheorem13WithConstants(t *testing.T) {
 		for j := i; j < len(space); j++ {
 			s2 := space[j]
 			iso := schema.Isomorphic(s1, s2)
-			eq, stats, err := SearchEquivalence(s1, s2, b)
+			eq, stats, err := SearchEquivalence(context.Background(), s1, s2, b, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestHullTheoremUnkeyedMini(t *testing.T) {
 		for j := i; j < len(space); j++ {
 			s2 := space[j]
 			iso := schema.Isomorphic(s1, s2)
-			eq, stats, err := SearchEquivalence(s1, s2, b)
+			eq, stats, err := SearchEquivalence(context.Background(), s1, s2, b, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, found, _, err := SearchDominanceOptsCtx(ctx, s1, s2, smallBounds(), SearchOptions{Workers: workers})
+		_, found, _, err := SearchDominance(ctx, s1, s2, smallBounds(), SearchOptions{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -264,41 +264,29 @@ func TestSearchCancellation(t *testing.T) {
 			t.Fatalf("workers=%d: witness reported under cancelled ctx", workers)
 		}
 	}
-	if _, _, err := SearchEquivalenceOptsCtx(ctx, s1, s2, smallBounds(), SearchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchEquivalenceOptsCtx: err = %v, want context.Canceled", err)
+	if _, _, err := SearchEquivalence(ctx, s1, s2, smallBounds(), SearchOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchEquivalence: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestSearchCtxDeciderWins checks the decider resolution order: EquivCtx
-// beats Equiv, and a plain Equiv still works through the ctx path.
+// TestSearchCtxDeciderWins checks that a custom decider set in
+// SearchOptions.Equiv decides the identity tests, with the search's
+// context.
 func TestSearchCtxDeciderWins(t *testing.T) {
 	s1 := schema.MustParse("R(a*:T1, b:T2)")
 	s2 := schema.MustParse("P(x:T2, y*:T1)")
-	var viaCtx, viaPlain atomic.Int64
+	var calls atomic.Int64
 	opts := SearchOptions{
-		Equiv: func(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-			viaPlain.Add(1)
-			return containment.EquivalentUnder(q1, q2, s, deps)
-		},
-		EquivCtx: func(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-			viaCtx.Add(1)
+		Equiv: func(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
+			calls.Add(1)
 			return containment.EquivalentUnderCtx(ctx, q1, q2, s, deps)
 		},
 	}
-	_, found, _, err := SearchDominanceOptsCtx(context.Background(), s1, s2, smallBounds(), opts)
+	_, found, _, err := SearchDominance(context.Background(), s1, s2, smallBounds(), opts)
 	if err != nil || !found {
-		t.Fatalf("search: found=%v err=%v", found, err)
+		t.Fatalf("search with a custom Equiv: found=%v err=%v", found, err)
 	}
-	if viaCtx.Load() == 0 || viaPlain.Load() != 0 {
-		t.Fatalf("decider resolution: EquivCtx calls %d, Equiv calls %d; want EquivCtx to win", viaCtx.Load(), viaPlain.Load())
-	}
-
-	opts.EquivCtx = nil
-	_, found, _, err = SearchDominanceOptsCtx(context.Background(), s1, s2, smallBounds(), opts)
-	if err != nil || !found {
-		t.Fatalf("search with plain Equiv: found=%v err=%v", found, err)
-	}
-	if viaPlain.Load() == 0 {
-		t.Fatal("plain Equiv never called through the ctx path")
+	if calls.Load() == 0 {
+		t.Fatal("custom Equiv never called")
 	}
 }

@@ -21,7 +21,7 @@ func TestDecideMatchesContainment(t *testing.T) {
 	for _, f := range e1Corpus(t, n) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			e := New(f.Schema, f.Deps, Options{DisableCache: true})
+			e := New(f.Schema, f.Deps, Options{CacheSize: -1})
 			compared, holding := 0, 0
 			for i, p := range f.Pairs {
 				iso := CanonicalizeQuery(p.Left, f.Schema).Key == CanonicalizeQuery(p.Right, f.Schema).Key

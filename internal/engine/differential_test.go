@@ -102,7 +102,7 @@ func TestAdaptiveDefaultMatchesGenericVerdicts(t *testing.T) {
 		for i, p := range f.Pairs {
 			jobs[i] = Job{Left: p.Left, Right: p.Right, Op: OpEquivalent}
 		}
-		rep := New(f.Schema, f.Deps, Options{Workers: 2, DisableCache: true}).Run(context.Background(), jobs)
+		rep := New(f.Schema, f.Deps, Options{Workers: 2, CacheSize: -1}).Run(context.Background(), jobs)
 		for i, p := range f.Pairs {
 			want, _, err := containment.EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchNaive)
 			if err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/maphash"
 	"runtime"
 	"slices"
@@ -46,11 +45,10 @@ type Options struct {
 	// 1 means strictly sequential execution.
 	Workers int
 	// CacheSize bounds the verdict cache (entries); 0 means the
-	// default of 4096.  A Pool has one cache of this size, shared by
+	// default of 4096, and a negative size turns caching, and with it
+	// the Store, off.  A Pool has one cache of this size, shared by
 	// every engine it hands out.
 	CacheSize int
-	// DisableCache turns verdict caching off entirely.
-	DisableCache bool
 	// JobTimeout bounds each pair's homomorphism searches; 0 means no
 	// per-job timeout.  In Run, freeze and chase run under the batch
 	// context, because their artifacts are shared; Decide's one-pair
@@ -159,11 +157,11 @@ func New(s *schema.Schema, deps []fd.FD, opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.CacheSize <= 0 {
+	if opts.CacheSize == 0 {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{s: s, deps: deps, opts: opts}
-	if !opts.DisableCache {
+	if opts.CacheSize > 0 {
 		e.cache = newVerdictCache(opts.CacheSize)
 	}
 	return e
@@ -294,7 +292,7 @@ func emitVerify(ctx context.Context, o *obs.Obs, start, end time.Time, r *Result
 }
 
 // Decide answers a single pair, consulting and filling the cache.  It
-// is the single-query entry point behind EquivFunc; batches should use
+// is the single-query entry point behind Pool.Equiv; batches should use
 // Run, which additionally memoizes chase results and parallelizes.  A
 // miss runs as a one-pair batch through Run's pair decider, runLeader.
 func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Result) {
@@ -364,17 +362,6 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		o.G(obs.GCacheEntries).Set(int64(e.cache.stats().Entries))
 	}
 	return res
-}
-
-// EquivalentUnder adapts Decide to the containment.EquivalentUnder
-// signature for drop-in use (e.g. as a mapping.EquivFunc): the schema
-// and dependencies must be the engine's own.
-func (e *Engine) EquivalentUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-	if s != e.s {
-		return false, containment.Stats{}, fmt.Errorf("engine: schema mismatch (engine bound to %q)", e.s.String())
-	}
-	r := e.Decide(context.Background(), q1, q2, OpEquivalent)
-	return r.Holds, r.Stats, r.Err
 }
 
 // frozen is the memoized chase artifact of one canonical query: its
@@ -485,6 +472,16 @@ type canonMemo struct {
 	// numbers them.
 	keys []string
 	nums map[string]int
+	// fails holds the error of each failing pair of entries, a nil entry
+	// standing for a nil query.
+	fails map[[2]*canonEntry]*failure
+}
+
+// failure is the error of one failing pair of presentations, built once
+// per batch however many jobs repeat the pair.
+type failure struct {
+	once sync.Once
+	err  error
 }
 
 // canonEntry is one presentation's validation and canonical key.
@@ -552,6 +549,23 @@ func (m *canonMemo) number(k string) int {
 		m.keys = append(m.keys, k)
 	}
 	return n
+}
+
+// failureOf returns the failure of the pair of entries (l, r), creating
+// it on first sight of the pair.
+func (m *canonMemo) failureOf(l, r *canonEntry) *failure {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := [2]*canonEntry{l, r}
+	f := m.fails[k]
+	if f == nil {
+		if m.fails == nil {
+			m.fails = make(map[[2]*canonEntry]*failure)
+		}
+		f = &failure{}
+		m.fails[k] = f
+	}
+	return f
 }
 
 // checkEntry validates and types q, the entry's presentation, at most
@@ -681,18 +695,24 @@ func (e *Engine) run(ctx context.Context, jobs []Job, m *canonMemo) *Report {
 	checkErr := make([]error, len(jobs))
 	fanOut(e.opts.Workers, len(jobs), func(i int) {
 		j := jobs[i]
-		if j.Left != nil && j.Right != nil {
-			l, r := m.entry(j.Left), m.entry(j.Right)
-			if e.checkEntry(l, j.Left) && e.checkEntry(r, j.Right) &&
-				containment.CheckHeadTypes(l.headType, r.headType) == nil {
-				keyNum[i] = [2]int{e.keyOf(ctx, o, m, l, j.Left), e.keyOf(ctx, o, m, r, j.Right)}
-				return
-			}
+		var l, r *canonEntry
+		if j.Left != nil {
+			l = m.entry(j.Left)
+		}
+		if j.Right != nil {
+			r = m.entry(j.Right)
+		}
+		if l != nil && r != nil && e.checkEntry(l, j.Left) && e.checkEntry(r, j.Right) &&
+			containment.CheckHeadTypes(l.headType, r.headType) == nil {
+			keyNum[i] = [2]int{e.keyOf(ctx, o, m, l, j.Left), e.keyOf(ctx, o, m, r, j.Right)}
+			return
 		}
 		// The pair failed CheckComparable's checks: Validate and HeadType,
 		// made once per presentation, or CheckHeadTypes.  CheckComparable
-		// builds the error Decide returns.
-		checkErr[i] = containment.CheckComparable(j.Left, j.Right, e.s)
+		// builds the error Decide returns, once per pair of presentations.
+		f := m.failureOf(l, r)
+		f.once.Do(func() { f.err = containment.CheckComparable(j.Left, j.Right, e.s) })
+		checkErr[i] = f.err
 		invariant.Assertf(checkErr[i] != nil, "engine: job %d failed the memo's checks but passes CheckComparable", i)
 	})
 
@@ -857,12 +877,12 @@ func (e *Engine) runLeader(bs *batchState, j Job, l, r int) (Result, [2]*frozen)
 		defer cancel()
 	}
 	read[0] = e.frozenOf(bs, l)
-	ok, st, err := read[0].db.ContainedIn(jctx, j.Right, cq.SearchAdaptive)
+	ok, st, err := read[0].db.ContainedIn(jctx, j.Right)
 	if err != nil || !ok || j.Op == OpContained {
 		return Result{Holds: ok, Stats: st, Err: err}, read
 	}
 	read[1] = e.frozenOf(bs, r)
-	ok2, st2, err := read[1].db.ContainedIn(jctx, j.Left, cq.SearchAdaptive)
+	ok2, st2, err := read[1].db.ContainedIn(jctx, j.Left)
 	st.Merge(st2)
 	return Result{Holds: ok2, Stats: st, Err: err}, read
 }

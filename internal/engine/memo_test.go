@@ -130,7 +130,7 @@ func TestRunOneChainMatchesDecide(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			jobs := poisonedJobs(f)
-			e := New(f.Schema, f.Deps, Options{Workers: 2, DisableCache: true})
+			e := New(f.Schema, f.Deps, Options{Workers: 2, CacheSize: -1})
 			m := newCanonMemo(len(jobs))
 			m.mask = 0
 			rep := e.run(ctx, jobs, m)
@@ -160,8 +160,10 @@ func TestRunOneChainMatchesDecide(t *testing.T) {
 
 // TestRunAllocsScaleWithDistinctWork requires Run's allocations to grow
 // with the distinct presentations and pairs of a batch, not with its
-// jobs: ten pointer-distinct re-parsed copies of each E1 family's jobs
-// may cost fewer than half an allocation per added job over one copy.
+// jobs: ten pointer-distinct re-parsed copies of a batch may cost fewer
+// than half an allocation per added job over one copy.  The batches are
+// each E1 family's pairs, its poisonedJobs, and the poisoned jobs that
+// fail, whose errors are built once per failing pair of presentations.
 // One worker and no cache keep the count steady.
 func TestRunAllocsScaleWithDistinctWork(t *testing.T) {
 	n := 300
@@ -170,24 +172,48 @@ func TestRunAllocsScaleWithDistinctWork(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, f := range e1Corpus(t, n) {
-		copies := func(k int) []Job {
-			var jobs []Job
-			for c := 0; c < k; c++ {
-				for _, p := range f.Pairs {
-					jobs = append(jobs, Job{Left: cq.MustParse(p.Left.String()), Right: cq.MustParse(p.Right.String())})
-				}
-			}
-			return jobs
+		e := New(f.Schema, f.Deps, Options{Workers: 1, CacheSize: -1})
+		var pairs, failing []Job
+		for _, p := range f.Pairs {
+			pairs = append(pairs, Job{Left: p.Left, Right: p.Right})
 		}
-		one, ten := copies(1), copies(10)
-		e := New(f.Schema, f.Deps, Options{Workers: 1, DisableCache: true})
-		a1 := testing.AllocsPerRun(3, func() { e.Run(ctx, one) })
-		a10 := testing.AllocsPerRun(3, func() { e.Run(ctx, ten) })
-		if perJob := (a10 - a1) / float64(len(ten)-len(one)); perJob >= 0.5 {
-			t.Errorf("%s: %.0f allocations at one copy, %.0f at ten: %.2f per added job, want under 0.5",
-				f.Name, a1, a10, perJob)
+		poisoned := poisonedJobs(f)
+		for i, r := range e.Run(ctx, poisoned).Results {
+			if r.Err != nil {
+				failing = append(failing, poisoned[i])
+			}
+		}
+		for _, in := range []struct {
+			name string
+			jobs []Job
+		}{{"pairs", pairs}, {"poisoned", poisoned}, {"failing", failing}} {
+			copies := func(k int) []Job {
+				var jobs []Job
+				for c := 0; c < k; c++ {
+					for _, j := range in.jobs {
+						jobs = append(jobs, Job{Left: reparse(j.Left), Right: reparse(j.Right), Op: j.Op})
+					}
+				}
+				return jobs
+			}
+			one, ten := copies(1), copies(10)
+			a1 := testing.AllocsPerRun(3, func() { e.Run(ctx, one) })
+			a10 := testing.AllocsPerRun(3, func() { e.Run(ctx, ten) })
+			if perJob := (a10 - a1) / float64(len(ten)-len(one)); perJob >= 0.5 {
+				t.Errorf("%s %s: %.0f allocations at one copy, %.0f at ten: %.2f per added job, want under 0.5",
+					f.Name, in.name, a1, a10, perJob)
+			}
 		}
 	}
+}
+
+// reparse returns a pointer-distinct copy of q parsed from its print;
+// nil stays nil.
+func reparse(q *cq.Query) *cq.Query {
+	if q == nil {
+		return nil
+	}
+	return cq.MustParse(q.String())
 }
 
 // fuzzRels, fuzzNames and fuzzConsts are the alphabet fuzzQuery draws

@@ -34,7 +34,7 @@ func TestMetamorphicVerdictInvariantUnderAlphaVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(f.Schema, f.Deps, Options{Workers: 4, DisableCache: true})
+			e := New(f.Schema, f.Deps, Options{Workers: 4, CacheSize: -1})
 			for i, p := range f.Pairs {
 				base := e.Decide(context.Background(), p.Left, p.Right, OpEquivalent)
 				if base.Err != nil {
@@ -63,7 +63,7 @@ func TestMetamorphicVerdictInvariantUnderContainmentVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(f.Schema, f.Deps, Options{Workers: 4, DisableCache: true})
+	e := New(f.Schema, f.Deps, Options{Workers: 4, CacheSize: -1})
 	for i, p := range f.Pairs {
 		base := e.Decide(context.Background(), p.Left, p.Right, OpContained)
 		if base.Err != nil {
@@ -95,8 +95,8 @@ func TestMetamorphicVerdictInvariantUnderRelationRenaming(t *testing.T) {
 				ren[r.Name] = "Zz" + string(rune('A'+i))
 			}
 			s2 := gen.RenameSchemaRelations(f.Schema, ren)
-			e1 := New(f.Schema, f.Deps, Options{DisableCache: true})
-			e2 := New(s2, renameDeps(f, s2), Options{DisableCache: true})
+			e1 := New(f.Schema, f.Deps, Options{CacheSize: -1})
+			e2 := New(s2, renameDeps(f, s2), Options{CacheSize: -1})
 			for i, p := range f.Pairs {
 				base := e1.Decide(context.Background(), p.Left, p.Right, OpEquivalent)
 				got := e2.Decide(context.Background(),

@@ -49,36 +49,14 @@ func (p *Pool) Warm(key string, v Verdict) {
 	}
 }
 
-// EquivCtx decides q1 ≡ q2 over s under deps through the pool's cache,
+// Equiv decides q1 ≡ q2 over s under deps through the pool's cache,
 // honoring ctx cancellation and deadlines.  Its signature matches
-// mapping.EquivCtxFunc, so callers that serve requests — the keyedeqd
+// mapping.EquivFunc, so callers that serve requests — the keyedeqd
 // daemon, the dominance search — keep per-request timeouts all the way
 // into the homomorphism searches.
-func (p *Pool) EquivCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
+func (p *Pool) Equiv(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
 	r := p.For(s, deps).Decide(ctx, q1, q2, OpEquivalent)
 	return r.Holds, r.Stats, r.Err
-}
-
-// ContainsCtx decides q1 ⊑ q2 through the pool's cache, honoring ctx
-// cancellation and deadlines.
-func (p *Pool) ContainsCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-	r := p.For(s, deps).Decide(ctx, q1, q2, OpContained)
-	return r.Holds, r.Stats, r.Err
-}
-
-// Equiv decides q1 ≡ q2 over s under deps through the pool's cache.
-// Its signature matches containment.EquivalentUnder (and hence
-// mapping.EquivFunc), so it is a drop-in accelerated replacement;
-// callers with a context should prefer EquivCtx, which this delegates
-// to with a background context.
-func (p *Pool) Equiv(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-	return p.EquivCtx(context.Background(), q1, q2, s, deps)
-}
-
-// Contains decides q1 ⊑ q2 through the pool's cache; callers with a
-// context should prefer ContainsCtx.
-func (p *Pool) Contains(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, containment.Stats, error) {
-	return p.ContainsCtx(context.Background(), q1, q2, s, deps)
 }
 
 // Stats snapshots the pool's cache (zero when caching is off).

@@ -20,32 +20,32 @@ func TestPoolEquivCtxCancelled(t *testing.T) {
 	s := gen.GraphSchema()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := p.EquivCtx(ctx, gen.ChainQuery(2), gen.ChainQuery(3), s, nil)
+	_, _, err := p.Equiv(ctx, gen.ChainQuery(2), gen.ChainQuery(3), s, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EquivCtx with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("Equiv with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	_, _, err = p.ContainsCtx(ctx, gen.ChainQuery(2), gen.ChainQuery(3), s, nil)
+	err = p.For(s, nil).Decide(ctx, gen.ChainQuery(2), gen.ChainQuery(3), OpContained).Err
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ContainsCtx with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("containment with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// Cancelled decisions must not poison the cache: the same pair under
 	// a live context decides normally.
-	ok, _, err := p.EquivCtx(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
+	ok, _, err := p.Equiv(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
 	if err != nil || !ok {
-		t.Fatalf("EquivCtx after cancellation: ok=%v err=%v", ok, err)
+		t.Fatalf("Equiv after cancellation: ok=%v err=%v", ok, err)
 	}
 }
 
-// TestPoolEquivDelegates locks the compatibility contract: the ctx-free
-// methods remain available (mapping.EquivFunc-shaped) and agree with
-// their ctx variants.
+// TestPoolEquivDelegates locks the decider contract: Equiv is
+// mapping.EquivFunc-shaped and agrees with the Decide of the pool's
+// engine for the same schema.
 func TestPoolEquivDelegates(t *testing.T) {
 	p := NewPool(Options{})
 	s := gen.GraphSchema()
-	ok1, _, err1 := p.Equiv(gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
-	ok2, _, err2 := p.EquivCtx(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
-	if err1 != nil || err2 != nil || ok1 != ok2 {
-		t.Fatalf("Equiv/EquivCtx disagree: %v/%v err %v/%v", ok1, ok2, err1, err2)
+	ok1, _, err1 := p.Equiv(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), s, nil)
+	r := p.For(s, nil).Decide(context.Background(), gen.ChainQuery(2), gen.ChainQuery(2), OpEquivalent)
+	if err1 != nil || r.Err != nil || ok1 != r.Holds {
+		t.Fatalf("Equiv/Decide disagree: %v/%v err %v/%v", ok1, r.Holds, err1, r.Err)
 	}
 }
 

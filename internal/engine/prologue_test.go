@@ -174,8 +174,8 @@ func TestRunNilQuerySides(t *testing.T) {
 	}
 }
 
-// TestDecideNilQuery checks that Decide and the EquivalentUnder adapter
-// return an error for nil arguments instead of panicking.
+// TestDecideNilQuery checks that Decide and the pool's Equiv return an
+// error for nil arguments instead of panicking.
 func TestDecideNilQuery(t *testing.T) {
 	s := gen.GraphSchema()
 	e := New(s, nil, Options{})
@@ -188,8 +188,8 @@ func TestDecideNilQuery(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := e.EquivalentUnder(nil, q, s, nil); !errors.Is(err, containment.ErrNilQuery) {
-		t.Fatalf("EquivalentUnder(nil, q): err %v, want ErrNilQuery", err)
+	if _, _, err := NewPool(Options{}).Equiv(context.Background(), nil, q, s, nil); !errors.Is(err, containment.ErrNilQuery) {
+		t.Fatalf("Equiv(nil, q): err %v, want ErrNilQuery", err)
 	}
 }
 

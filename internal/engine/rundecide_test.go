@@ -22,7 +22,7 @@ func TestRunMatchesDecide(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			jobs := poisonedJobs(f)
-			e := New(f.Schema, f.Deps, Options{Workers: 2, DisableCache: true})
+			e := New(f.Schema, f.Deps, Options{Workers: 2, CacheSize: -1})
 			rep := e.Run(ctx, jobs)
 			failed := 0
 			for i, j := range jobs {

@@ -104,7 +104,7 @@ func TestWarmLoadsCacheWithoutStore(t *testing.T) {
 
 	// Compute the canonical pair key on a throwaway engine so the warm
 	// target's own counters stay clean.
-	scout := New(s, nil, Options{DisableCache: true})
+	scout := New(s, nil, Options{CacheSize: -1})
 	key := scout.Decide(context.Background(), q1, q2, OpEquivalent).PairKey
 	if key == "" {
 		t.Fatal("no pair key from scout")
@@ -128,7 +128,7 @@ func TestWarmLoadsCacheWithoutStore(t *testing.T) {
 }
 
 func TestWarmDisabledCacheIsNoop(t *testing.T) {
-	p := NewPool(Options{DisableCache: true, Store: &memStore{}})
+	p := NewPool(Options{CacheSize: -1, Store: &memStore{}})
 	p.Warm("anything", Verdict{Holds: true})
 	if st := p.Stats(); st.Entries != 0 {
 		t.Fatalf("warm on disabled cache: %+v", st)

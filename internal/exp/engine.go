@@ -129,11 +129,10 @@ func E1EngineBatch(pairsPerFamily, workers, cacheSize, seed int, o *obs.Obs) (*T
 			size = 4 * pairsPerFamily
 		}
 		e := engine.New(f.Schema, f.Deps, engine.Options{
-			Workers:      workers,
-			CacheSize:    size,
-			DisableCache: cacheSize < 0,
-			Now:          time.Now,
-			Obs:          o,
+			Workers:   workers,
+			CacheSize: size,
+			Now:       time.Now,
+			Obs:       o,
 		})
 		rep := e.Run(context.Background(), jobs)
 		res.Eng.Nodes += rep.Nodes
@@ -264,10 +263,9 @@ func E1WorkerSweep(pairsPerFamily, cacheSize, seed int, counts []int) (*Table, [
 				size = 4 * pairsPerFamily
 			}
 			e := engine.New(fj.f.Schema, fj.f.Deps, engine.Options{
-				Workers:      workers,
-				CacheSize:    size,
-				DisableCache: cacheSize < 0,
-				Now:          time.Now,
+				Workers:   workers,
+				CacheSize: size,
+				Now:       time.Now,
 			})
 			rep := e.Run(context.Background(), fj.jobs)
 			entry.Nodes += rep.Nodes

@@ -33,7 +33,7 @@ func benchHomMode(b *testing.B, fam string, mode cq.SearchMode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
-			if _, _, _, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, mode); err != nil {
+			if _, _, err := c.run(ctx, mode); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -50,14 +50,25 @@ type HomBenchResult struct {
 }
 
 // HomCase is one prepared homomorphism search instance: does Q have the
-// answer Want on the (chased) canonical database DB?  DB is the decode
-// of the frozen view the canonical build keeps: the naive arm scans it,
-// and the adaptive arm reaches the same view again through the
-// memoized DB.Frozen().
+// answer Want, the frozen head, on the chased canonical database Canon?
+// The adaptive arm asks Canon through ContainedIn, as the engine does;
+// the naive arm scans DB, Canon's decode, with the oracle.
 type HomCase struct {
-	Q    *cq.Query
-	DB   *instance.Database
-	Want instance.Tuple
+	Q     *cq.Query
+	Canon *containment.CanonicalDB
+	DB    *instance.Database
+	Want  instance.Tuple
+}
+
+// run searches the case with one arm and returns the verdict and the
+// search nodes.
+func (c HomCase) run(ctx context.Context, mode cq.SearchMode) (bool, int64, error) {
+	if mode == cq.SearchNaive {
+		ok, _, es, err := cq.FindAnswerBindingNaive(ctx, c.Q, c.DB, c.Want)
+		return ok, es.Nodes, err
+	}
+	ok, st, err := c.Canon.ContainedIn(ctx, c.Q)
+	return ok, st.Nodes, err
 }
 
 // PrepareHomCases freezes and chases both containment directions of
@@ -76,7 +87,7 @@ func PrepareHomCases(f *gen.Family) ([]HomCase, error) {
 			// Vacuous containment: no search happens in either mode.
 			return nil
 		}
-		cases = append(cases, HomCase{Q: q2, DB: db, Want: want})
+		cases = append(cases, HomCase{Q: q2, Canon: c, DB: db, Want: want})
 		return nil
 	}
 	for _, p := range f.Pairs {
@@ -146,16 +157,16 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 		// mismatch, and pay one-time memoization (sorted tuple views)
 		// so the timed trials below compare steady-state arms.
 		for i, c := range cases {
-			ok, _, st, err := cq.FindAnswerBindingMode(c.Q, c.DB, c.Want, cq.SearchNaive)
+			ok, nodes, err := c.run(context.Background(), cq.SearchNaive)
 			if err != nil {
 				t.Note("%s: naive: %v", fam, err)
 				continue
 			}
 			verdicts[i] = ok
-			fr.NaiveNodes += st.Nodes
+			fr.NaiveNodes += nodes
 		}
 		for i, c := range cases {
-			ok, _, st, err := cq.FindAnswerBindingCtxMode(plannedCtx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+			ok, nodes, err := c.run(plannedCtx, cq.SearchAdaptive)
 			if err != nil {
 				t.Note("%s: planned: %v", fam, err)
 				continue
@@ -167,14 +178,14 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 			if ok {
 				fr.Holding++
 			}
-			fr.PlannedNodes += st.Nodes
+			fr.PlannedNodes += nodes
 		}
 
 		runNaive := func() time.Duration {
 			return timed(func() {
 				for p := 0; p < homPassesPerSample; p++ {
 					for _, c := range cases {
-						_, _, _, _ = cq.FindAnswerBindingMode(c.Q, c.DB, c.Want, cq.SearchNaive)
+						_, _, _ = c.run(context.Background(), cq.SearchNaive)
 					}
 				}
 			})
@@ -183,7 +194,7 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 			return timed(func() {
 				for p := 0; p < homPassesPerSample; p++ {
 					for _, c := range cases {
-						_, _, _, _ = cq.FindAnswerBindingCtxMode(plannedCtx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+						_, _, _ = c.run(plannedCtx, cq.SearchAdaptive)
 					}
 				}
 			})

@@ -85,11 +85,11 @@ func ObsOverheadGate(pairsPerFamily, seed, trials int) (*Table, *ObsGateResult, 
 		for _, fc := range fams {
 			var famTotal int64
 			for _, c := range fc.cases {
-				_, _, st, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+				_, nodes, err := c.run(ctx, cq.SearchAdaptive)
 				if err != nil {
 					return 0, fmt.Errorf("%s: %v", fc.name, err)
 				}
-				famTotal += st.Nodes
+				famTotal += nodes
 			}
 			if perFamily {
 				res.FamilyNodes[fc.name] = famTotal

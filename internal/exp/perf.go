@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -148,7 +149,7 @@ func T5MappingIdentity(maxAttrs int, seed int64) *Table {
 			invariant.Must(err)
 		})
 		dIdentity := timed(func() {
-			ok, err := comp.IsIdentityOn(fd.KeyFDs(s1))
+			ok, err := comp.IsIdentityOn(context.Background(), fd.KeyFDs(s1), nil)
 			invariant.Mustf(err == nil && ok, "identity failed: %v %v", ok, err)
 		})
 		t.Add(attrs, len(s1.Relations), dCompose, dIdentity)
@@ -177,7 +178,7 @@ func T7DecisionCompare(maxAttrs int, bounds dominance.SearchBounds, seed int64) 
 		var searchRes bool
 		dSearch := timed(func() {
 			var err error
-			searchRes, stats, err = dominance.SearchEquivalence(s1, s2, bounds)
+			searchRes, stats, err = dominance.SearchEquivalence(context.Background(), s1, s2, bounds, dominance.SearchOptions{})
 			invariant.Must(err)
 		})
 		if isoRes != expectEq {

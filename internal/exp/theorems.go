@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -30,7 +31,7 @@ func T1TheoremExhaustive(space gen.SchemaSpace, bounds dominance.SearchBounds) *
 			s2 := schemas[j]
 			pairs++
 			isIso := schema.Isomorphic(s1, s2)
-			eq, stats, err := dominance.SearchEquivalence(s1, s2, bounds)
+			eq, stats, err := dominance.SearchEquivalence(context.Background(), s1, s2, bounds, dominance.SearchOptions{})
 			if err != nil {
 				t.Note("error on pair (%d,%d): %v", i, j, err)
 				continue

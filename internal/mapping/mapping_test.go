@@ -72,7 +72,7 @@ func TestIdentityMapping(t *testing.T) {
 	if !out.Equal(d) {
 		t.Errorf("identity mapping changed instance: %s vs %s", out, d)
 	}
-	ok, err := m.IsIdentityOn(fd.KeyFDs(src2))
+	ok, err := m.IsIdentityOn(context.Background(), fd.KeyFDs(src2), nil)
 	if err != nil || !ok {
 		t.Errorf("IsIdentityOn(identity) = %v, %v", ok, err)
 	}
@@ -115,7 +115,7 @@ func TestComposeSemantics(t *testing.T) {
 			t.Fatalf("β∘α should be identity: %s vs %s", direct, d)
 		}
 	}
-	ok, err := RoundTripIsIdentity(alpha, beta)
+	ok, err := RoundTripIsIdentity(context.Background(), alpha, beta, nil)
 	if err != nil || !ok {
 		t.Errorf("RoundTripIsIdentity = %v, %v; want true", ok, err)
 	}
@@ -294,11 +294,11 @@ func TestFromIsomorphism(t *testing.T) {
 	if err != nil || !okB {
 		t.Errorf("beta should be valid: %v %v", okB, err)
 	}
-	ok, err := RoundTripIsIdentity(alpha, beta)
+	ok, err := RoundTripIsIdentity(context.Background(), alpha, beta, nil)
 	if err != nil || !ok {
 		t.Errorf("β∘α should be identity: %v %v", ok, err)
 	}
-	ok, err = RoundTripIsIdentity(beta, alpha)
+	ok, err = RoundTripIsIdentity(context.Background(), beta, alpha, nil)
 	if err != nil || !ok {
 		t.Errorf("α∘β should be identity too: %v %v", ok, err)
 	}
@@ -335,7 +335,7 @@ func TestRoundTripNotIdentity(t *testing.T) {
 	s2 := schema.MustParse("P(k*:T1)")
 	alpha := MustNew(s1, s2, []*cq.Query{cq.MustParse("P(X) :- R(X, Y).")})
 	beta := MustNew(s2, s1, []*cq.Query{cq.MustParse("R(X, T2:1) :- P(X).")})
-	ok, err := RoundTripIsIdentity(alpha, beta)
+	ok, err := RoundTripIsIdentity(context.Background(), alpha, beta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,14 +484,14 @@ func TestRoundTripIdentityCtxCancelled(t *testing.T) {
 	m := IdentityMapping(src2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RoundTripIsIdentityCtx(ctx, m, IdentityMapping(src2), nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RoundTripIsIdentityCtx: err = %v, want context.Canceled", err)
+	if _, err := RoundTripIsIdentity(ctx, m, IdentityMapping(src2), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RoundTripIsIdentity: err = %v, want context.Canceled", err)
 	}
-	if _, err := m.IsIdentityOnCtx(ctx, fd.KeyFDs(src2), nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IsIdentityOnCtx: err = %v, want context.Canceled", err)
+	if _, err := m.IsIdentityOn(ctx, fd.KeyFDs(src2), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IsIdentityOn: err = %v, want context.Canceled", err)
 	}
-	// The ctx-free delegates still work.
-	ok, err := RoundTripIsIdentity(m, IdentityMapping(src2))
+	// A live context decides.
+	ok, err := RoundTripIsIdentity(context.Background(), m, IdentityMapping(src2), nil)
 	if err != nil || !ok {
 		t.Fatalf("RoundTripIsIdentity: ok=%v err=%v", ok, err)
 	}

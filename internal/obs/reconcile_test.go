@@ -69,7 +69,7 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 			var total int64
 			for ci, c := range cases {
 				sink.Reset()
-				_, _, es, err := cq.FindAnswerBindingCtx(ctx, c.Q, c.DB, c.Want)
+				_, _, es, err := cq.FindAnswerBindingFrozen(ctx, c.Q, c.DB.Frozen(), c.Want)
 				if err != nil {
 					t.Fatalf("case %d: %v", ci, err)
 				}

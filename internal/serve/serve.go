@@ -725,7 +725,7 @@ func (s *Server) handleSchemaDominance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp.AlphaValid && resp.BetaValid {
-		resp.RoundTripIdentity, err = mapping.RoundTripIsIdentityCtx(ctx, alpha, beta, s.pool.EquivCtx)
+		resp.RoundTripIdentity, err = mapping.RoundTripIsIdentity(ctx, alpha, beta, s.pool.Equiv)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("round trip timed out: %v", err))

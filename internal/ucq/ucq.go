@@ -167,7 +167,7 @@ func disjunctContainedInUnion(p *cq.Query, u *Query, s *schema.Schema, deps []fd
 	ctx := context.Background()
 	c := containment.NewCanonicalDB(ctx, p, s, deps)
 	for _, q := range u.Disjuncts {
-		ok, _, err := c.ContainedIn(ctx, q, cq.SearchAdaptive)
+		ok, _, err := c.ContainedIn(ctx, q)
 		if err != nil {
 			return false, err
 		}

@@ -107,19 +107,34 @@ func Parse(s string) (Value, error) {
 	case badType:
 		return Value{}, fmt.Errorf("value: bad type in %q", s)
 	case badOrdinal:
-		return Value{}, fmt.Errorf("value: bad ordinal in %q", s)
+		return Value{}, ordinalError(s)
 	default:
 		return v, nil
 	}
 }
 
-// TryParse is Parse without the error: it reports whether s is in
-// "T<type>:<n>" form.  A parser classifying tokens calls it on every
-// variable, so it builds no error value for a token without ':' or
-// without the 'T' prefix.
-func TryParse(s string) (Value, bool) {
+// TryParse classifies a token for a parser that reads constants and
+// variables from one alphabet.  ok reports that s is in "T<type>:<n>"
+// form.  err is Parse's error when the text before ':' names a type
+// (T and a positive number) but no ordinal follows, as in a null's
+// "T1:_3": such a token is no variable either.  With neither, s names
+// no type and may be a variable.  A parser calls it on every variable,
+// so it builds no error value for a token that names no type.
+func TryParse(s string) (v Value, ok bool, err error) {
 	v, bad := parse(s)
-	return v, bad == parsed
+	if bad == badOrdinal {
+		return Value{}, false, ordinalError(s)
+	}
+	return v, bad == parsed, nil
+}
+
+// ordinalError is the error for a token whose type is good and ordinal
+// bad.  It is a conversion, not a call, so TryParse stays small enough
+// to inline into a parser's per-token loop.
+type ordinalError string
+
+func (e ordinalError) Error() string {
+	return fmt.Sprintf("value: bad ordinal in %q", string(e))
 }
 
 // parseResult says which part of the "T<type>:<n>" form parse rejected.
@@ -159,40 +174,14 @@ type Allocator struct {
 	next map[Type]int64
 }
 
-// Fresh returns a value of type t never before returned by this Allocator
-// and distinct from every value reserved with Reserve.
+// Fresh returns a value of type t never before returned by this
+// Allocator.
 func (a *Allocator) Fresh(t Type) Value {
 	if a.next == nil {
 		a.next = make(map[Type]int64)
 	}
 	a.next[t]++
 	return Value{Type: t, N: a.next[t]}
-}
-
-// FreshN returns n distinct fresh values of type t.
-func (a *Allocator) FreshN(t Type, n int) []Value {
-	vs := make([]Value, n)
-	for i := range vs {
-		vs[i] = a.Fresh(t)
-	}
-	return vs
-}
-
-// Reserve marks v as used so Fresh never returns it (or anything below it).
-func (a *Allocator) Reserve(v Value) {
-	if a.next == nil {
-		a.next = make(map[Type]int64)
-	}
-	if v.N > a.next[v.Type] {
-		a.next[v.Type] = v.N
-	}
-}
-
-// ReserveAll reserves every value in vs.
-func (a *Allocator) ReserveAll(vs []Value) {
-	for _, v := range vs {
-		a.Reserve(v)
-	}
 }
 
 // Choice is the paper's choice function f : attribute types → domain,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -122,7 +123,7 @@ func TestValueStringMatchesFmt(t *testing.T) {
 }
 
 // TestParseErrorMessages pins Parse's messages and TryParse's agreement
-// with it; TryParse allocates nothing on a token that is no constant.
+// with it; TryParse allocates nothing on a token that names no type.
 func TestParseErrorMessages(t *testing.T) {
 	for _, c := range []struct{ in, msg string }{
 		{"", `value: cannot parse "": want T<type>:<n>`},
@@ -145,8 +146,14 @@ func TestParseErrorMessages(t *testing.T) {
 		if got != c.msg {
 			t.Errorf("Parse(%q) error %q, want %q", c.in, got, c.msg)
 		}
-		if tv, ok := TryParse(c.in); ok != (err == nil) || tv != v {
+		tv, ok, terr := TryParse(c.in)
+		if ok != (err == nil) || tv != v {
 			t.Errorf("TryParse(%q) = %v, %v; Parse gave %v, %v", c.in, tv, ok, v, err)
+		}
+		// TryParse returns Parse's error exactly when the type is good
+		// and the ordinal bad: such a token is no variable.
+		if ordinal := strings.Contains(c.msg, "bad ordinal"); (terr != nil) != ordinal || (ordinal && terr.Error() != c.msg) {
+			t.Errorf("TryParse(%q) error %v, want one only for a bad ordinal (Parse gave %v)", c.in, terr, err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { TryParse("X17") }); n != 0 {
@@ -182,50 +189,6 @@ func TestAllocatorFreshDistinct(t *testing.T) {
 			t.Fatalf("Fresh returned duplicate %v", v)
 		}
 		seen[v] = true
-	}
-}
-
-func TestAllocatorFreshN(t *testing.T) {
-	var a Allocator
-	vs := a.FreshN(2, 5)
-	if len(vs) != 5 {
-		t.Fatalf("FreshN returned %d values", len(vs))
-	}
-	for i, v := range vs {
-		if v.Type != 2 {
-			t.Errorf("value %d has type %v", i, v.Type)
-		}
-		for j := i + 1; j < len(vs); j++ {
-			if v == vs[j] {
-				t.Errorf("duplicate values %v at %d and %d", v, i, j)
-			}
-		}
-	}
-}
-
-func TestAllocatorReserve(t *testing.T) {
-	var a Allocator
-	a.Reserve(Value{Type: 7, N: 40})
-	v := a.Fresh(7)
-	if v.N <= 40 {
-		t.Errorf("Fresh after Reserve returned %v; want N > 40", v)
-	}
-	// Reserving a smaller value must not roll the counter back.
-	a.Reserve(Value{Type: 7, N: 2})
-	w := a.Fresh(7)
-	if w.N <= v.N {
-		t.Errorf("Fresh after low Reserve returned %v; want N > %d", w, v.N)
-	}
-}
-
-func TestAllocatorReserveAll(t *testing.T) {
-	var a Allocator
-	a.ReserveAll([]Value{{Type: 1, N: 10}, {Type: 2, N: 20}})
-	if v := a.Fresh(1); v.N <= 10 {
-		t.Errorf("Fresh(1) = %v after ReserveAll", v)
-	}
-	if v := a.Fresh(2); v.N <= 20 {
-		t.Errorf("Fresh(2) = %v after ReserveAll", v)
 	}
 }
 

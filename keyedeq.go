@@ -140,12 +140,10 @@ type (
 	// ContainmentStats reports homomorphism/chase work.
 	ContainmentStats = containment.Stats
 
-	// EquivFunc is the pluggable context-free equivalence decider shape
-	// (SearchOptions.Equiv); EquivCtxFunc threads a context through
-	// (SearchOptions.EquivCtx, EnginePool.EquivCtx).
+	// EquivFunc is the pluggable equivalence decider shape
+	// (SearchOptions.Equiv, EnginePool.Equiv); its context carries
+	// cancellation and deadlines into the decision.
 	EquivFunc = mapping.EquivFunc
-	// EquivCtxFunc is EquivFunc with a context for cancellation.
-	EquivCtxFunc = mapping.EquivCtxFunc
 
 	// Engine is the parallel batch equivalence/containment engine with
 	// canonical-query caching.
@@ -428,24 +426,13 @@ func VerifyKappaPair(alphaK, betaK *Mapping) (bool, error) {
 // SearchEquivalence decides equivalence semantically by bounded
 // enumeration of candidate mappings — exponential, and by Theorem 13
 // never finds anything Isomorphic would not; provided for validation and
-// experimentation.
-func SearchEquivalence(s1, s2 *Schema, b SearchBounds) (bool, SearchStats, error) {
-	return dominance.SearchEquivalence(s1, s2, b)
-}
-
-// SearchEquivalenceOpts is SearchEquivalence with a parallel pair loop
-// and a pluggable equivalence decider (see SearchOptions).
-func SearchEquivalenceOpts(s1, s2 *Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
-	return dominance.SearchEquivalenceOpts(s1, s2, b, opts)
-}
-
-// SearchEquivalenceCtx is SearchEquivalenceOpts with a context threaded
-// through every certificate check, so cancellation and deadlines reach
-// the underlying chase and homomorphism searches (set
-// SearchOptions.EquivCtx — e.g. an EnginePool's EquivCtx — to keep
-// cancellation live inside cached decisions too).
-func SearchEquivalenceCtx(ctx context.Context, s1, s2 *Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
-	return dominance.SearchEquivalenceOptsCtx(ctx, s1, s2, b, opts)
+// experimentation.  ctx reaches every certificate check, so cancellation
+// and deadlines stop the underlying chase and homomorphism searches;
+// opts sets the pair loop's parallelism and the equivalence decider
+// (the zero value is sequential, with EquivalentQueriesUnder's
+// procedure; an EnginePool's Equiv caches verdicts).
+func SearchEquivalence(ctx context.Context, s1, s2 *Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
+	return dominance.SearchEquivalence(ctx, s1, s2, b, opts)
 }
 
 // DefaultSearchBounds are suitable for small schema spaces.
@@ -461,8 +448,8 @@ func NewEngine(s *Schema, deps []FD, opts EngineOptions) *Engine {
 
 // NewEnginePool builds an engine pool whose engines share opts and one
 // verdict cache of opts.CacheSize entries, however many schemas they
-// decide over; its Equiv method is a drop-in cached replacement for
-// EquivalentQueriesUnder (and a valid SearchOptions.Equiv).
+// decide over; its Equiv method is a cached EquivFunc, a valid
+// SearchOptions.Equiv.
 func NewEnginePool(opts EngineOptions) *EnginePool { return engine.NewPool(opts) }
 
 // CanonicalQueryKey returns the renaming-invariant canonical key of q —

@@ -1,6 +1,7 @@
 package keyedeq
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -132,7 +133,7 @@ func TestFacadeSearch(t *testing.T) {
 	s2 := MustParseSchema("P(b*:T1)")
 	b := DefaultSearchBounds()
 	b.MaxAtoms = 1
-	ok, stats, err := SearchEquivalence(s1, s2, b)
+	ok, stats, err := SearchEquivalence(context.Background(), s1, s2, b, SearchOptions{})
 	if err != nil || !ok {
 		t.Errorf("search: %v %v (%+v)", ok, err, stats)
 	}
@@ -145,7 +146,7 @@ func TestFacadeIdentityMappingCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := comp.IsIdentityOn(KeyFDs(s))
+	ok, err := comp.IsIdentityOn(context.Background(), KeyFDs(s), nil)
 	if err != nil || !ok {
 		t.Errorf("id∘id should be id: %v %v", ok, err)
 	}
