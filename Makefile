@@ -114,13 +114,16 @@ bench-alloc-verify:
 # Engine.Decide on the same corpus with poisoned jobs, the theory
 # procedures against the containment procedures with no TGDs); the
 # canonizer's kernel against the kernel it replaced and the golden keys
-# canonicalized concurrently; then the chase freeze tests (the frozen
+# canonicalized concurrently; the stale-scratch walls (the corpus's
+# searches as listed, reversed and each after a search that grows every
+# pooled table, and the golden keys each after a query that exhausts
+# the tie-break budget); then the chase freeze tests (the frozen
 # canonical build against its value-level oracle over every corpus
 # family) and the allocation record.
 search-verify:
 	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestInterned|TestCancelObserved|TestCompiledMatchesEqClasses|TestValidateMatchesOracle' -count=1
-	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive|TestTheoryStatsMatchContainment' -count=1
-	$(GO) test -race ./internal/engine -run 'TestDecideMatchesContainment|TestRunMatchesDecide|TestCanonicalKernelMatchesOracle|TestCanonicalizeConcurrentMatchesGolden' -count=1
+	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned|TestStreamed|TestAdaptive|TestTheoryStatsMatchContainment|TestStaleScratch' -count=1
+	$(GO) test -race ./internal/engine -run 'TestDecideMatchesContainment|TestRunMatchesDecide|TestCanonicalKernelMatchesOracle|TestCanonicalizeConcurrentMatchesGolden|TestCanonicalizeAfterBudgetExhaustion' -count=1
 	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze|TestCanonicalFrozen' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 

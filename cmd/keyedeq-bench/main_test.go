@@ -153,6 +153,7 @@ func TestCompareAllocRecords(t *testing.T) {
 			{Name: "intern/rows-1M", AllocsPerOp: 8212, SeedAllocsPerOp: 9881004},
 			{Name: "parse/decide-hot", AllocsPerOp: 5, SeedAllocsPerOp: 318},
 			{Name: "canon/decide-hot", AllocsPerOp: 19, SeedAllocsPerOp: 101},
+			{Name: "decide/miss-wide", AllocsPerOp: 69, SeedAllocsPerOp: 140},
 		}}
 	}
 	if problems := compareAllocRecords(rec(18, 228), rec(19, 228)); len(problems) != 0 {
@@ -169,6 +170,7 @@ func TestCompareAllocRecords(t *testing.T) {
 		{Name: "intern/rows-1M", AllocsPerOp: 8212, SeedAllocsPerOp: 9881004},
 		{Name: "parse/decide-hot", AllocsPerOp: 5, SeedAllocsPerOp: 318},
 		{Name: "canon/decide-hot", AllocsPerOp: 19, SeedAllocsPerOp: 101},
+		{Name: "decide/miss-wide", AllocsPerOp: 69, SeedAllocsPerOp: 140},
 	}}
 	if problems := compareAllocRecords(missing, rec(18, 228)); len(problems) != 1 {
 		t.Errorf("missing committed case: got %v, want 1 problem", problems)

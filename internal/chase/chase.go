@@ -20,7 +20,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
+	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/instance"
 	"keyedeq/internal/invariant"
@@ -44,6 +46,10 @@ type Term int
 type Tableau struct {
 	Schema *schema.Schema
 	rows   []row
+	// cells is the chunk the rows' cells are carved from: a row's cells
+	// are its run of the chunk current when the row was added, and a new
+	// chunk replaces a full one, so rows share a few backing arrays.
+	cells []Term
 
 	parent []int
 	rank   []int
@@ -100,20 +106,48 @@ func (t *Tableau) AddRow(rel string, cells []Term) error {
 	if ri < 0 {
 		return fmt.Errorf("chase: no relation %q", rel)
 	}
+	return t.addRow(ri, cells)
+}
+
+// addRow is AddRow for the relation at index ri of the schema.  The
+// row's cells are copied into the current chunk, or into a new one, at
+// least twice as large, when the current one lacks room.
+func (t *Tableau) addRow(ri int, cells []Term) error {
 	r := t.Schema.Relations[ri]
 	if len(cells) != r.Arity() {
-		return fmt.Errorf("chase: row for %q has %d cells, want %d", rel, len(cells), r.Arity())
+		return fmt.Errorf("chase: row for %q has %d cells, want %d", r.Name, len(cells), r.Arity())
 	}
 	for i, c := range cells {
 		if int(c) < 0 || int(c) >= len(t.parent) {
 			return fmt.Errorf("chase: unknown term %d", c)
 		}
 		if t.typeOf[c] != r.Attrs[i].Type {
-			return fmt.Errorf("chase: cell %d of %q has type %v, want %v", i, rel, t.typeOf[c], r.Attrs[i].Type)
+			return fmt.Errorf("chase: cell %d of %q has type %v, want %v", i, r.Name, t.typeOf[c], r.Attrs[i].Type)
 		}
 	}
-	t.rows = append(t.rows, row{rel: ri, cells: append([]Term(nil), cells...)})
+	if cap(t.cells)-len(t.cells) < len(cells) {
+		t.cells = make([]Term, 0, max(2*cap(t.cells), len(cells), minCellChunk))
+	}
+	from := len(t.cells)
+	t.cells = append(t.cells, cells...)
+	t.rows = append(t.rows, row{rel: ri, cells: t.cells[from:len(t.cells):len(t.cells)]})
 	return nil
+}
+
+// minCellChunk is the size of a tableau's first chunk of row cells
+// when nothing reserved one.
+const minCellChunk = 64
+
+// reserve makes room for rows more rows holding cells more cells and
+// for terms more terms, so the adds that follow append in place.
+func (t *Tableau) reserve(rows, cells, terms int) {
+	t.rows = slices.Grow(t.rows, rows)
+	if cap(t.cells)-len(t.cells) < cells {
+		t.cells = make([]Term, 0, cells)
+	}
+	t.parent = slices.Grow(t.parent, terms)
+	t.rank = slices.Grow(t.rank, terms)
+	t.typeOf = slices.Grow(t.typeOf, terms)
 }
 
 // find returns the union-find representative of term id.
@@ -615,6 +649,30 @@ func appendInt(b []byte, n int) []byte {
 	return append(b, tmp[i:]...)
 }
 
+// frozenScratch holds the tables Frozen builds and drops: each class
+// root's resolution flag, each type's null count, each row's resolved
+// cells with their offsets, and the rows' sorted order.
+type frozenScratch struct {
+	resolved []bool
+	nulls    map[value.Type]int64
+	at       []int
+	cells    []value.Value
+	order    []int32
+}
+
+// frozenScratches recycles Frozen's tables across calls.
+var frozenScratches = sync.Pool{New: func() any {
+	return &frozenScratch{nulls: make(map[value.Type]int64)}
+}}
+
+// release returns sc to the pool, unless a tableau of more than
+// cq.MaxPooledSlots terms or cells grew it.
+func (sc *frozenScratch) release() {
+	if cap(sc.resolved) <= cq.MaxPooledSlots && cap(sc.cells) <= cq.MaxPooledSlots {
+		frozenScratches.Put(sc)
+	}
+}
+
 // Frozen converts the (chased) tableau to its canonical database in
 // interned form, and returns each term's value beside it: every term
 // class bound to a constant becomes that constant, and every unbound
@@ -626,15 +684,24 @@ func appendInt(b []byte, n int) []byte {
 // so the view is exactly what instance.FreezeDatabase builds from the
 // same database: values interned with relations in schema order, rows
 // in order, positions left to right.  It fails on a failed tableau.
+//
+// Only the view and the term values are allocated; the tables that
+// resolve and sort the rows are pooled scratch.  The rows hold one
+// value per class that occurs in them, so that count sizes the view's
+// interner.
 func (t *Tableau) Frozen() (*instance.Frozen, []value.Value, error) {
 	if t.failed {
 		return nil, nil, fmt.Errorf("chase: tableau failed; no database exists")
 	}
+	sc := frozenScratches.Get().(*frozenScratch)
+	defer sc.release()
 	// vals holds each class's value at its root until the last pass
-	// below writes every term's value; nulls counts each type's nulls.
+	// below writes every term's value; nulls counts each type's nulls
+	// and distinct the classes resolved so far.
 	vals := make([]value.Value, len(t.parent))
-	resolved := make([]bool, len(t.parent))
-	nulls := make(map[value.Type]int64)
+	sc.resolved = resize(sc.resolved, len(t.parent))
+	clear(sc.nulls)
+	resolved, nulls, distinct := sc.resolved, sc.nulls, 0
 	resolve := func(id int) value.Value {
 		rep := t.find(id)
 		if !resolved[rep] {
@@ -645,23 +712,28 @@ func (t *Tableau) Frozen() (*instance.Frozen, []value.Value, error) {
 				v = value.Value{Type: typ, Null: true, N: nulls[typ]}
 			}
 			vals[rep], resolved[rep] = v, true
+			distinct++
 		}
 		return vals[rep]
 	}
 	// Resolve every row into cells, row i at [at[i], at[i+1]), then
 	// order the rows by relation and value.
-	at := make([]int, len(t.rows)+1)
+	sc.at = grow(sc.at, len(t.rows)+1)
+	at := sc.at
+	at[0] = 0
 	for i, r := range t.rows {
 		at[i+1] = at[i] + len(r.cells)
 	}
-	cells := make([]value.Value, at[len(t.rows)])
-	order := make([]int32, len(t.rows))
+	sc.cells = grow(sc.cells, at[len(t.rows)])
+	sc.order = grow(sc.order, len(t.rows))
+	cells, order := sc.cells, sc.order
 	for i, r := range t.rows {
 		order[i] = int32(i)
 		for p, c := range r.cells {
 			cells[at[i]+p] = resolve(int(c))
 		}
 	}
+	inRows := distinct
 	for id := range vals {
 		vals[id] = resolve(id)
 	}
@@ -676,7 +748,7 @@ func (t *Tableau) Frozen() (*instance.Frozen, []value.Value, error) {
 	rels := t.Schema.Relations
 	fz := &instance.Frozen{
 		Schema:    t.Schema,
-		Interner:  value.NewInterner(len(t.rows)),
+		Interner:  value.NewInterner(inRows),
 		Relations: make([]*instance.FrozenRelation, len(rels)),
 	}
 	ids := make([]value.ID, 0, len(cells))
@@ -694,6 +766,23 @@ func (t *Tableau) Frozen() (*instance.Frozen, []value.Value, error) {
 		fz.Relations[ri] = instance.NewFrozenRelation(rs, ids[from:len(ids):len(ids)])
 	}
 	return fz, vals, nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
+// grow returns s with length n, reusing its backing array when it is
+// large enough, for a caller that overwrites every element.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ToDatabase is Frozen decoded to surface values: the chased canonical

@@ -13,17 +13,26 @@ import (
 // that constant's term), one row per body atom.  It returns the term of
 // each body class, terms[k] for class k < c.BodyClasses.  A query whose
 // equality list equates distinct constants marks the tableau failed.
+// It resolves c against the tableau's schema (Compiled.Resolve), so each
+// atom's relation is looked up once, and reserves the rows, cells and
+// terms the body needs before adding them.
 func FreezeCompiled(t *Tableau, q *cq.Query, c *cq.Compiled) ([]Term, error) {
 	if c.Unsat {
 		t.failed = true
 	}
+	c.Resolve(q, t.Schema)
+	total := 0
+	for _, args := range c.Args {
+		total += len(args)
+	}
+	t.reserve(len(q.Body), total, c.BodyClasses)
 	terms := make([]Term, c.BodyClasses)
 	for k := range terms {
 		terms[k] = -1
 	}
 	var cells []Term
 	for i, a := range q.Body {
-		ri := t.Schema.RelationIndex(a.Rel)
+		ri := int(c.Rels[i])
 		if ri < 0 {
 			return nil, fmt.Errorf("chase: query uses unknown relation %q", a.Rel)
 		}
@@ -42,7 +51,7 @@ func FreezeCompiled(t *Tableau, q *cq.Query, c *cq.Compiled) ([]Term, error) {
 			}
 			cells = append(cells, terms[k])
 		}
-		if err := t.AddRow(a.Rel, cells); err != nil {
+		if err := t.addRow(ri, cells); err != nil {
 			return nil, err
 		}
 	}

@@ -237,3 +237,36 @@ func TestChaseQueryDirect(t *testing.T) {
 		t.Error("unknown relation accepted")
 	}
 }
+
+// TestFreezeErrors pins the freeze's error for each way a query can
+// fail to load: an unknown relation, a wrong placeholder count, and a
+// constant whose type the position does not take (caught by the row
+// check), each after earlier atoms loaded; and AddRow's own errors.
+func TestFreezeErrors(t *testing.T) {
+	s := schema.MustParse("E(a:T1, b:T1)")
+	for _, c := range []struct{ q, want string }{
+		{"V(X) :- E(X, Y), F(Y).", `chase: query uses unknown relation "F"`},
+		{"V(X) :- E(X, Y), E(Y2, Z, W), Y = Y2.", "chase: E has 3 placeholders, scheme wants 2"},
+		{"V(X) :- E(X, Y), E(Y2, Z), Z = T2:1.", `chase: cell 1 of "E" has type T2, want T1`},
+	} {
+		if _, err := Freeze(NewTableau(s), cq.MustParse(c.q)); err == nil || err.Error() != c.want {
+			t.Errorf("Freeze(%s): err %v, want %q", c.q, err, c.want)
+		}
+	}
+	tb := NewTableau(s)
+	x := tb.NewNull(1)
+	for _, c := range []struct {
+		rel   string
+		cells []Term
+		want  string
+	}{
+		{"F", []Term{x}, `chase: no relation "F"`},
+		{"E", []Term{x}, `chase: row for "E" has 1 cells, want 2`},
+		{"E", []Term{x, 7}, "chase: unknown term 7"},
+		{"E", []Term{x, tb.NewNull(2)}, `chase: cell 1 of "E" has type T2, want T1`},
+	} {
+		if err := tb.AddRow(c.rel, c.cells); err == nil || err.Error() != c.want {
+			t.Errorf("AddRow(%s, %v): err %v, want %q", c.rel, c.cells, err, c.want)
+		}
+	}
+}

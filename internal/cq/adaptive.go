@@ -36,8 +36,9 @@ func allSmall(q *Query, fz *instance.Frozen) bool {
 // runs the scan arm (useScan) or the pipeline, and decodes the full
 // match it found only when witness is set.  The pins are fixed before
 // any plan is built, so an impossible want misses without one.  The
-// compiled form and the core are pooled, so a search allocates only
-// its plan and its witness.
+// compiled form and the core, with the plan, the indexes and the
+// cursors it holds, are pooled, so a search allocates only its
+// component node counts and its witness.
 func searchIDs(ctx context.Context, q *Query, fz *instance.Frozen, want instance.Tuple, witness, useScan bool) (bool, map[Var]value.Value, EvalStats, error) {
 	comp := Compile(q)
 	defer comp.Release()
@@ -56,7 +57,7 @@ func searchIDs(ctx context.Context, q *Query, fz *instance.Frozen, want instance
 	if useScan {
 		found = scan(s, comp)
 	} else {
-		plan := buildStreamPlan(ctx, comp, fz, s.bound)
+		plan := buildStreamPlan(ctx, s, comp)
 		found = runComponentsSequential(newStreamSearcher(s, plan), plan)
 	}
 	switch {

@@ -391,10 +391,16 @@ func (c *Compiled) union(a, b int32) {
 // resize returns s with length n and every element zero, reusing its
 // backing array when it is large enough.
 func resize[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
+// grow returns s with length n, reusing its backing array when it is
+// large enough, for a caller that overwrites every element.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }

@@ -38,6 +38,20 @@ type idSearchCore struct {
 	// atomUsed holds one flag per body atom, the dense scan's record of
 	// the atoms on its current path.
 	atomUsed []bool
+
+	// plan is the pipeline's search plan, rebuilt by buildPlan for each
+	// search from the tables below: planInts and planBools back its
+	// scratch tables and key-position lists, planSteps its steps, and
+	// slotSteps lists the first step of each index slot.
+	plan      searchPlan
+	planInts  []int
+	planBools []bool
+	planSteps []planStep
+	slotSteps []*planStep
+	// stream is the pipeline's driver state (iter.go), reset by
+	// newStreamSearcher for each search; its index slots keep their
+	// tables from one search to the next.
+	stream streamSearcher
 }
 
 // idSearchCores recycles search cores, so a search takes its tables
@@ -66,11 +80,16 @@ func newIDSearchCore(ctx context.Context, fz *instance.Frozen, c *Compiled) *idS
 
 // release drops the core's references to the search and returns it to
 // the pool, unless a huge query grew its tables past MaxPooledSlots.
+// An index slot grown past MaxPooledSlots rows is dropped alone, so one
+// search over a large relation cannot leave every later small one
+// clearing its maps.
 func (s *idSearchCore) release() {
 	s.ctx, s.fz, s.canceled = nil, nil, nil
-	if len(s.binding) <= MaxPooledSlots {
-		idSearchCores.Put(s)
+	if len(s.binding) > MaxPooledSlots {
+		return
 	}
+	s.stream.drop()
+	idSearchCores.Put(s)
 }
 
 // pin is the pin-and-intern step: it binds, as interned IDs, what the

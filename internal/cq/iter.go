@@ -36,20 +36,25 @@ import (
 // search's differential wall pins the pipeline to the naive oracle's
 // verdicts, and its witnesses to VerifyHomomorphism.
 
-// streamIndex is one pre-sized hash index shared by the plan steps of
-// an index slot.  A key resolves to a dense bucket id — single-position
-// keys hash the value.ID itself, wider keys the encoded byte-string
-// via the compiler's zero-alloc inline string(bytes) probe — and the
-// bucket's row list lives in one flat CSR layout: bucket b is
-// rows[starts[b]:starts[b+1]], filled in row order.  The maps are
-// pre-sized to the relation's row count (the upper bound on distinct
-// keys), so the build never rehashes, and the flat row array replaces
-// the per-key append chains a map of slices would grow one realloc at
-// a time.
+// streamIndex is one hash index shared by the plan steps of an index
+// slot.  A key resolves to a dense bucket id — single-position keys
+// hash the value.ID itself, wider keys the encoded byte-string via the
+// compiler's zero-alloc inline string(bytes) probe — and the bucket's
+// row list lives in one flat CSR layout: bucket b is
+// rows[starts[b]:starts[b+1]], filled in row order.  The flat row array
+// replaces the per-key append chains a map of slices would grow one
+// realloc at a time.
+//
+// A slot keeps its maps and arrays from one search to the next: built
+// is reset per search, and the build clears the map it fills and
+// overwrites the rest, so a search allocates only when its relation
+// outgrows what the slot held before.
 type streamIndex struct {
 	built  bool
 	oneIDs map[value.ID]int32
 	keyIDs map[string]int32
+	// rowBid is the build's scratch: each row's bucket id.
+	rowBid []int32
 	starts []int32
 	rows   []int32
 }
@@ -71,21 +76,25 @@ type stepCursor struct {
 
 // streamSearcher carries the mutable state of one streamed search: the
 // shared ID-search core plus the hash indexes and the cursor stack of
-// the pipeline driver.
+// the pipeline driver.  It lives in the core (idSearchCore.stream), so
+// its tables are pooled with it.
 type streamSearcher struct {
 	*idSearchCore
 	plan *searchPlan
 	idx  []streamIndex
-	// keyBuf is the reusable scratch for wide-key encoding.
+	// keyBuf is the reusable scratch for wide-key encoding, and next the
+	// index build's placement cursor per bucket.
 	keyBuf []byte
+	next   []int32
 	// cursors and marks hold one open cursor and one addedStack mark
 	// per pipeline depth, sized to the widest component.
 	cursors []stepCursor
 	marks   []int
 }
 
-// newStreamSearcher sets up the search of plan on the core s, whose
-// pins the plan was compiled over.
+// newStreamSearcher resets the core's pipeline state for the search of
+// plan, whose pins the core holds: one unbuilt index slot per plan slot
+// and one cursor and mark per depth of the widest component.
 func newStreamSearcher(s *idSearchCore, plan *searchPlan) *streamSearcher {
 	maxSteps := 0
 	for ci := range plan.comps {
@@ -93,12 +102,34 @@ func newStreamSearcher(s *idSearchCore, plan *searchPlan) *streamSearcher {
 			maxSteps = n
 		}
 	}
-	return &streamSearcher{
-		idSearchCore: s,
-		plan:         plan,
-		idx:          make([]streamIndex, plan.numSlots),
-		cursors:      make([]stepCursor, maxSteps),
-		marks:        make([]int, maxSteps),
+	ss := &s.stream
+	ss.idSearchCore, ss.plan = s, plan
+	if cap(ss.idx) < plan.numSlots {
+		ss.idx = append(ss.idx[:cap(ss.idx)], make([]streamIndex, plan.numSlots-cap(ss.idx))...)
+	}
+	ss.idx = ss.idx[:plan.numSlots]
+	for i := range ss.idx {
+		ss.idx[i].built = false
+	}
+	ss.cursors = resize(ss.cursors, maxSteps)
+	ss.marks = resize(ss.marks, maxSteps)
+	return ss
+}
+
+// drop ends the search: it releases the core and the plan and the rows
+// the cursors point into, and empties every index slot grown past
+// MaxPooledSlots rows, so the pool keeps only tables of bounded size.
+func (ss *streamSearcher) drop() {
+	ss.idSearchCore, ss.plan = nil, nil
+	clear(ss.cursors)
+	idx := ss.idx[:cap(ss.idx)]
+	for i := range idx {
+		if cap(idx[i].rowBid) > MaxPooledSlots {
+			idx[i] = streamIndex{}
+		}
+	}
+	if cap(ss.next) > MaxPooledSlots {
+		ss.next = nil
 	}
 }
 
@@ -112,15 +143,24 @@ func appendIDKey(b []byte, id value.ID) []byte {
 // assigns every row a dense bucket id (first-occurrence order) and the
 // placement pass prefix-sums the bucket sizes and drops each row into
 // its bucket's next slot — ascending row order in, ascending row order
-// per bucket out — under the masked polling contract.
+// per bucket out — under the masked polling contract.  The slot's
+// tables are reused: the map the step's key width needs is cleared, or
+// made at the relation's row count (the upper bound on distinct keys)
+// when the slot has none.
 func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) bool {
 	n := fr.NumRows()
 	idx := &s.idx[st.indexSlot]
-	rowBid := make([]int32, n)
+	idx.rowBid = grow(idx.rowBid, n)
+	rowBid := idx.rowBid
 	var nBuckets int32
 	if len(st.keyPos) == 1 {
 		p := st.keyPos[0]
-		oneIDs := make(map[value.ID]int32, n)
+		if idx.oneIDs == nil {
+			idx.oneIDs = make(map[value.ID]int32, n)
+		} else {
+			clear(idx.oneIDs)
+		}
+		oneIDs := idx.oneIDs
 		for i := 0; i < n; i++ {
 			if i&cancelCheckMask == cancelCheckMask {
 				if err := s.ctx.Err(); err != nil {
@@ -137,9 +177,13 @@ func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) b
 			}
 			rowBid[i] = bid
 		}
-		idx.oneIDs = oneIDs
 	} else {
-		keyIDs := make(map[string]int32, n)
+		if idx.keyIDs == nil {
+			idx.keyIDs = make(map[string]int32, n)
+		} else {
+			clear(idx.keyIDs)
+		}
+		keyIDs := idx.keyIDs
 		for i := 0; i < n; i++ {
 			if i&cancelCheckMask == cancelCheckMask {
 				if err := s.ctx.Err(); err != nil {
@@ -159,23 +203,25 @@ func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) b
 			}
 			rowBid[i] = bid
 		}
-		idx.keyIDs = keyIDs
 	}
-	starts := make([]int32, nBuckets+1)
+	idx.starts = resize(idx.starts, int(nBuckets)+1)
+	starts := idx.starts
 	for _, bid := range rowBid {
 		starts[bid+1]++
 	}
 	for b := int32(0); b < nBuckets; b++ {
 		starts[b+1] += starts[b]
 	}
-	rows := make([]int32, n)
-	next := make([]int32, nBuckets)
+	idx.rows = grow(idx.rows, n)
+	rows := idx.rows
+	s.next = grow(s.next, int(nBuckets))
+	next := s.next
 	copy(next, starts[:nBuckets])
 	for i, bid := range rowBid {
 		rows[next[bid]] = int32(i)
 		next[bid]++
 	}
-	idx.starts, idx.rows, idx.built = starts, rows, true
+	idx.built = true
 	return true
 }
 
@@ -197,7 +243,7 @@ func (s *streamSearcher) openCursor(steps []planStep, depth int) bool {
 	}
 	idx := &s.idx[st.indexSlot]
 	var rows []int32
-	if idx.oneIDs != nil {
+	if len(st.keyPos) == 1 {
 		if bid, ok := idx.oneIDs[s.binding[st.roots[st.keyPos[0]]]]; ok {
 			rows = idx.bucket(bid)
 		}
@@ -281,11 +327,12 @@ func (s *streamSearcher) runPipeline(steps []planStep, leaf func() bool) bool {
 	}
 }
 
-// buildStreamPlan compiles the plan and emits the plan-stage span.
-func buildStreamPlan(ctx context.Context, comp *Compiled, fz *instance.Frozen, pinned []bool) *searchPlan {
+// buildStreamPlan compiles the plan into the pinned core s and emits
+// the plan-stage span.
+func buildStreamPlan(ctx context.Context, s *idSearchCore, comp *Compiled) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
-	plan := buildPlan(comp, fz, pinned)
+	plan := s.buildPlan(comp)
 	if o.SpansOn() {
 		steps := 0
 		for ci := range plan.comps {
@@ -304,6 +351,7 @@ func buildStreamPlan(ctx context.Context, comp *Compiled, fz *instance.Frozen, p
 // earlier component ends the search, so the recorded entries always sum
 // to Nodes.
 func runComponentsSequential(s *streamSearcher, plan *searchPlan) bool {
+	s.stats.CompNodes = make([]int64, 0, len(plan.comps))
 	for ci := range plan.comps {
 		before := s.stats.Nodes
 		found := s.runPipeline(plan.comps[ci].steps, nil)
@@ -337,7 +385,7 @@ func evalPipeline(ctx context.Context, q *Query, d *instance.Database, out *inst
 	core := newIDSearchCore(ctx, d.Frozen(), comp)
 	defer core.release()
 	core.pin(q, comp, nil)
-	plan := buildPlan(comp, core.fz, core.bound)
+	plan := core.buildPlan(comp)
 	s := newStreamSearcher(core, plan)
 
 	// solutions[ci] holds component ci's distinct head-class projections

@@ -62,7 +62,8 @@ type planComponent struct {
 }
 
 // searchPlan is the compiled form of one homomorphism search over a
-// fixed query and database.
+// fixed query and database.  It lives in the search's core, whose
+// arenas back its components and steps.
 type searchPlan struct {
 	comps []planComponent
 	// numSlots is the number of distinct (relation, key positions)
@@ -129,31 +130,33 @@ func equalPos(a, b []int) bool {
 	return true
 }
 
-// buildPlan compiles the plan for the compiled query comp over fz, whose
-// relation comp.Rels[i] body atom i matches (resolveCompiled).
-// prebound marks the body classes whose value is
-// fixed before the search starts (constant-bound classes, plus the head
-// classes when searching for a specific answer tuple); entries past
-// comp.BodyClasses are ignored.
+// buildPlan compiles the plan for the compiled query comp over the
+// core's frozen view, whose relation comp.Rels[i] body atom i matches
+// (resolveCompiled), into the core's plan.  The core's bound flags mark
+// the body classes whose value is fixed before the search starts
+// (constant-bound classes, plus the head classes when searching for a
+// specific answer tuple); entries past comp.BodyClasses are ignored.
 //
 // Plan compilation is the pipeline's setup cost, paid on every
-// pipeline search, so the compile stays lean: two arenas (one int, one
-// bool) back every scratch table and every step's key-position list,
-// and index-slot sharing compares position lists directly instead of
+// pipeline search, so the compile stays lean: the core's arenas (one
+// int, one bool, one of steps) back every scratch table, step and
+// key-position list of the plan, each resized and cleared here, and
+// index-slot sharing compares position lists directly instead of
 // building signature strings.
-func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan {
-	roots := comp.Args
+func (s *idSearchCore) buildPlan(comp *Compiled) *searchPlan {
+	fz, roots := s.fz, comp.Args
 	n, nc := len(roots), comp.BodyClasses
-	plan := &searchPlan{}
+	plan := &s.plan
 	total := 0
 	for _, args := range roots {
 		total += len(args)
 	}
-	preboundID := prebound[:nc:nc]
+	preboundID := s.bound[:nc:nc]
 	// Bool arena: the head-dedup set, the ordering bound scratch
 	// (rewritten whole per component by a copy), and one placed flag per
 	// atom (carved disjointly per component).
-	bools := make([]bool, 2*nc+n)
+	s.planBools = resize(s.planBools, 2*nc+n)
+	bools := s.planBools
 	seen := bools[:nc:nc]
 	boundScratch := bools[nc : 2*nc : 2*nc]
 	placedArena := bools[2*nc:]
@@ -165,7 +168,8 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan
 	// component grouping (CSR: comp ci's atoms are atomList
 	// [compStart[ci]:compStart[ci+1]], in body order), each class's
 	// component, and the steps' key-position lists.
-	ints := make([]int, 5*n+2*nc+total+1)
+	s.planInts = resize(s.planInts, 5*n+2*nc+total+1)
+	ints := s.planInts
 	parent, ints := ints[:n:n], ints[n:]
 	for i := range parent {
 		parent[i] = i
@@ -223,13 +227,18 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan
 		rootComp[i] = -1
 	}
 
-	plan.comps = make([]planComponent, ncomps)
-	stepsArena := make([]planStep, n)
+	// A component keeps the head-class list of the component at its
+	// index in earlier searches, emptied, so the list is rarely grown.
+	plan.comps = grow(plan.comps, ncomps)
+	s.planSteps = resize(s.planSteps, n)
+	stepsArena := s.planSteps
 	for ci := 0; ci < ncomps; ci++ {
 		atoms := atomList[compStart[ci]:compStart[ci+1]]
+		heads := plan.comps[ci].headRoots[:0]
 		plan.comps[ci], keyArena = orderComponent(atoms, fz, comp.Rels, roots, preboundID,
 			boundScratch, placedArena[compStart[ci]:compStart[ci+1]],
 			stepsArena[compStart[ci]:compStart[ci]:compStart[ci+1]], keyArena)
+		plan.comps[ci].headRoots = heads
 		for _, ai := range atoms {
 			for _, id := range roots[ai] {
 				if !preboundID[id] {
@@ -244,7 +253,7 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan
 	// probe path is a slice access.  Relations at or under
 	// smallRelScanThreshold tuples scan instead — walking a handful of
 	// tuples is cheaper than building a bucket map for them.
-	slotSteps := make([]*planStep, 0, n)
+	slotSteps := s.slotSteps[:0]
 	for ci := range plan.comps {
 		for si := range plan.comps[ci].steps {
 			st := &plan.comps[ci].steps[si]
@@ -265,6 +274,7 @@ func buildPlan(comp *Compiled, fz *instance.Frozen, prebound []bool) *searchPlan
 		}
 	}
 	plan.numSlots = len(slotSteps)
+	s.slotSteps = slotSteps[:0]
 
 	// Assign head classes to the component that determines them.
 	for _, id := range comp.Head {

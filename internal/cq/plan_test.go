@@ -29,7 +29,7 @@ func mustPlan(t *testing.T, q *Query, d *instance.Database) *searchPlan {
 	}
 	s := newIDSearchCore(context.Background(), d.Frozen(), comp)
 	s.pin(q, comp, nil)
-	return buildPlan(comp, s.fz, s.bound)
+	return s.buildPlan(comp)
 }
 
 func TestPlanMostConstrainedFirst(t *testing.T) {
@@ -266,5 +266,42 @@ func TestSearchModeString(t *testing.T) {
 	var zero SearchMode
 	if zero != SearchAdaptive {
 		t.Errorf("zero SearchMode is %v, want adaptive", zero)
+	}
+}
+
+// TestReleaseDropsLargeIndexSlots holds the pool's size bound: an
+// index slot built over more than MaxPooledSlots rows leaves the core
+// on release, while a slot built over a small relation keeps its
+// tables for the next search.
+func TestReleaseDropsLargeIndexSlots(t *testing.T) {
+	s := schema.MustParse("E(a:T1, b:T1)\nF(a:T1, b:T1)")
+	d := instance.NewDatabase(s)
+	for i := int64(0); i <= MaxPooledSlots; i++ {
+		d.MustInsert("E", val(1, i), val(1, i+1))
+	}
+	for i := int64(0); i < 2*smallRelScanThreshold; i++ {
+		d.MustInsert("F", val(1, i), val(1, i+1))
+	}
+	q := MustParse("V(X, U) :- E(X, Y), E(Y2, Z), F(U, W), F(W2, R), Y = Y2, W = W2.")
+	comp := Compile(q)
+	defer comp.Release()
+	if err := resolveCompiled(q, comp, s); err != nil {
+		t.Fatal(err)
+	}
+	core := newIDSearchCore(context.Background(), d.Frozen(), comp)
+	if !core.pin(q, comp, instance.Tuple{val(1, 0), val(1, 0)}) {
+		t.Fatal("pin missed")
+	}
+	plan := core.buildPlan(comp)
+	if !runComponentsSequential(newStreamSearcher(core, plan), plan) || plan.numSlots != 2 {
+		t.Fatalf("search missed or built %d index slots, want a hit over 2", plan.numSlots)
+	}
+	idx := core.stream.idx
+	core.release()
+	for i, rel := range []string{"E", "F"} {
+		big := rel == "E"
+		if kept := idx[i].rows != nil; kept == big {
+			t.Errorf("slot %d over %s: kept %v after release, want %v", i, rel, kept, !big)
+		}
 	}
 }

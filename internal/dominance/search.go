@@ -45,8 +45,11 @@ func DefaultBounds() SearchBounds {
 
 // SearchStats reports the work a search did.
 type SearchStats struct {
-	// ViewsPerRelation counts candidate views per destination relation
-	// of the α direction.
+	// ViewsPerRelation lists the number of candidate views of each
+	// destination relation of the α direction, in the destination's
+	// relation order, up to the first relation with none.
+	// SearchEquivalence lists its first direction's relations, then its
+	// second's.
 	ViewsPerRelation []int
 	// AlphaCandidates and BetaCandidates count complete candidate
 	// mappings enumerated (before validity filtering).
@@ -408,18 +411,26 @@ func SearchDominance(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds,
 }
 
 // SearchEquivalence searches for witnesses in both directions, with
-// ctx and opts applied to both.
+// ctx and opts applied to both.  The second direction runs only when
+// the first finds a witness; the stats sum the counts of every
+// direction that ran.
 func SearchEquivalence(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
-	w1, ok1, st1, err := SearchDominance(ctx, s1, s2, b, opts)
+	_, ok1, st, err := SearchDominance(ctx, s1, s2, b, opts)
 	if err != nil || !ok1 {
-		return false, st1, err
+		return false, st, err
 	}
-	_ = w1
 	_, ok2, st2, err := SearchDominance(ctx, s2, s1, b, opts)
-	st := st1
-	st.PairsChecked += st2.PairsChecked
-	st.AlphaCandidates += st2.AlphaCandidates
-	st.BetaCandidates += st2.BetaCandidates
-	st.Truncated = st1.Truncated || st2.Truncated
+	st.add(st2)
 	return ok2, st, err
+}
+
+// add sums o's counts into st and appends o's views per relation.
+func (st *SearchStats) add(o SearchStats) {
+	st.ViewsPerRelation = append(st.ViewsPerRelation, o.ViewsPerRelation...)
+	st.AlphaCandidates += o.AlphaCandidates
+	st.BetaCandidates += o.BetaCandidates
+	st.ValidAlphas += o.ValidAlphas
+	st.ValidBetas += o.ValidBetas
+	st.PairsChecked += o.PairsChecked
+	st.Truncated = st.Truncated || o.Truncated
 }

@@ -3,6 +3,7 @@ package dominance
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -143,6 +144,49 @@ func TestSearchStatsPopulated(t *testing.T) {
 	}
 	if len(stats.ViewsPerRelation) != 1 {
 		t.Errorf("ViewsPerRelation = %v", stats.ViewsPerRelation)
+	}
+}
+
+// TestSearchEquivalenceStatsSumBothDirections checks that the stats of
+// an equivalence search are the sums of its two dominance searches'
+// stats, and that ViewsPerRelation lists the first direction's
+// relations, then the second's.  R and P are isomorphic, so S1 ≼ S2
+// holds; Q keeps a column R cannot rebuild, so S2 ≼ S1 fails after
+// finding a valid α of its own.
+func TestSearchEquivalenceStatsSumBothDirections(t *testing.T) {
+	ctx := context.Background()
+	s1 := schema.MustParse("R(a*:T1, b:T2)")
+	s2 := schema.MustParse("P(x:T2, y*:T1)\nQ(z:T1)")
+	b := smallBounds()
+	_, ok1, fwd, err := SearchDominance(ctx, s1, s2, b, SearchOptions{})
+	if err != nil || !ok1 {
+		t.Fatalf("S1 ≼ S2: found %v, err %v; want a witness", ok1, err)
+	}
+	_, ok2, rev, err := SearchDominance(ctx, s2, s1, b, SearchOptions{})
+	if err != nil || ok2 {
+		t.Fatalf("S2 ≼ S1: found %v, err %v; want none", ok2, err)
+	}
+	eq, st, err := SearchEquivalence(ctx, s1, s2, b, SearchOptions{})
+	if err != nil || eq {
+		t.Fatalf("SearchEquivalence = %v, %v; want false", eq, err)
+	}
+	if fwd.ValidAlphas == 0 || rev.ValidAlphas == 0 {
+		t.Fatalf("each direction should find a valid α: forward %+v, reverse %+v", fwd, rev)
+	}
+	want := SearchStats{
+		ViewsPerRelation: append(append([]int(nil), fwd.ViewsPerRelation...), rev.ViewsPerRelation...),
+		AlphaCandidates:  fwd.AlphaCandidates + rev.AlphaCandidates,
+		BetaCandidates:   fwd.BetaCandidates + rev.BetaCandidates,
+		ValidAlphas:      fwd.ValidAlphas + rev.ValidAlphas,
+		ValidBetas:       fwd.ValidBetas + rev.ValidBetas,
+		PairsChecked:     fwd.PairsChecked + rev.PairsChecked,
+		Truncated:        fwd.Truncated || rev.Truncated,
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("SearchEquivalence stats\n got  %+v\n want %+v (forward %+v, reverse %+v)", st, want, fwd, rev)
+	}
+	if len(st.ViewsPerRelation) != len(s2.Relations)+len(s1.Relations) {
+		t.Fatalf("ViewsPerRelation = %v, want one entry per relation of S2, then of S1", st.ViewsPerRelation)
 	}
 }
 

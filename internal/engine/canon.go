@@ -157,7 +157,31 @@ type canonizer struct {
 	best     []byte
 	bestEnds []int
 	cands    []int // minCandidates scratch
+	// levels holds one tie-break level per branching depth of the
+	// search: the child state each candidate is searched from and the
+	// candidate list, both rewritten by every branch at that depth.
+	levels []*tieLevel
 }
+
+// tieLevel is the scratch of one branching depth of the tie-break
+// search.  A branch at depth d copies its state into levels[d].child
+// once per candidate, and the search below it branches at depth d+1,
+// so the levels of one search never overlap.
+type tieLevel struct {
+	child encState
+	cands []int
+}
+
+// size counts the entries the level's tables can hold.
+func (l *tieLevel) size() int {
+	st := &l.child
+	return cap(st.num) + cap(st.used) + cap(st.rows) + cap(st.key) + cap(st.ends) + cap(l.cands)
+}
+
+// maxPooledLevelSlots bounds the entries the tie-break levels of a
+// pooled canonizer hold in all; deeper levels past it are dropped on
+// release, so one deep search cannot pin its branch states in the pool.
+const maxPooledLevelSlots = 16 * cq.MaxPooledSlots
 
 // canonizers recycles canonizers across queries and goroutines.
 var canonizers = sync.Pool{New: func() any { return new(canonizer) }}
@@ -173,6 +197,14 @@ func (c *canonizer) release() {
 	clear(c.atomRel)
 	clear(c.relNames[:cap(c.relNames)])
 	c.comp.DropNames()
+	kept := 0
+	for i, l := range c.levels {
+		if kept += l.size(); kept > maxPooledLevelSlots {
+			clear(c.levels[i:])
+			c.levels = c.levels[:i]
+			break
+		}
+	}
 	canonizers.Put(c)
 }
 
@@ -635,7 +667,7 @@ func (c *canonizer) encode() (string, bool) {
 
 	budget := tieBreakBudget
 	c.best, c.bestEnds = c.best[:0], c.bestEnds[:0]
-	exact := c.search(st, 0, &budget)
+	exact := c.search(st, 0, 0, &budget)
 	return string(c.best), exact
 }
 
@@ -663,12 +695,13 @@ func (c *canonizer) writeClass(st *encState, ci int) {
 // in c.best (empty until the first completes).  cmp is st's comparison
 // with c.best so far, segment by segment (meaningless while c.best is
 // empty); c.best changes only inside branch, after which search
-// returns, so each in-place step compares only its new segment.  It
-// returns false when the budget ran out before the branch space was
+// returns, so each in-place step compares only its new segment.  depth
+// counts the branching steps above st, the level a branch of st uses.
+// It returns false when the budget ran out before the branch space was
 // exhausted.
 //
 //keyedeq:hot -- budgeted branch-and-bound over candidate atom orders; every canonical key pays for it
-func (c *canonizer) search(st *encState, cmp int, budget *int) bool {
+func (c *canonizer) search(st *encState, cmp, depth int, budget *int) bool {
 	exact := true
 	for {
 		if len(st.ends)-1 == len(c.atomRel) { // head segment + all atoms
@@ -702,18 +735,23 @@ func (c *canonizer) search(st *encState, cmp int, budget *int) bool {
 			}
 			continue
 		}
-		return c.branch(st, cands, budget) && exact
+		return c.branch(st, cands, depth, budget) && exact
 	}
 }
 
-// branch searches each candidate of a branching step from its own copy
-// of st.  The recursion refills minCandidates' scratch, so the
-// candidate list is copied first.
-func (c *canonizer) branch(st *encState, cands []int, budget *int) bool {
-	cands = append(make([]int, 0, len(cands)), cands...)
+// branch searches each candidate of a branching step from a copy of st
+// in the level of its depth.  The recursion refills minCandidates'
+// scratch, so the candidate list is copied into the level first.
+func (c *canonizer) branch(st *encState, cands []int, depth int, budget *int) bool {
+	if depth == len(c.levels) {
+		c.levels = append(c.levels, new(tieLevel))
+	}
+	lv := c.levels[depth]
+	lv.cands = append(lv.cands[:0], cands...)
+	child := &lv.child
 	exact := true
-	for _, ai := range cands {
-		child := c.apply(st, ai)
+	for _, ai := range lv.cands {
+		c.apply(child, st, ai)
 		// Prune branches already worse than the best known encoding.
 		cmp := 0
 		if len(c.bestEnds) > 0 {
@@ -721,7 +759,7 @@ func (c *canonizer) branch(st *encState, cands []int, budget *int) bool {
 				continue
 			}
 		}
-		if !c.search(child, cmp, budget) {
+		if !c.search(child, cmp, depth+1, budget) {
 			exact = false
 		}
 	}
@@ -865,16 +903,14 @@ func (c *canonizer) applyTo(st *encState, ai int) {
 	st.ends = append(st.ends, len(st.key))
 }
 
-// apply emits atom ai onto a copy of st, for branching steps.
-func (c *canonizer) apply(st *encState, ai int) *encState {
-	child := &encState{
-		num:  append([]int(nil), st.num...),
-		next: st.next,
-		used: append([]bool(nil), st.used...),
-		rows: append([]int(nil), st.rows...),
-		key:  append([]byte(nil), st.key...),
-		ends: append([]int(nil), st.ends...),
-	}
+// apply overwrites child with a copy of st and emits atom ai onto it,
+// for branching steps.
+func (c *canonizer) apply(child, st *encState, ai int) {
+	child.num = append(child.num[:0], st.num...)
+	child.next = st.next
+	child.used = append(child.used[:0], st.used...)
+	child.rows = append(child.rows[:0], st.rows...)
+	child.key = append(child.key[:0], st.key...)
+	child.ends = append(child.ends[:0], st.ends...)
 	c.applyTo(child, ai)
-	return child
 }

@@ -107,3 +107,17 @@ func TestCanonicalKeyNilSchema(t *testing.T) {
 		t.Fatalf("schema presence changed a satisfiable query's key: %q vs %q", withSchema.Key, without.Key)
 	}
 }
+
+// TestReleaseTrimsTieBreakLevels holds the canonizer pool's size bound:
+// release keeps the tie-break levels only while their tables hold at
+// most maxPooledLevelSlots entries in all.
+func TestReleaseTrimsTieBreakLevels(t *testing.T) {
+	c := new(canonizer)
+	for range 3 {
+		c.levels = append(c.levels, &tieLevel{cands: make([]int, 0, maxPooledLevelSlots/2+1)})
+	}
+	c.release()
+	if len(c.levels) != 1 {
+		t.Fatalf("release kept %d tie-break levels, want 1", len(c.levels))
+	}
+}

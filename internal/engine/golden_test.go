@@ -124,9 +124,9 @@ func goldenLines(tb testing.TB) []string {
 	return out
 }
 
-// TestCanonicalKeyGolden pins every canonical key and Exact flag of the
-// golden corpus byte for byte.
-func TestCanonicalKeyGolden(t *testing.T) {
+// goldenFileLines reads the lines of goldenKeysPath, comments and blank
+// lines skipped.
+func goldenFileLines(t *testing.T) []string {
 	f, err := os.Open(goldenKeysPath)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +143,13 @@ func TestCanonicalKeyGolden(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestCanonicalKeyGolden pins every canonical key and Exact flag of the
+// golden corpus byte for byte.
+func TestCanonicalKeyGolden(t *testing.T) {
+	want := goldenFileLines(t)
 	got := goldenLines(t)
 	if len(got) != len(want) {
 		t.Fatalf("golden corpus has %d queries, %s has %d lines", len(got), goldenKeysPath, len(want))
@@ -180,4 +187,30 @@ func TestCanonicalizeConcurrentMatchesGolden(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCanonicalizeAfterBudgetExhaustionMatchesGolden canonicalizes each
+// golden query right after a symmetric query that runs the tie-break
+// search out of budget, on one goroutine, so the pooled canonizer comes
+// back with every tie-break level that search grew.  Keys and Exact
+// flags must match the golden file byte for byte: a level the next
+// search reads before rewriting would show.
+func TestCanonicalizeAfterBudgetExhaustionMatchesGolden(t *testing.T) {
+	gs := gen.GraphSchema()
+	sym := cq.MustParse(disjointCycles(6, 3))
+	if CanonicalizeQuery(sym, gs).Exact {
+		t.Fatal("premise: six disjoint triangles no longer exhaust the tie-break budget")
+	}
+	want := goldenFileLines(t)
+	qs := goldenQueries(t)
+	if len(qs) != len(want) {
+		t.Fatalf("golden corpus has %d queries, %s has %d lines", len(qs), goldenKeysPath, len(want))
+	}
+	for i, g := range qs {
+		CanonicalizeQuery(sym, gs)
+		c := CanonicalizeQuery(g.q, g.schema)
+		if got := g.label + "\t" + strconv.FormatBool(c.Exact) + "\t" + c.Key; got != want[i] {
+			t.Fatalf("line %d after the budget-exhausting query:\n  got  %q\n  want %q", i+1, got, want[i])
+		}
+	}
 }

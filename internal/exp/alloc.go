@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -41,6 +42,10 @@ const (
 	// the parser went linear-time and the canonizer was pooled.
 	seedParseAllocs = 318
 	seedCanonAllocs = 101
+	// seedMissAllocs is engine.Decide's miss path on the wide-chain pair
+	// as measured before the search plan, the hash indexes, the tableau
+	// rows, the freeze's tables and the tie-break states were pooled.
+	seedMissAllocs = 140
 )
 
 // AllocCaseResult is one kernel's steady-state allocation measurement.
@@ -71,21 +76,22 @@ func (r *AllocBenchResult) Case(name string) (AllocCaseResult, bool) {
 
 // AllocCaseNames lists the cases every complete record must carry.
 func AllocCaseNames() []string {
-	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M", "parse/decide-hot", "canon/decide-hot"}
+	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M", "parse/decide-hot", "canon/decide-hot", "decide/miss-wide"}
 }
 
 // A1AllocBench measures allocations per operation of the hot-path
 // kernels the allocation lint rules police — one semi-naive chase run,
 // one freeze-chase-search containment check (the exact workloads of
 // BenchmarkT4Chase/rows-1000 and BenchmarkT3Containment/clique-4), the
-// bulk intern load, and the per-query front end every decision pays
-// (one parse, one canonicalization) — via testing.Benchmark.  A case
-// that fails to run is noted in the table and omitted from the record,
-// which the verify gate then rejects as incomplete.
+// bulk intern load, the per-query front end every decision pays (one
+// parse, one canonicalization), and one engine decision on the miss
+// path — via testing.Benchmark.  A case that fails to run is noted in
+// the table and omitted from the record, which the verify gate then
+// rejects as incomplete.
 func A1AllocBench() (*Table, *AllocBenchResult) {
 	t := &Table{
 		ID:      "A1",
-		Title:   "hot-path allocations per operation (chase, search, interning, query parse and canonicalization)",
+		Title:   "hot-path allocations per operation (chase, search, interning, query parse and canonicalization, decision miss path)",
 		Columns: []string{"case", "allocs/op", "bytes/op", "seed allocs/op"},
 	}
 	res := &AllocBenchResult{}
@@ -99,6 +105,7 @@ func A1AllocBench() (*Table, *AllocBenchResult) {
 		{"intern/rows-1M", seedInternAllocs, allocInternRun},
 		{"parse/decide-hot", seedParseAllocs, allocParseRun},
 		{"canon/decide-hot", seedCanonAllocs, allocCanonRun},
+		{"decide/miss-wide", seedMissAllocs, allocMissRun},
 	} {
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
@@ -266,6 +273,29 @@ func allocCanonRun(b *testing.B) error {
 	for i := 0; i < b.N; i++ {
 		if engine.CanonicalizeQuery(parsed[i%len(qs)], qs[i%len(qs)].schema).Key == "" {
 			return fmt.Errorf("empty canonical key for %s", qs[i%len(qs)].text)
+		}
+	}
+	return nil
+}
+
+// allocMissRun decides the wide chains of 12 and 13 atoms per operation
+// through engine.Decide with the verdict cache off, so every operation
+// runs the whole miss path: check, canonicalize, freeze, chase, plan,
+// index and search.  The engine is built before the timer.
+func allocMissRun(b *testing.B) error {
+	b.StopTimer()
+	s := gen.WideSchema()
+	e := engine.New(s, fd.KeyFDs(s), engine.Options{CacheSize: -1})
+	q1, q2 := gen.WideChainQuery(12), gen.WideChainQuery(13)
+	ctx := context.Background()
+	b.StartTimer()
+	for i := 0; i < b.N; i++ {
+		r := e.Decide(ctx, q1, q2, engine.OpEquivalent)
+		if r.Err != nil {
+			return r.Err
+		}
+		if r.Holds {
+			return fmt.Errorf("wide chains of 12 and 13 atoms decided equivalent")
 		}
 	}
 	return nil

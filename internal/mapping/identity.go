@@ -44,7 +44,7 @@ func (m *Mapping) IsIdentityOn(ctx context.Context, deps []fd.FD, equiv EquivFun
 		id := cq.Identity(src)
 		ok, _, err := equiv(ctx, q, id, m.Src, deps)
 		if err != nil {
-			return false, fmt.Errorf("mapping: identity test for %q: %v", dst.Name, err)
+			return false, fmt.Errorf("mapping: identity test for %q: %w", dst.Name, err)
 		}
 		if !ok {
 			return false, nil

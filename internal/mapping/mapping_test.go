@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"keyedeq/internal/containment"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/instance"
@@ -480,6 +481,20 @@ Q2(B) :- S(B).
 // TestRoundTripIdentityCtxCancelled pins the ctx threading through the
 // symbolic round-trip verification: a cancelled context aborts with the
 // context's error instead of silently deciding on context.Background().
+// TestRoundTripIdentityKeepsDeciderError checks that an error the
+// decider returns, such as a deadline that expired inside a decision,
+// stays visible to errors.Is through RoundTripIsIdentity.
+func TestRoundTripIdentityKeepsDeciderError(t *testing.T) {
+	m := IdentityMapping(src2)
+	expired := func(context.Context, *cq.Query, *cq.Query, *schema.Schema, []fd.FD) (bool, containment.Stats, error) {
+		return false, containment.Stats{}, context.DeadlineExceeded
+	}
+	_, err := RoundTripIsIdentity(context.Background(), m, IdentityMapping(src2), expired)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RoundTripIsIdentity: err = %v, want one errors.Is finds context.DeadlineExceeded in", err)
+	}
+}
+
 func TestRoundTripIdentityCtxCancelled(t *testing.T) {
 	m := IdentityMapping(src2)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,6 +250,42 @@ func TestSchemaDominanceEndpoint(t *testing.T) {
 	}, &resp)
 	if cs := s.pool.Stats(); cs.Hits == 0 {
 		t.Fatalf("dominance decisions bypassed the cache: %+v", cs)
+	}
+}
+
+// stallSink holds up the first canonicalize span it receives for
+// stall, so the decision that emits it outlives a shorter deadline.
+type stallSink struct {
+	once  sync.Once
+	stall time.Duration
+}
+
+func (s *stallSink) Emit(sp *obs.Span) {
+	if sp.Stage == obs.StageCanonicalize {
+		s.once.Do(func() { time.Sleep(s.stall) })
+	}
+}
+
+// TestSchemaDominanceDeadlineInsideDecision lets the request's deadline
+// expire inside pool.Equiv: a span sink stalls the round trip's one
+// equivalence decision at its canonicalization, past the deadline, so
+// the decision returns the deadline error.  β's redundant atom keeps
+// the composed view from being isomorphic to the identity, so the
+// decision reaches the chase, which sees the expired context.  The
+// endpoint must answer 504, as it does when the deadline falls between
+// decisions.
+func TestSchemaDominanceDeadlineInsideDecision(t *testing.T) {
+	sink := &stallSink{stall: 250 * time.Millisecond}
+	s := newTestServer(t, Config{Obs: &obs.Obs{Reg: obs.NewRegistry(), Sink: sink}})
+	rec := postJSON(t, s, "/v1/schema/dominance", schemaDominanceRequest{
+		Schema1:   "r(a*:T1, b:T2)",
+		Schema2:   "p(x*:T1, y:T2)",
+		Alpha:     "p(X, Y) :- r(X, Y).",
+		Beta:      "r(X, Y) :- p(X, Y), p(X2, Z), X = X2.",
+		TimeoutMS: 50,
+	}, nil)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", rec.Code, rec.Body.String())
 	}
 }
 
