@@ -8,9 +8,10 @@
 //	sqeq -e ... -e2 ... -alpha alpha.txt -beta beta.txt
 //	sqeq -search -parallel 4 -cache 8192 schema1.txt schema2.txt
 //
-// With -search, -parallel sizes the worker pool of the bounded mapping
-// search and -cache bounds the engine pool's one verdict cache, shared
-// by both schemas (0 picks the defaults; -cache -1 disables caching).
+// With -search, -parallel sets how many workers the bounded mapping
+// search runs (0 or 1 runs it sequentially) and -cache bounds the engine
+// pool's one verdict cache, shared by both schemas (0 picks the default;
+// -cache -1 disables caching).
 //
 // Observability (most useful with -search, whose decisions run the
 // instrumented batch engine): -metrics prints Prometheus-text counters
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	inline2 := fs.String("e2", "", "second schema given inline instead of a file")
 	alphaFile := fs.String("alpha", "", "file with a candidate mapping schema1 → schema2 to verify")
 	betaFile := fs.String("beta", "", "file with a candidate mapping schema2 → schema1 to verify")
-	parallel := fs.Int("parallel", 0, "worker pool size for -search (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := fs.Int("parallel", 0, "workers for -search's mapping search (0 or 1 = sequential)")
 	cacheSize := fs.Int("cache", 0, "verdict cache entries for -search, shared by both schemas (0 = default, <0 = disable)")
 	var of cli.ObsFlags
 	of.Register(fs)
@@ -118,16 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *search {
 		b := keyedeq.DefaultSearchBounds()
-		// The mapping search decides many candidate view pairs over the
-		// same two schemas — exactly the batch shape the engine's
+		// The mapping search decides many identity checks over the same
+		// two schemas — exactly the batch shape the engine's
 		// canonical-query cache deduplicates, so route its equivalence
 		// calls through an engine pool.  Ctrl-C cancels the context,
-		// which stops the pair loop and aborts in-flight chases instead
-		// of letting a long search run to completion.
+		// which stops the search loop and aborts in-flight chases
+		// instead of letting a long search run to completion.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		pool := keyedeq.NewEnginePool(keyedeq.EngineOptions{
-			Workers:   *parallel,
 			CacheSize: *cacheSize,
 			Obs:       ob.Obs,
 		})
@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "\nbounded mapping search: equivalent=%v (pairs checked %d, truncated %v)\n",
+		fmt.Fprintf(stdout, "\nbounded mapping search: equivalent=%v (identity checks %d, truncated %v)\n",
 			found, stats.PairsChecked, stats.Truncated)
 		cs := pool.Stats()
 		fmt.Fprintf(stdout, "engine cache: %d hits / %d misses (hit rate %.2f)\n",

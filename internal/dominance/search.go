@@ -3,10 +3,12 @@ package dominance
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"keyedeq/internal/cq"
+	"keyedeq/internal/fd"
 	"keyedeq/internal/mapping"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
@@ -15,10 +17,11 @@ import (
 // Bounded exhaustive search for dominance/equivalence witnesses.  This is
 // deliberately the *semantic* route the paper's Theorem 13 renders
 // unnecessary: enumerate candidate conjunctive query mappings within
-// syntactic bounds, and certificate-check each pair (validity + β∘α = id,
-// both decided symbolically).  Experiments T1/T7/F2 use it to confirm the
-// theorem on exhaustive small schema spaces and to measure how fast the
-// semantic route blows up compared to the canonical-form test.
+// syntactic bounds and certificate-check them (validity + β∘α = id, both
+// decided symbolically, one view at a time).  Experiments T1/T7/F2 use it
+// to confirm the theorem on exhaustive small schema spaces and to measure
+// how fast the semantic route blows up compared to the canonical-form
+// test.
 
 // SearchBounds bound the candidate query space.
 type SearchBounds struct {
@@ -29,8 +32,10 @@ type SearchBounds struct {
 	// MaxViews caps the views enumerated per destination relation;
 	// 0 means unlimited.
 	MaxViews int
-	// MaxPairs caps the number of (α, β) pairs certificate-checked;
-	// 0 means unlimited.
+	// MaxPairs caps the identity checks by position, 0 meaning no cap:
+	// relation R of S1 against its j-th valid view for the k-th valid α
+	// sits at k·Σ|β_R′| + Σ_{R′<R}|β_R′| + j.  With one relation in S1
+	// that is the (α, β) pair's index in α-major order.
 	MaxPairs int64
 	// Constants, when non-empty, are additionally offered as head terms
 	// (queries may emit fixed constants, so a complete search must try
@@ -51,15 +56,16 @@ type SearchStats struct {
 	// SearchEquivalence lists its first direction's relations, then its
 	// second's.
 	ViewsPerRelation []int
-	// AlphaCandidates and BetaCandidates count complete candidate
-	// mappings enumerated (before validity filtering).
+	// AlphaCandidates and BetaCandidates count the candidate mappings,
+	// and ValidAlphas and ValidBetas those passing the validity check:
+	// products of per-relation view counts, saturating at MaxInt64.
 	AlphaCandidates int64
 	BetaCandidates  int64
-	// ValidAlphas and ValidBetas count mappings passing the validity
-	// check.
-	ValidAlphas int64
-	ValidBetas  int64
-	// PairsChecked counts (α, β) pairs run through the identity test.
+	ValidAlphas     int64
+	ValidBetas      int64
+	// PairsChecked counts identity checks, one per (α, R, β_R) with R a
+	// relation of S1 and β_R a valid view of it; with one relation in
+	// S1, one per (α, β) pair.
 	PairsChecked int64
 	// Truncated records that a cap was hit before the space was
 	// exhausted; a negative search result is then inconclusive.
@@ -77,20 +83,37 @@ func EnumerateViews(src *schema.Schema, target *schema.Relation, b SearchBounds)
 		b.MaxAtoms = 1
 	}
 	var out []*cq.Query
-	bodies := enumerateBodies(src, b.MaxAtoms)
-	for _, body := range bodies {
+bodies:
+	for _, body := range enumerateBodies(src, b.MaxAtoms) {
 		// Collect typed variables.
 		type tv struct {
 			v cq.Var
 			t value.Type
 		}
 		var vars []tv
-		for i, a := range body {
+		for _, a := range body {
 			rel := src.Relation(a.Rel)
 			for p, v := range a.Vars {
 				vars = append(vars, tv{v: v, t: rel.Attrs[p].Type})
 			}
-			_ = i
+		}
+		// Head choices per target position: body variables of the right
+		// type, plus any offered constants of that type.
+		choices := make([][]cq.Term, target.Arity())
+		for p, attr := range target.Attrs {
+			for _, v := range vars {
+				if v.t == attr.Type {
+					choices[p] = append(choices[p], cq.Term{Var: v.v})
+				}
+			}
+			for _, c := range b.Constants {
+				if c.Type == attr.Type {
+					choices[p] = append(choices[p], cq.C(c))
+				}
+			}
+			if len(choices[p]) == 0 {
+				continue bodies
+			}
 		}
 		// Candidate equality pairs.
 		var pairs [][2]cq.Var
@@ -105,29 +128,6 @@ func EnumerateViews(src *schema.Schema, target *schema.Relation, b SearchBounds)
 			var eqs []cq.Equality
 			for _, pi := range eqSet {
 				eqs = append(eqs, cq.Equality{Left: pairs[pi][0], Right: cq.Term{Var: pairs[pi][1]}})
-			}
-			// Head choices per target position: body variables of the
-			// right type, plus any offered constants of that type.
-			choices := make([][]cq.Term, target.Arity())
-			feasible := true
-			for p, attr := range target.Attrs {
-				for _, v := range vars {
-					if v.t == attr.Type {
-						choices[p] = append(choices[p], cq.Term{Var: v.v})
-					}
-				}
-				for _, c := range b.Constants {
-					if c.Type == attr.Type {
-						choices[p] = append(choices[p], cq.C(c))
-					}
-				}
-				if len(choices[p]) == 0 {
-					feasible = false
-					break
-				}
-			}
-			if !feasible {
-				continue
 			}
 			idx := make([]int, target.Arity())
 			for {
@@ -223,191 +223,178 @@ func increment(idx []int, choices [][]cq.Term) bool {
 	return false
 }
 
-// EnumerateMappings lists all candidate mappings src → dst within the
-// bounds (the cartesian product of per-relation view choices).
-func EnumerateMappings(src, dst *schema.Schema, b SearchBounds, stats *SearchStats, dir int) []*mapping.Mapping {
-	views := make([][]*cq.Query, len(dst.Relations))
-	for i, r := range dst.Relations {
-		views[i] = EnumerateViews(src, r, b)
-		if dir == 0 && stats != nil {
-			stats.ViewsPerRelation = append(stats.ViewsPerRelation, len(views[i]))
-		}
-		if len(views[i]) == 0 {
-			return nil
-		}
-	}
-	var out []*mapping.Mapping
-	idx := make([]int, len(dst.Relations))
-	for {
-		qs := make([]*cq.Query, len(dst.Relations))
-		for i := range idx {
-			qs[i] = views[i][idx[i]].Clone()
-		}
-		if m, err := mapping.New(src, dst, qs); err == nil {
-			out = append(out, m)
-		}
-		if stats != nil {
-			if dir == 0 {
-				stats.AlphaCandidates++
-			} else {
-				stats.BetaCandidates++
-			}
-		}
-		// Advance.
-		p := len(idx) - 1
-		for p >= 0 {
-			idx[p]++
-			if idx[p] < len(views[p]) {
-				break
-			}
-			idx[p] = 0
-			p--
-		}
-		if p < 0 {
-			return out
-		}
-	}
-}
-
-// SearchOptions tune how the certificate-check pair loop runs.  The
-// zero value reproduces the sequential search exactly.
+// SearchOptions tune how the search runs; the zero value runs it inline
+// with containment.EquivalentUnderCtx.
 type SearchOptions struct {
-	// Workers parallelizes the (α, β) identity checks; 0 or 1 keeps the
-	// loop sequential.  The found/not-found verdict and the returned
-	// witness (the lowest-numbered successful pair) are deterministic
-	// either way; only PairsChecked may vary, since workers stop early
-	// once a witness below their index is known.
+	// Workers is how many goroutines claim valid α's in order; 0 or 1
+	// runs the search inline.  Only PairsChecked depends on it: a worker
+	// finishes the α it claimed before it learns of a lower success.
 	Workers int
-	// Equiv, when non-nil, decides the per-relation CQ equivalences of
-	// the identity test — e.g. the batch engine pool's cached Equiv; nil
-	// means containment.EquivalentUnderCtx.
+	// Equiv decides the identity checks, e.g. the batch engine pool's
+	// cached Equiv; nil means containment.EquivalentUnderCtx.
 	Equiv mapping.EquivFunc
 }
 
 // SearchDominance searches for a pair (α, β) establishing S1 ≼ S2 within
-// the bounds.  found=false with stats.Truncated=true is inconclusive;
-// found=false with Truncated=false means no witness exists in the bounded
-// space.  ctx reaches every certificate check: cancelling it stops the
-// pair loop (sequential or parallel) and aborts the chase and
-// homomorphism searches mid-pair.
+// the bounds.  β is valid and β∘α = id iff each view β_R of a relation R
+// of S1 is valid and, substituted through α, R's identity under S1's
+// keys.  So the search walks the valid α's in α-major order and takes,
+// for each R, the first such β_R; the first α every R passes gives the
+// witness, the lowest passing (α, β) pair.  found=false is inconclusive
+// when stats.Truncated, else no witness exists in the bounds.  ctx
+// reaches every identity check, and cancelling it stops the search.
 func SearchDominance(ctx context.Context, s1, s2 *schema.Schema, b SearchBounds, opts SearchOptions) (*Witness, bool, SearchStats, error) {
 	var stats SearchStats
-	alphas := EnumerateMappings(s1, s2, b, &stats, 0)
-	betas := EnumerateMappings(s2, s1, b, &stats, 1)
-	// Filter by validity first (cheap relative to the identity check).
-	var validAlphas []*mapping.Mapping
-	for _, a := range alphas {
-		ok, err := a.IsValid()
-		if err != nil {
-			return nil, false, stats, err
-		}
-		if ok {
-			validAlphas = append(validAlphas, a)
-		}
+	var alphas, betas [][]*cq.Query
+	var err error
+	alphas, stats.ViewsPerRelation, stats.AlphaCandidates, stats.ValidAlphas, err = validViews(s1, s2, b)
+	if err != nil {
+		return nil, false, stats, err
 	}
-	stats.ValidAlphas = int64(len(validAlphas))
-	var validBetas []*mapping.Mapping
-	for _, bm := range betas {
-		ok, err := bm.IsValid()
-		if err != nil {
-			return nil, false, stats, err
-		}
-		if ok {
-			validBetas = append(validBetas, bm)
-		}
+	betas, _, stats.BetaCandidates, stats.ValidBetas, err = validViews(s2, s1, b)
+	if err != nil || stats.ValidAlphas == 0 || stats.ValidBetas == 0 {
+		return nil, false, stats, err
 	}
-	stats.ValidBetas = int64(len(validBetas))
-
-	// Materialize the pair list in deterministic α-major order, applying
-	// the MaxPairs cap before dispatch so truncation does not depend on
-	// scheduling.
-	type pair struct{ a, b *mapping.Mapping }
-	var pairs []pair
-	for _, a := range validAlphas {
-		for _, bm := range validBetas {
-			if b.MaxPairs > 0 && int64(len(pairs)) >= b.MaxPairs {
-				stats.Truncated = true
-				break
-			}
-			pairs = append(pairs, pair{a, bm})
-		}
-		if stats.Truncated {
-			break
-		}
+	// α k owns the positions from k·width on, one per β_R view: R's j-th
+	// sits Σ_{R′<R}|β_R′| + j in.  Capping the position keeps truncation
+	// independent of scheduling.
+	var width int64
+	for _, vs := range betas {
+		width += int64(len(vs))
 	}
-
-	if opts.Workers <= 1 {
-		for _, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, false, stats, err
-			}
-			stats.PairsChecked++
-			ok, err := mapping.RoundTripIsIdentity(ctx, p.a, p.b, opts.Equiv)
-			if err != nil {
-				return nil, false, stats, err
-			}
-			if ok {
-				return &Witness{Alpha: p.a, Beta: p.b}, true, stats, nil
-			}
-		}
-		return nil, false, stats, nil
+	limit := b.MaxPairs
+	if limit <= 0 {
+		limit = math.MaxInt64
 	}
-
-	// Parallel loop: workers claim pair indexes in order and record the
-	// lowest successful one; indexes above a known success are skipped.
+	stats.Truncated = mulSat(stats.ValidAlphas, width) > limit
+	// best is the lowest passing α so far, else the end of the α's with
+	// a position below the cap.
+	best := stats.ValidAlphas
+	if width > 0 {
+		best = min(best, (limit-1)/width+1)
+	}
+	deps := fd.KeyFDs(s1)
+	var checked atomic.Int64
+	check := func(k int64) (*Witness, error) {
+		// α k's views are the mixed-radix digits of k, the last
+		// relation's the fastest.
+		alpha := &mapping.Mapping{Src: s1, Dst: s2, Queries: make([]*cq.Query, len(alphas))}
+		for i, rest := len(alphas)-1, k; i >= 0; i-- {
+			n := int64(len(alphas[i]))
+			alpha.Queries[i], rest = alphas[i][rest%n], rest/n
+		}
+		beta := &mapping.Mapping{Src: s2, Dst: s1, Queries: make([]*cq.Query, len(betas))}
+		room, offset := limit-k*width, int64(0)
+		for r, views := range betas {
+			rel := s1.Relations[r]
+			for j := 0; j < len(views) && beta.Queries[r] == nil; j++ {
+				if offset+int64(j) >= room {
+					return nil, nil
+				}
+				sub, err := mapping.Substitute(views[j], alpha)
+				if err != nil {
+					return nil, err
+				}
+				sub.HeadRel = rel.Name
+				checked.Add(1)
+				ok, err := mapping.ViewIsIdentity(ctx, s1, deps, rel, sub, opts.Equiv)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					beta.Queries[r] = views[j]
+				}
+			}
+			if beta.Queries[r] == nil {
+				return nil, nil
+			}
+			offset += int64(len(views))
+		}
+		return &Witness{Alpha: alpha, Beta: beta}, nil
+	}
 	var (
 		mu       sync.Mutex
-		best     = -1
+		witness  *Witness
 		firstErr error
 		next     atomic.Int64
-		checked  atomic.Int64
 		wg       sync.WaitGroup
 	)
-	for w := 0; w < opts.Workers; w++ {
+	claim := func() {
+		for {
+			k := next.Add(1) - 1
+			mu.Lock()
+			stop := firstErr != nil || k >= best
+			mu.Unlock()
+			if stop {
+				return
+			}
+			w, err := check(k)
+			mu.Lock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if w != nil && k < best {
+				best, witness = k, w
+			}
+			mu.Unlock()
+		}
+	}
+	for w := 1; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil || (best >= 0 && best < i)
-				mu.Unlock()
-				if stop {
-					return
-				}
-				checked.Add(1)
-				ok, err := mapping.RoundTripIsIdentity(ctx, pairs[i].a, pairs[i].b, opts.Equiv)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if ok && (best < 0 || i < best) {
-					best = i
-				}
-				mu.Unlock()
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 	stats.PairsChecked = checked.Load()
 	if firstErr != nil {
 		return nil, false, stats, firstErr
 	}
-	if best >= 0 {
-		return &Witness{Alpha: pairs[best].a, Beta: pairs[best].b}, true, stats, nil
+	return witness, witness != nil, stats, nil
+}
+
+// validViews keeps the valid candidate views of each relation of dst
+// over src, and returns them with each relation's candidate count and
+// the numbers of candidate and of valid mappings (the products).  No
+// mapping exists past a relation with no candidate view, where
+// enumeration stops, or with no valid one, where validity checks stop.
+func validViews(src, dst *schema.Schema, b SearchBounds) (valid [][]*cq.Query, perRel []int, nCands, nValid int64, err error) {
+	deps := fd.KeyFDs(src)
+	valid = make([][]*cq.Query, len(dst.Relations))
+	nCands, nValid = 1, 1
+	for i, rel := range dst.Relations {
+		views := EnumerateViews(src, rel, b)
+		perRel = append(perRel, len(views))
+		if len(views) == 0 {
+			return nil, perRel, 0, 0, nil
+		}
+		nCands = mulSat(nCands, int64(len(views)))
+		if nValid == 0 {
+			continue
+		}
+		for _, q := range views {
+			ok, err := mapping.ViewIsValid(src, deps, rel, q)
+			if err != nil {
+				return nil, perRel, nCands, 0, err
+			}
+			if ok {
+				valid[i] = append(valid[i], q)
+			}
+		}
+		nValid = mulSat(nValid, int64(len(valid[i])))
 	}
-	return nil, false, stats, nil
+	return valid, perRel, nCands, nValid, nil
+}
+
+// mulSat returns a·b for non-negative a and b, or math.MaxInt64 where
+// the product overflows.
+func mulSat(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // SearchEquivalence searches for witnesses in both directions, with

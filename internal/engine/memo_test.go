@@ -164,7 +164,8 @@ func TestRunOneChainMatchesDecide(t *testing.T) {
 // than half an allocation per added job over one copy.  The batches are
 // each E1 family's pairs, its poisonedJobs, and the poisoned jobs that
 // fail, whose errors are built once per failing pair of presentations.
-// One worker and no cache keep the count steady.
+// One worker and no cache keep the count steady.  The bound is asserted
+// only without the race detector, whose sync.Pool drops puts at random.
 func TestRunAllocsScaleWithDistinctWork(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -199,7 +200,7 @@ func TestRunAllocsScaleWithDistinctWork(t *testing.T) {
 			one, ten := copies(1), copies(10)
 			a1 := testing.AllocsPerRun(3, func() { e.Run(ctx, one) })
 			a10 := testing.AllocsPerRun(3, func() { e.Run(ctx, ten) })
-			if perJob := (a10 - a1) / float64(len(ten)-len(one)); perJob >= 0.5 {
+			if perJob := (a10 - a1) / float64(len(ten)-len(one)); perJob >= 0.5 && !raceEnabled {
 				t.Errorf("%s %s: %.0f allocations at one copy, %.0f at ten: %.2f per added job, want under 0.5",
 					f.Name, in.name, a1, a10, perJob)
 			}

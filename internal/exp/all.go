@@ -25,6 +25,7 @@ func All(cfg Config) []*Table {
 	searchAttrs := 3
 	if !cfg.Quick {
 		t1Space = gen.SchemaSpace{MaxRelations: 2, MaxAttrs: 2, Types: 2}
+		t1Bounds = dominance.SearchBounds{MaxAtoms: 2, MaxEqs: 1, MaxViews: 20000, MaxPairs: 20_000_000}
 		trials = 200
 		chainMax, starMax, cliqueMax = 14, 14, 5
 		chaseSizes = []int{100, 1000, 10000}

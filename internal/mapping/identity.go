@@ -20,37 +20,39 @@ type EquivFunc func(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, dep
 
 // IsIdentityOn reports whether m (a mapping S → S, possibly with Src and
 // Dst structurally equal) is the identity on every instance of its source
-// satisfying deps: each view is CQ-equivalent to the identity query of
-// its relation under deps, decided by equiv (nil means
-// containment.EquivalentUnderCtx).  With deps = fd.KeyFDs(src) this is
-// exactly the paper's "β∘α is the identity map on i(S1)" over keyed
-// instances.  Cancelling ctx aborts between and inside decisions.
+// satisfying deps: whether each view passes ViewIsIdentity, with equiv
+// and ctx.  With deps = fd.KeyFDs(src) this is exactly the paper's "β∘α
+// is the identity map on i(S1)" over keyed instances.
 func (m *Mapping) IsIdentityOn(ctx context.Context, deps []fd.FD, equiv EquivFunc) (bool, error) {
-	if equiv == nil {
-		equiv = containment.EquivalentUnderCtx
-	}
 	if len(m.Src.Relations) != len(m.Dst.Relations) {
 		return false, nil
 	}
 	for i, q := range m.Queries {
-		if err := ctx.Err(); err != nil {
+		if !schema.SameType(m.Src.Relations[i], m.Dst.Relations[i]) {
+			return false, nil
+		}
+		if ok, err := ViewIsIdentity(ctx, m.Src, deps, m.Src.Relations[i], q, equiv); err != nil || !ok {
 			return false, err
-		}
-		src := m.Src.Relations[i]
-		dst := m.Dst.Relations[i]
-		if !schema.SameType(src, dst) {
-			return false, nil
-		}
-		id := cq.Identity(src)
-		ok, _, err := equiv(ctx, q, id, m.Src, deps)
-		if err != nil {
-			return false, fmt.Errorf("mapping: identity test for %q: %w", dst.Name, err)
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// ViewIsIdentity reports whether q, a query over s, is equivalent under
+// deps to rel's identity query, decided by equiv (nil means
+// containment.EquivalentUnderCtx); cancelling ctx aborts the decision.
+func ViewIsIdentity(ctx context.Context, s *schema.Schema, deps []fd.FD, rel *schema.Relation, q *cq.Query, equiv EquivFunc) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	if equiv == nil {
+		equiv = containment.EquivalentUnderCtx
+	}
+	ok, _, err := equiv(ctx, q, cq.Identity(rel), s, deps)
+	if err != nil {
+		return false, fmt.Errorf("mapping: identity test for %q: %w", rel.Name, err)
+	}
+	return ok, nil
 }
 
 // RoundTripIsIdentity reports whether β∘α = id on key-satisfying
@@ -69,25 +71,29 @@ func RoundTripIsIdentity(ctx context.Context, alpha, beta *Mapping, equiv EquivF
 
 // IsValid reports whether the mapping is valid in the paper's sense: it
 // maps every instance of Src satisfying Src's key dependencies to an
-// instance of Dst satisfying Dst's key dependencies.  Decided by the
-// chase-based view-key test per destination relation.  Mappings between
-// unkeyed schemas are always valid.
+// instance of Dst satisfying Dst's, i.e. each view passes ViewIsValid.
 func (m *Mapping) IsValid() (bool, error) {
 	deps := fd.KeyFDs(m.Src)
 	for k, q := range m.Queries {
-		rel := m.Dst.Relations[k]
-		if !rel.Keyed() {
-			continue
-		}
-		ok, err := chase.ViewKeyHolds(m.Src, deps, q, rel.KeyPositions())
-		if err != nil {
-			return false, fmt.Errorf("mapping: validity of view %q: %v", rel.Name, err)
-		}
-		if !ok {
-			return false, nil
+		if ok, err := ViewIsValid(m.Src, deps, m.Dst.Relations[k], q); err != nil || !ok {
+			return false, err
 		}
 	}
 	return true, nil
+}
+
+// ViewIsValid reports whether q, a view over src defining rel, maps each
+// instance satisfying deps to one satisfying rel's key, decided by the
+// chase-based view-key test; a view of an unkeyed relation always does.
+func ViewIsValid(src *schema.Schema, deps []fd.FD, rel *schema.Relation, q *cq.Query) (bool, error) {
+	if !rel.Keyed() {
+		return true, nil
+	}
+	ok, err := chase.ViewKeyHolds(src, deps, q, rel.KeyPositions())
+	if err != nil {
+		return false, fmt.Errorf("mapping: validity of view %q: %v", rel.Name, err)
+	}
+	return ok, nil
 }
 
 // Dominates reports whether (alpha, beta) establish S1 ≼ S2 in the

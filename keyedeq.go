@@ -134,8 +134,8 @@ type (
 	SearchBounds = dominance.SearchBounds
 	// SearchStats reports the work a search did.
 	SearchStats = dominance.SearchStats
-	// SearchOptions tune the search's pair loop (parallelism, cached
-	// equivalence decider).
+	// SearchOptions set the search's workers and its equivalence
+	// decider (an EnginePool's Equiv caches verdicts).
 	SearchOptions = dominance.SearchOptions
 	// ContainmentStats reports homomorphism/chase work.
 	ContainmentStats = containment.Stats
@@ -426,9 +426,10 @@ func VerifyKappaPair(alphaK, betaK *Mapping) (bool, error) {
 // SearchEquivalence decides equivalence semantically by bounded
 // enumeration of candidate mappings — exponential, and by Theorem 13
 // never finds anything Isomorphic would not; provided for validation and
-// experimentation.  ctx reaches every certificate check, so cancellation
-// and deadlines stop the underlying chase and homomorphism searches;
-// opts sets the pair loop's parallelism and the equivalence decider
+// experimentation.  Each direction walks the valid α's and checks the
+// β views relation by relation.  ctx reaches every identity check, so
+// cancellation and deadlines stop the underlying chase and homomorphism
+// searches; opts sets the search's workers and the equivalence decider
 // (the zero value is sequential, with EquivalentQueriesUnder's
 // procedure; an EnginePool's Equiv caches verdicts).
 func SearchEquivalence(ctx context.Context, s1, s2 *Schema, b SearchBounds, opts SearchOptions) (bool, SearchStats, error) {
